@@ -1,36 +1,27 @@
 """Command-line front end.
 
 Subcommands: irreps, build, decompose, compile, simulate, verify,
-reproduce-paper, emit.  All structured output is JSON with sorted keys, so
-repeated runs are byte-identical.  Exit codes: 0 on success, 1 on a
-verification failure, 2 on usage or input-parsing errors (argparse's own
-convention).  The CQS_SEED environment variable is reserved for future
-sampling features and is read but unused: every current code path is
-deterministic.
+reproduce-paper, emit.  Operators are named by the generator tags of
+`frobenius.BUILDERS` (mu, delta, eta, eps, cylinder); paper mode covers all
+but the cylinder.  All structured output is JSON with sorted keys, and every
+code path is deterministic, so repeated runs are byte-identical.  Exit
+codes: 0 on success, 1 on a verification failure, 2 on usage or
+input-parsing errors (argparse's own convention), such as a circuit JSON
+naming an unknown gate kind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .duality_compiler import Circuit, compile_exact, compile_paper, emit_text
-from .frobenius import (
-    DenseOperator,
-    FrobeniusSpec,
-    PhaseConvention,
-    build_cylinder,
-    build_delta,
-    build_epsilon,
-    build_eta,
-    build_mu,
-    logical_form,
-)
+from .frobenius import BUILDERS as _BUILDERS
+from .frobenius import DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
 from .pauli import pauli_expand
 from .reptheory import dump_rep_table, load_rep_table, su3_truncation
 from .statevector import effective_operator, run
@@ -43,14 +34,6 @@ from .verify import (
 )
 
 __all__ = ["main", "console_entry"]
-
-_BUILDERS = {
-    "mu": build_mu,
-    "delta": build_delta,
-    "eta": build_eta,
-    "eps": build_epsilon,
-    "cylinder": build_cylinder,
-}
 
 _CONVENTIONS = {
     "paper": PhaseConvention.PAPER_LITERAL,
@@ -176,19 +159,8 @@ def _cmd_simulate(args) -> int:
     circuit = Circuit.from_dict(_load_json(args.circuit))
     if args.effective:
         effective = effective_operator(circuit)
-        doc = DenseOperator.from_dict(
-            {
-                "rows": effective.matrix.shape[0],
-                "cols": effective.matrix.shape[1],
-                "in_qubits": len(circuit.work_qubits),
-                "out_qubits": len(circuit.work_qubits),
-                "entries": [],
-            }
-        ).to_dict()
-        doc["entries"] = [
-            [int(r), int(c), effective.matrix[r, c].real, effective.matrix[r, c].imag]
-            for r, c in zip(*np.nonzero(effective.matrix))
-        ]
+        n_work = len(circuit.work_qubits)
+        doc = DenseOperator(effective.matrix, n_work, n_work).to_dict()
         doc["success_probabilities"] = effective.success_probabilities
         _emit_json(doc, args.out)
         return 0
@@ -307,7 +279,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    os.environ.get("CQS_SEED")  # reserved; all current paths are deterministic
     parser = _parser()
     try:
         args = parser.parse_args(argv)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,12 +29,14 @@ from .frobenius import (
     FrobeniusSpec,
     GENERATOR_ARITY,
     PhaseConvention,
-    boltzmann_weight,
+    generator_terms,
 )
 from .pauli import (
+    PAULI_1Q,
     PAULI_LETTERS,
     FactoredOperator,
     NormalizedFactor,
+    _as_matrix,
     normalize_factor,
     pauli_expand,
 )
@@ -63,15 +65,12 @@ GATE_KINDS = {
     "y": 0,
     "z": 0,
     "h": 0,
-    "u1q": 0,
 }
 
-_FIXED_MATRICES = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-}
+# Matrices of the parameter-free kinds, looked up by kind so matrix2 needs
+# no per-call conversion; x, y and z are the Pauli matrices of pauli.PAULI_1Q.
+_FIXED_KIND_MATRICES = {letter.lower(): PAULI_1Q[letter] for letter in "XYZ"}
+_FIXED_KIND_MATRICES["h"] = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +80,13 @@ class Gate:
     `controls` is a tuple of (qubit, state) pairs; the gate fires on basis
     states where every control qubit holds its required state bit.  The
     `phase` kind multiplies the matched branch by exp(i * param) regardless
-    of the target's state (a plain global phase when uncontrolled).  The
-    `u1q` kind carries an explicit 2x2 unitary in `matrix`.
+    of the target's state (a plain global phase when uncontrolled).
     """
 
     kind: str
     target: int
     params: tuple[float, ...] = ()
     controls: tuple[tuple[int, int], ...] = ()
-    matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -106,25 +103,11 @@ class Gate:
             if q == self.target or q in seen:
                 raise ValueError("control qubits must be distinct from each other and the target")
             seen.add(q)
-        if self.kind == "u1q":
-            if self.matrix is None:
-                raise ValueError("u1q needs an explicit 2x2 matrix")
-            mat = np.array(self.matrix, dtype=complex)
-            if mat.shape != (2, 2):
-                raise ValueError("u1q matrix must be 2x2")
-            if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > 1e-12:
-                raise ValueError("u1q matrix must be unitary to 1e-12")
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
-        elif self.matrix is not None:
-            raise ValueError("only u1q carries an explicit matrix")
 
     def matrix2(self) -> np.ndarray:
         """The 2x2 matrix applied to the target on matched branches."""
-        if self.kind == "u1q":
-            return self.matrix
-        if self.kind in _FIXED_MATRICES:
-            return _FIXED_MATRICES[self.kind]
+        if not self.params:
+            return _FIXED_KIND_MATRICES[self.kind]
         (theta,) = self.params
         if self.kind == "ry":
             c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -139,36 +122,23 @@ class Gate:
     def adjoint(self) -> "Gate":
         if self.kind in ("ry", "rz", "phase"):
             return Gate(self.kind, self.target, (-self.params[0],), self.controls)
-        if self.kind == "u1q":
-            return Gate("u1q", self.target, (), self.controls, self.matrix.conj().T)
         return self  # x, y, z, h are self-adjoint
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "kind": self.kind,
             "params": list(self.params),
             "target": self.target,
             "controls": [{"q": q, "state": s} for q, s in self.controls],
         }
-        if self.kind == "u1q":
-            doc["matrix"] = [
-                [float(v.real), float(v.imag)] for v in self.matrix.reshape(4)
-            ]
-        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "Gate":
-        matrix = None
-        if doc.get("matrix") is not None:
-            matrix = np.array(
-                [complex(re, im) for re, im in doc["matrix"]], dtype=complex
-            ).reshape(2, 2)
         return Gate(
             doc["kind"],
             int(doc["target"]),
             tuple(doc.get("params", ())),
             tuple((c["q"], c["state"]) for c in doc.get("controls", ())),
-            matrix,
         )
 
 
@@ -377,27 +347,6 @@ _KETBRA_1Q = {
     (1, 1): {"I": 0.5, "Z": -0.5},
 }
 
-# Bit-pattern layout of each generator's rank-1 terms on its padded register:
-# weight kind, output pattern, input pattern (e = encoded irrep, v = vacuum).
-_TEMPLATE = {
-    "mu": ("mu", "ev", "ee"),
-    "delta": ("delta", "ee", "ev"),
-    "eta": ("eta", "e", "v"),
-    "eps": ("eps", "v", "e"),
-}
-
-
-def _term_weight(tag: str, entry, spec: FrobeniusSpec, beta: float) -> complex:
-    w = boltzmann_weight(entry.casimir, beta, spec.convention)
-    if tag in ("mu", "delta"):
-        return w / entry.dim
-    return entry.dim * w
-
-
-def _op_beta(tag: str, spec: FrobeniusSpec) -> float:
-    return 0.0 if tag in ("delta", "eps") else spec.beta
-
-
 def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
     """The per-qubit factored (product) approximation of one generator.
 
@@ -409,23 +358,11 @@ def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
     of rank-1 terms is generally not a product, so this form differs from
     the true operator by a quantifiable residual.
     """
-    if op_name not in _TEMPLATE:
+    if op_name not in _ANGLE_LAYOUT:
         raise ValueError(f"unsupported operator name {op_name!r}")
-    tag, out_kind, in_kind = _TEMPLATE[op_name]
-    enc = spec.encoding
-    b = enc.bits_per_circle
-    beta = _op_beta(tag, spec)
-    n_qubits = b * max(GENERATOR_ARITY[tag])
-
-    def register_bits(kind: str, irrep_bits: str) -> str:
-        return "".join(irrep_bits if ch == "e" else enc.vacuum for ch in kind)
-
+    n_qubits = spec.encoding.bits_per_circle * max(GENERATOR_ARITY[op_name])
     brackets: list[dict[str, complex]] = [dict() for _ in range(n_qubits)]
-    for entry in spec.table:
-        irrep_bits = enc.bits(entry.label)
-        out_bits = register_bits(out_kind, irrep_bits)
-        in_bits = register_bits(in_kind, irrep_bits)
-        weight = _term_weight(tag, entry, spec, beta)
+    for out_bits, in_bits, weight in generator_terms(op_name, spec, padded=True):
         for q in range(n_qubits):
             piece = _KETBRA_1Q[(int(out_bits[q]), int(in_bits[q]))]
             factor = weight if q == 0 else 1.0
@@ -563,7 +500,7 @@ def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, Compil
     all-zeros pattern, leaving the block op / s.  Work registers up to
     8 qubits are accepted.
     """
-    mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
+    mat = _as_matrix(op)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("exact compilation needs a square operator")
     n_work = mat.shape[0].bit_length() - 1
@@ -636,12 +573,7 @@ def emit_text(circuit: Circuit) -> str:
         )
     for gate in circuit.gates:
         name = "c" * len(gate.controls) + gate.kind
-        if gate.kind == "u1q":
-            params = ",".join(
-                repr(float(v)) for entry in gate.matrix.reshape(4) for v in (entry.real, entry.imag)
-            )
-            name += f"({params})"
-        elif gate.params:
+        if gate.params:
             name += "(" + ",".join(repr(p) for p in gate.params) + ")"
         operands = [
             ("" if state else "!") + _qubit_name(circuit, q) for q, state in gate.controls

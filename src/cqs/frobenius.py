@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +45,11 @@ __all__ = [
     "build_cylinder",
     "logical_form",
     "compose_word",
+    "generator_terms",
+    "GeneratorRule",
+    "GENERATORS",
     "GENERATOR_ARITY",
+    "BUILDERS",
 ]
 
 
@@ -150,109 +154,125 @@ class DenseOperator:
         return DenseOperator(mat, doc.get("in_qubits"), doc.get("out_qubits"))
 
 
-# generator tag -> (circles consumed, circles produced)
-GENERATOR_ARITY = {
-    "mu": (2, 1),
-    "delta": (1, 2),
-    "eta": (0, 1),
-    "eps": (1, 0),
-    "cylinder": (1, 1),
+@dataclass(frozen=True)
+class GeneratorRule:
+    """One generator as a sum of rank-1 terms |out><in|, one per irrep R.
+
+    `out` and `inp` are circle patterns of the logical form (e = the encoded
+    irrep R, v = the vacuum pattern; "" is the zero-circle register),
+    `weight` maps (w(R), d(R)) to the term's coefficient, and `area` is the
+    default beta (None: the spec's beta; the comultiplication and counit
+    carry no area unless a beta is given).
+    """
+
+    out: str
+    inp: str
+    weight: Callable[[complex, int], complex]
+    area: Optional[float]
+
+
+GENERATORS = {
+    "mu": GeneratorRule("e", "ee", lambda w, d: w / d, None),
+    "delta": GeneratorRule("ee", "e", lambda w, d: w / d, 0.0),
+    "eta": GeneratorRule("e", "", lambda w, d: d * w, None),
+    "eps": GeneratorRule("", "e", lambda w, d: d * w, 0.0),
+    "cylinder": GeneratorRule("e", "e", lambda w, d: w, None),
 }
 
-# Generators that carry area pick up FrobeniusSpec.beta by default; the
-# comultiplication and counit default to zero area.
-_AREA_DEFAULT = {"mu": None, "delta": 0.0, "eta": None, "eps": 0.0, "cylinder": None}
+# generator tag -> (circles consumed, circles produced)
+GENERATOR_ARITY = {tag: (len(rule.inp), len(rule.out)) for tag, rule in GENERATORS.items()}
 
 
-def _resolve_beta(tag: str, spec: FrobeniusSpec, beta: Optional[float]) -> float:
+def _rule(tag: str) -> GeneratorRule:
+    try:
+        return GENERATORS[tag]
+    except KeyError:
+        raise ValueError(f"unknown generator {tag!r}") from None
+
+
+def _resolve_beta(rule: GeneratorRule, spec: FrobeniusSpec, beta: Optional[float]) -> float:
     if beta is not None:
         return float(beta)
-    default = _AREA_DEFAULT[tag]
-    return spec.beta if default is None else default
+    return spec.beta if rule.area is None else rule.area
 
 
-def _sector(spec: FrobeniusSpec):
-    """Per-irrep (index, weight-parts) helpers shared by all builders."""
+def generator_terms(tag: str, spec: FrobeniusSpec, beta: Optional[float] = None,
+                    padded: bool = False):
+    """Yield (out bits, in bits, weight), one rank-1 term per irrep.
+
+    Padded terms fill the shorter pattern out with vacuum circles on the
+    right, so both registers have the generator's larger circle count.
+    """
+    rule = _rule(tag)
+    beta = _resolve_beta(rule, spec, beta)
+    out, inp = rule.out, rule.inp
+    if padded:
+        width = max(len(out), len(inp))
+        out, inp = out.ljust(width, "v"), inp.ljust(width, "v")
     enc = spec.encoding
     for entry in spec.table:
-        yield int(enc.bits(entry.label), 2), entry
+        irrep = enc.bits(entry.label)
+        w = boltzmann_weight(entry.casimir, beta, spec.convention)
+        yield (
+            out.replace("v", enc.vacuum).replace("e", irrep),
+            inp.replace("v", enc.vacuum).replace("e", irrep),
+            rule.weight(w, entry.dim),
+        )
+
+
+def _dense(tag: str, spec: FrobeniusSpec, beta: Optional[float], padded: bool) -> DenseOperator:
+    rule = _rule(tag)
+    b = spec.encoding.bits_per_circle
+    a_in, a_out = len(rule.inp), len(rule.out)
+    if padded:
+        a_in = a_out = max(a_in, a_out)
+    mat = np.zeros((2 ** (b * a_out), 2 ** (b * a_in)), dtype=complex)
+    for out_bits, in_bits, weight in generator_terms(tag, spec, beta, padded):
+        mat[int(out_bits or "0", 2), int(in_bits or "0", 2)] = weight
+    return DenseOperator(mat, in_qubits=b * a_in, out_qubits=b * a_out)
 
 
 def logical_form(tag: str, spec: FrobeniusSpec, beta: Optional[float] = None) -> DenseOperator:
     """Rectangular matrix of one generator, one register per actual circle."""
-    if tag not in GENERATOR_ARITY:
-        raise ValueError(f"unknown generator {tag!r}")
-    b = spec.encoding.bits_per_circle
-    d = 2**b
-    beta = _resolve_beta(tag, spec, beta)
-    a_in, a_out = GENERATOR_ARITY[tag]
-    mat = np.zeros((d**a_out, d**a_in), dtype=complex)
-    for idx, entry in _sector(spec):
-        w = boltzmann_weight(entry.casimir, beta, spec.convention)
-        if tag == "mu":
-            mat[idx, idx * d + idx] = w / entry.dim
-        elif tag == "delta":
-            mat[idx * d + idx, idx] = w / entry.dim
-        elif tag == "eta":
-            mat[idx, 0] = entry.dim * w
-        elif tag == "eps":
-            mat[0, idx] = entry.dim * w
-        else:  # cylinder
-            mat[idx, idx] = w
-    return DenseOperator(mat, in_qubits=b * a_in, out_qubits=b * a_out)
-
-
-def _padded(tag: str, spec: FrobeniusSpec, beta: Optional[float]) -> DenseOperator:
-    """Square register form: the missing circle of a 2-to-1 or 0-to-1
-    generator is padded with the vacuum pattern."""
-    b = spec.encoding.bits_per_circle
-    d = 2**b
-    beta = _resolve_beta(tag, spec, beta)
-    circles = max(GENERATOR_ARITY[tag])
-    size = d**circles
-    mat = np.zeros((size, size), dtype=complex)
-    for idx, entry in _sector(spec):
-        w = boltzmann_weight(entry.casimir, beta, spec.convention)
-        if tag == "mu":
-            mat[idx * d, idx * d + idx] = w / entry.dim  # |R, vac><R, R|
-        elif tag == "delta":
-            mat[idx * d + idx, idx * d] = w / entry.dim  # |R, R><R, vac|
-        elif tag == "eta":
-            mat[idx, 0] = entry.dim * w  # |R><vac|
-        elif tag == "eps":
-            mat[0, idx] = entry.dim * w  # |vac><R|
-        else:  # cylinder
-            mat[idx, idx] = w
-    return DenseOperator(mat, in_qubits=b * circles, out_qubits=b * circles)
+    return _dense(tag, spec, beta, padded=False)
 
 
 def build_mu(spec: FrobeniusSpec, beta: Optional[float] = None) -> DenseOperator:
     """Padded multiplication on two circle registers (output circle padded
     by vacuum)."""
-    return _padded("mu", spec, beta)
+    return _dense("mu", spec, beta, padded=True)
 
 
 def build_delta(spec: FrobeniusSpec, beta: Optional[float] = None) -> DenseOperator:
     """Padded comultiplication; carries no area unless beta is given."""
-    return _padded("delta", spec, beta)
+    return _dense("delta", spec, beta, padded=True)
 
 
 def build_eta(spec: FrobeniusSpec, beta: Optional[float] = None) -> DenseOperator:
     """Padded unit on a single circle register: maps the vacuum pattern to
     the weighted sum of irreps."""
-    return _padded("eta", spec, beta)
+    return _dense("eta", spec, beta, padded=True)
 
 
 def build_epsilon(spec: FrobeniusSpec, beta: Optional[float] = None) -> DenseOperator:
     """Padded counit; carries no area unless beta is given."""
-    return _padded("eps", spec, beta)
+    return _dense("eps", spec, beta, padded=True)
 
 
 def build_cylinder(spec: FrobeniusSpec, beta: Optional[float] = None) -> DenseOperator:
     """Area propagator: diagonal exp-weight on the encoded irrep patterns,
     zero on vacuum and unused patterns.  At beta = 0 this is the projector
     onto the irrep sector."""
-    return _padded("cylinder", spec, beta)
+    return _dense("cylinder", spec, beta, padded=True)
+
+
+BUILDERS = {
+    "mu": build_mu,
+    "delta": build_delta,
+    "eta": build_eta,
+    "eps": build_epsilon,
+    "cylinder": build_cylinder,
+}
 
 
 WordStep = tuple  # (tag, beta or None, circle position)

@@ -242,35 +242,6 @@ def factorization_residual(claimed: FactoredOperator,
     return float(np.linalg.norm(got - target) / denom)
 
 
-_POWER_ITERATIONS = 200
-_POWER_RELTOL = 1e-13
-
-
-def _dominant_rank1(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Dominant singular triple of a (rows x cols) matrix by power iteration
-    with a deterministic all-ones start."""
-    u = np.ones(a.shape[0], dtype=complex)
-    u /= np.linalg.norm(u)
-    sigma = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        w = a.conj().T @ u
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return u, 0.0, np.zeros(a.shape[1], dtype=complex)
-        w /= nw
-        u_new = a @ w
-        sigma_new = float(np.linalg.norm(u_new))
-        if sigma_new == 0.0:
-            return u, 0.0, w
-        u_new /= sigma_new
-        if abs(sigma_new - sigma) < _POWER_RELTOL * max(sigma_new, 1.0):
-            u, sigma = u_new, sigma_new
-            break
-        u, sigma = u_new, sigma_new
-    w = a.conj().T @ u
-    return u, sigma, w / np.linalg.norm(w)
-
-
 def _factor_dict(vec4: np.ndarray) -> dict[str, complex]:
     """Single-qubit entry-basis 4-vector -> Pauli coefficient mapping."""
     mat = vec4.reshape(2, 2)
@@ -288,9 +259,10 @@ def best_product_approximation(op: Union[DenseOperator, np.ndarray],
 
     Qubits are peeled off in `split` order (default natural order): at each
     step the operator tensor is reshaped across the one-qubit / rest
-    bipartition and its dominant rank-1 component is taken by power
-    iteration; the procedure recurses on the remainder.  The result is a
-    FactoredOperator with one single-qubit factor per qubit in qubit order.
+    bipartition and its dominant rank-1 component is taken from its singular
+    value decomposition; the procedure recurses on the remainder.  The
+    result is a FactoredOperator with one single-qubit factor per qubit in
+    qubit order.
     """
     mat = _as_matrix(op)
     n = _qubit_count(mat)
@@ -302,16 +274,16 @@ def best_product_approximation(op: Union[DenseOperator, np.ndarray],
     rest = tensor
     scale = complex(1.0)
     for step in range(n - 1):
-        a = rest.reshape(4, -1)
-        u, sigma, w = _dominant_rank1(a)
+        u, sigmas, vh = np.linalg.svd(rest.reshape(4, -1), full_matrices=False)
+        sigma = float(sigmas[0])
         if sigma == 0.0:
             # remainder vanished: emit identity stubs with a zero scale
             vectors.append(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
             scale = 0.0
             rest = np.zeros((4,) * (n - 1 - step), dtype=complex)
             continue
-        vectors.append(u)
-        rest = (sigma * w.conj()).reshape((4,) * (n - 1 - step))
+        vectors.append(u[:, 0])
+        rest = (sigma * vh[0]).reshape((4,) * (n - 1 - step))
     vectors.append(rest.reshape(4))
     # canonical presentation: unit-norm factors with the largest entry made
     # real positive, everything else folded into the overall scale

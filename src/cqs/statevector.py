@@ -199,15 +199,13 @@ def effective_operator(circuit: Circuit) -> EffectiveOperator:
     return EffectiveOperator(matrix, probabilities)
 
 
-def _pair_views(state: StateVector, q1: int, q2: int):
-    n = state.qubit_count
+def _pair_index(n: int, q1: int, q2: int, bit: int) -> tuple:
+    """Index into a (2,)*n amplitude tensor fixing qubits q1 and q2 to `bit`."""
     if q1 == q2 or not (0 <= q1 < n and 0 <= q2 < n):
         raise ValueError("cup/cap need two distinct in-range qubits")
-    b1 = 1 << (n - 1 - q1)
-    b2 = 1 << (n - 1 - q2)
-    indices = np.arange(2**n)
-    rest = indices[((indices & b1) == 0) & ((indices & b2) == 0)]
-    return b1, b2, rest
+    index = [slice(None)] * n
+    index[q1] = index[q2] = bit
+    return tuple(index)
 
 
 def cup(state: StateVector, q1: int, q2: int) -> tuple[StateVector, float]:
@@ -216,16 +214,17 @@ def cup(state: StateVector, q1: int, q2: int) -> tuple[StateVector, float]:
     Returns (new state, sqrt(2)): the scale by which the unnormalized pair
     creation sum_k |kk> exceeds the stored normalized pair.
     """
-    b1, b2, rest = _pair_views(state, q1, q2)
-    amps = state.amplitudes
-    occupied = np.abs(amps).copy()
-    occupied[rest] = 0.0
+    n = state.qubit_count
+    zeros = _pair_index(n, q1, q2, 0)
+    amps = state.amplitudes.reshape((2,) * n)
+    occupied = np.abs(amps)
+    occupied[zeros] = 0.0
     if np.max(occupied, initial=0.0) > 1e-12:
         raise ValueError("cup targets must be fresh |0> qubits")
     out = np.zeros_like(amps)
-    out[rest] = amps[rest] / math.sqrt(2)
-    out[rest | b1 | b2] = amps[rest] / math.sqrt(2)
-    return StateVector(out, state.qubit_count), math.sqrt(2)
+    out[zeros] = amps[zeros] / math.sqrt(2)
+    out[_pair_index(n, q1, q2, 1)] = amps[zeros] / math.sqrt(2)
+    return StateVector(out.reshape(-1), n), math.sqrt(2)
 
 
 def cap(state: StateVector, q1: int, q2: int) -> tuple[StateVector, float]:
@@ -235,16 +234,12 @@ def cap(state: StateVector, q1: int, q2: int) -> tuple[StateVector, float]:
     Returns (reduced state, projection weight); the weight is the success
     probability for a normalized input.
     """
-    b1, b2, rest = _pair_views(state, q1, q2)
-    amps = state.amplitudes
-    branch = (amps[rest] + amps[rest | b1 | b2]) / math.sqrt(2)
-    # compact the surviving indices onto a register without q1, q2
     n = state.qubit_count
-    keep = [q for q in range(n) if q not in (q1, q2)]
-    reduced = np.zeros(2 ** len(keep), dtype=complex)
-    for out_idx, full_idx in enumerate(rest):
-        bits = format(full_idx, f"0{n}b")
-        reduced_idx = int("".join(bits[q] for q in keep), 2) if keep else 0
-        reduced[reduced_idx] = branch[out_idx]
+    amps = state.amplitudes.reshape((2,) * n)
+    # the remaining axes keep their order, so the flattened branch is the
+    # reduced register's amplitude vector
+    branch = (
+        (amps[_pair_index(n, q1, q2, 0)] + amps[_pair_index(n, q1, q2, 1)]) / math.sqrt(2)
+    ).reshape(-1)
     weight = float(np.sum(np.abs(branch) ** 2))
-    return StateVector(reduced, len(keep)), weight
+    return StateVector(branch, n - 2), weight

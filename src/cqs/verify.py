@@ -11,22 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .duality_compiler import Circuit, compile_exact, compile_paper, paper_factored_form
-from .frobenius import (
-    DenseOperator,
-    FrobeniusSpec,
-    PhaseConvention,
-    build_delta,
-    build_epsilon,
-    build_eta,
-    build_mu,
-    logical_form,
-)
-from .pauli import factorization_residual
+from .frobenius import BUILDERS as _BUILDERS
+from .frobenius import DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
+from .pauli import _as_matrix, factorization_residual
 from .statevector import effective_operator
 
 __all__ = [
@@ -87,10 +79,6 @@ class VerifyReport:
             max_success_probability=float(doc["max_success_probability"]),
             axiom_results=tuple((name, float(v)) for name, v in doc["axiom_results"]),
         )
-
-
-def _as_matrix(op: Union[DenseOperator, np.ndarray]) -> np.ndarray:
-    return op.matrix if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
 
 
 def compare_up_to_scale(a, b) -> tuple[float, complex]:
@@ -217,13 +205,6 @@ def verify_compiled(circuit: Circuit, target, target_name: str, mode: str,
         axiom_results=tuple((name, float(v)) for name, v in axiom_results),
     )
 
-
-_BUILDERS = {
-    "mu": build_mu,
-    "delta": build_delta,
-    "eta": build_eta,
-    "eps": build_epsilon,
-}
 
 # Two-decimal angle values printed alongside the reference circuit figures,
 # kept as annotations; assertions compare the computed column against these

@@ -213,6 +213,16 @@ def test_usage_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["irreps", "--table", "/no/such/file.json"])
     assert code == 2
     assert "cannot read" in err
+    circuit = {
+        "qubits": [{"id": 0, "role": "work"}],
+        "gates": [{"kind": "u1q", "target": 0, "params": [], "controls": [],
+                   "matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]}],
+        "postselect": [],
+    }
+    code, _, err = run_cli(capsys, ["emit"], stdin_text=json.dumps(circuit),
+                           monkeypatch=monkeypatch)
+    assert code == 2
+    assert "unknown gate kind" in err
 
 
 def test_json_output_is_stable(capsys):

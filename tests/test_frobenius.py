@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqs.frobenius import (
     GENERATOR_ARITY,
@@ -25,6 +27,8 @@ from cqs.frobenius import (
     compose_word,
     logical_form,
 )
+from cqs.encoding import default_encoding
+from cqs.reptheory import RepEntry, RepTable
 
 W = cmath.exp(-16j / 3)  # fundamental weight at beta = 1
 
@@ -213,3 +217,40 @@ def test_dagger_twice(spec):
     again = op.dagger().dagger()
     assert np.array_equal(again.matrix, op.matrix)
     assert again.in_qubits == op.in_qubits and again.out_qubits == op.out_qubits
+
+
+@st.composite
+def random_specs(draw):
+    size = draw(st.integers(1, 7))
+    entries = tuple(
+        RepEntry(f"R{k}", draw(st.floats(0.0, 20.0)), draw(st.integers(1, 30)))
+        for k in range(size)
+    )
+    table = RepTable(entries)
+    return FrobeniusSpec(
+        table,
+        default_encoding(table),
+        beta=draw(st.floats(0.0, 3.0)),
+        convention=draw(st.sampled_from(list(PhaseConvention))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_specs())
+def test_padded_forms_are_logical_forms_with_vacuum(spec):
+    # independent oracle: pad each logical form by kron with the vacuum
+    # basis vector instead of reading the padded circle patterns
+    d = 2**spec.encoding.bits_per_circle
+    e_vac = np.zeros((d, 1), dtype=complex)
+    e_vac[int(spec.encoding.vacuum, 2)] = 1.0
+    pads = {
+        "mu": (build_mu, lambda L: np.kron(L, e_vac)),
+        "delta": (build_delta, lambda L: np.kron(L, e_vac.T)),
+        "eta": (build_eta, lambda L: L @ e_vac.T),
+        "eps": (build_epsilon, lambda L: e_vac @ L),
+        "cylinder": (build_cylinder, lambda L: L),
+    }
+    for tag, (build, pad) in pads.items():
+        padded = build(spec)
+        assert np.array_equal(padded.matrix, pad(logical_form(tag, spec).matrix)), tag
+        assert padded.rows == padded.cols == d ** max(GENERATOR_ARITY[tag])

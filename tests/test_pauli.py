@@ -206,6 +206,15 @@ def test_best_product_recovers_products():
                 assert np.linalg.norm(fitted.factor_matrix(k)) == pytest.approx(1.0)
 
 
+def test_best_product_exact_product_orthogonal_to_all_ones():
+    # the peeled factor [[1, -1], [0, 0]] is orthogonal to the all-ones
+    # vector, which a power iteration started there never leaves
+    op = np.kron([[1, -1], [0, 0]], np.eye(2))
+    fitted = best_product_approximation(op)
+    assert abs(fitted.scale) == pytest.approx(2.0)
+    assert factorization_residual(fitted, op) < 1e-12
+
+
 def test_best_product_swap_residual():
     # SWAP = (II + XX + YY + ZZ)/2 has a known best product distance
     swap = np.zeros((4, 4), dtype=complex)

@@ -84,16 +84,6 @@ def test_apply_gate_against_oracle():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_apply_gate_u1q():
-    rng = np.random.default_rng(18)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    gate = Gate("u1q", 1, (), ((0, 1),), q)
-    vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-    got = apply_gate(StateVector(vec, 2), gate).amplitudes
-    want = dense_gate_oracle(gate, 2) @ vec
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
 def test_apply_gate_out_of_range():
     s = StateVector.zero(2)
     with pytest.raises(ValueError):
@@ -187,6 +177,9 @@ def test_cup_writes_bell_pair():
     want[0b100] = 1 / math.sqrt(2)
     want[0b111] = 1 / math.sqrt(2)
     assert np.allclose(state.amplitudes, want)
+    # pair qubits given out of order and apart
+    state, _ = cup(StateVector.from_bitstring("0100"), 3, 0)
+    assert np.flatnonzero(state.amplitudes).tolist() == [0b0100, 0b1101]
 
 
 def test_cup_requires_fresh_qubits():
@@ -211,6 +204,27 @@ def test_cap_projection_weight():
         want[q1_bit] = (vec[int(f"0{q1_bit}0", 2)] + vec[int(f"1{q1_bit}1", 2)]) / math.sqrt(2)
     assert np.allclose(reduced.amplitudes, want)
     assert weight == pytest.approx(float(np.sum(np.abs(want) ** 2)))
+
+
+def test_cap_every_pair_against_bit_oracle():
+    rng = np.random.default_rng(37)
+    for n in range(2, 6):
+        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        for q1 in range(n):
+            for q2 in range(n):
+                if q1 == q2:
+                    continue
+                keep = [q for q in range(n) if q not in (q1, q2)]
+                want = np.zeros(2 ** len(keep), dtype=complex)
+                for idx in range(2**n):
+                    bits = format(idx, f"0{n}b")
+                    if bits[q1] == bits[q2]:
+                        reduced_idx = int("".join(bits[q] for q in keep) or "0", 2)
+                        want[reduced_idx] += vec[idx] / math.sqrt(2)
+                reduced, weight = cap(StateVector(vec, n), q1, q2)
+                assert reduced.qubit_count == n - 2
+                assert np.allclose(reduced.amplitudes, want, atol=1e-14)
+                assert weight == pytest.approx(float(np.sum(np.abs(want) ** 2)))
 
 
 def test_snake_identity():
