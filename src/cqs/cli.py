@@ -7,7 +7,9 @@ but the cylinder.  All structured output is JSON with sorted keys, and every
 code path is deterministic, so repeated runs are byte-identical.  Exit
 codes: 0 on success, 1 on a verification failure, 2 on usage or
 input-parsing errors (argparse's own convention), such as a circuit JSON
-naming an unknown gate kind.
+naming an unknown gate kind or a non-finite parameter, a document field of
+the wrong JSON type, or a simulation whose amplitude block exceeds
+statevector.MAX_BLOCK_BYTES.
 """
 
 from __future__ import annotations

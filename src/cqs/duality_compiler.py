@@ -73,6 +73,20 @@ _FIXED_KIND_MATRICES = {letter.lower(): PAULI_1Q[letter] for letter in "XYZ"}
 _FIXED_KIND_MATRICES["h"] = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
+def _finite(value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"gate parameters must be finite, got {value!r}")
+    return value
+
+
+def _objects(items, key: str) -> list:
+    """A document field that must be a list of JSON objects."""
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError(f"{key!r} must be a list of objects")
+    return items
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One single-qubit gate, optionally controlled.
@@ -91,7 +105,7 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(_finite(p) for p in self.params))
         if len(self.params) != GATE_KINDS[self.kind]:
             raise ValueError(f"{self.kind} takes {GATE_KINDS[self.kind]} parameter(s)")
         ctl = tuple((int(q), int(s)) for q, s in self.controls)
@@ -134,11 +148,14 @@ class Gate:
 
     @staticmethod
     def from_dict(doc: dict) -> "Gate":
+        params = doc.get("params", [])
+        if not isinstance(params, list):
+            raise ValueError("gate 'params' must be a list")
         return Gate(
             doc["kind"],
             int(doc["target"]),
-            tuple(doc.get("params", ())),
-            tuple((c["q"], c["state"]) for c in doc.get("controls", ())),
+            tuple(params),
+            tuple((c["q"], c["state"]) for c in _objects(doc.get("controls", []), "controls")),
         )
 
 
@@ -196,11 +213,20 @@ class Circuit:
 
     @staticmethod
     def from_dict(doc: dict) -> "Circuit":
-        work = tuple(q["id"] for q in doc["qubits"] if q["role"] == "work")
-        anc = tuple(q["id"] for q in doc["qubits"] if q["role"] == "ancilla")
-        gates = tuple(Gate.from_dict(g) for g in doc["gates"])
-        post = tuple((p["q"], p["bit"]) for p in doc["postselect"])
-        return Circuit(work, anc, gates, post)
+        """Parse a circuit document; any malformed one raises ValueError
+        (or KeyError for a missing field)."""
+        if not isinstance(doc, dict):
+            raise ValueError("a circuit document must be a JSON object")
+        qubits = _objects(doc["qubits"], "qubits")
+        try:
+            work = tuple(q["id"] for q in qubits if q["role"] == "work")
+            anc = tuple(q["id"] for q in qubits if q["role"] == "ancilla")
+            gates = tuple(Gate.from_dict(g) for g in _objects(doc["gates"], "gates"))
+            post = tuple((p["q"], p["bit"]) for p in _objects(doc["postselect"], "postselect"))
+            return Circuit(work, anc, gates, post)
+        except (TypeError, OverflowError) as exc:
+            # a field of the wrong JSON type, such as a list where a number goes
+            raise ValueError(f"malformed circuit: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -444,12 +470,13 @@ def compile_paper(op_name: str, spec: FrobeniusSpec) -> tuple[Circuit, CompileRe
         term_count += len(normalized.letters)
     circuit = Circuit(tuple(range(n_work)), tuple(ancillas), tuple(gates), tuple(postselect))
     angles: list[tuple[str, float]] = []
+    # a small table can have fewer work qubits than the figure names
     for name, frag_idx, attr in _ANGLE_LAYOUT[op_name]:
-        value = getattr(fragments[frag_idx], attr)
+        value = getattr(fragments[frag_idx], attr) if frag_idx < n_work else None
         if value is not None:
             angles.append((name, float(value)))
     for name, frag_idx, letter in _PHASE_LAYOUT[op_name]:
-        coefficient = brackets[frag_idx].get(letter)
+        coefficient = brackets[frag_idx].get(letter) if frag_idx < n_work else None
         if coefficient is not None:
             angles.append((name, _reported_phase(coefficient, spec)))
     for q, fragment in enumerate(fragments):

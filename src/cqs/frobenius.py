@@ -98,6 +98,11 @@ class FrobeniusSpec:
         return FrobeniusSpec(table, default_encoding(table), beta, convention)
 
 
+# widest register an operator document may declare: rows and cols are at
+# most 2**12, the statevector's work-register limit (256 MiB of complex128)
+MAX_DOCUMENT_QUBITS = 12
+
+
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """A dense complex matrix, optionally tagged with register widths.
@@ -148,10 +153,36 @@ class DenseOperator:
 
     @staticmethod
     def from_dict(doc: dict) -> "DenseOperator":
-        mat = np.zeros((int(doc["rows"]), int(doc["cols"])), dtype=complex)
-        for r, c, re, im in doc["entries"]:
-            mat[int(r), int(c)] = complex(re, im)
-        return DenseOperator(mat, doc.get("in_qubits"), doc.get("out_qubits"))
+        """Parse an operator document; any malformed one raises ValueError
+        (or KeyError for a missing field)."""
+        if not isinstance(doc, dict):
+            raise ValueError("an operator document must be a JSON object")
+        entries = doc["entries"]
+        if not isinstance(entries, list):
+            raise ValueError("'entries' must be a list")
+        try:
+            rows, cols = int(doc["rows"]), int(doc["cols"])
+            limit = 2**MAX_DOCUMENT_QUBITS
+            if not (0 <= rows <= limit and 0 <= cols <= limit):
+                raise ValueError(f"rows and cols must lie in [0, {limit}]")
+            widths = [doc.get(key) for key in ("in_qubits", "out_qubits")]
+            widths = [None if w is None else int(w) for w in widths]
+            if any(w is not None and not 0 <= w <= MAX_DOCUMENT_QUBITS for w in widths):
+                raise ValueError(
+                    f"in_qubits and out_qubits must lie in [0, {MAX_DOCUMENT_QUBITS}]"
+                )
+            mat = np.zeros((rows, cols), dtype=complex)
+            for r, c, re, im in entries:
+                r, c, value = int(r), int(c), complex(float(re), float(im))
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise ValueError(f"entry ({r}, {c}) lies outside the {rows} x {cols} matrix")
+                if not cmath.isfinite(value):
+                    raise ValueError(f"entry ({r}, {c}) is not finite")
+                mat[r, c] = value
+        except (TypeError, OverflowError) as exc:
+            # a field of the wrong JSON type, such as a list where a number goes
+            raise ValueError(f"malformed operator: {exc}") from exc
+        return DenseOperator(mat, *widths)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,47 @@
 """Dense statevector simulation with post-selection.
 
 Basis-state labels are big-endian: qubit 0 is the leftmost bit.  Circuits
-are simulated with the work register first and ancillas after, all ancillas
-starting in |0>.  Post-selection projects the ancillas onto their required
-bits without renormalizing; the squared norm of the surviving work-register
-vector is the success probability.
+are simulated on the work register plus ancillas, all ancillas starting in
+|0>.  Post-selection projects the ancillas onto their required bits without
+renormalizing; the squared norm of the surviving work-register vector is the
+success probability.  Probabilities are reported raw, never clipped: one
+above (1 + 1e-12) times the input's squared norm, or NaN, raises ValueError.
+
+Gate application follows the strided-view layout of Haener & Steiger
+(arXiv:1704.01127).  A C-contiguous (2**n, cols) amplitude block is reshaped
+so that every control and the target get a length-2 axis of their own, each
+run of untouched qubits between them is merged into one axis, and the
+trailing run also absorbs the column axis.  Fixing each control axis at its
+required state and the target axis at 0 and 1 gives two basic-indexing
+views, `lo` and `hi`, of exactly the matched rows; no index arrays, masks or
+gathered copies are made.  Each gate kind has its own kernel on the two
+views: x swaps them, z negates `hi`, y swaps them and multiplies by -i / +i,
+phase scales both, ry is a real rotation on float64 views of the halves,
+and rz and h take the generic update with `Gate.matrix2()`.  Halves larger
+than _CHUNK amplitudes are updated slice by slice so that each slice and its
+temporaries stay in cache.
+
+The block puts the ancillas on its leading (most significant) axes and the
+work register after them.  A select gate controlled on every ancilla then
+touches one contiguous run of rows, and the post-selected block is one
+contiguous slab.
+
+`effective_operator` simulates all 2**n_work basis columns at once.  The
+leading gates that touch ancillas only (the state-preparation tree of an
+LCU circuit) act identically on every column, so they run once on the
+2**n_anc ancilla vector, which is then written into every column before the
+remaining gates run on the whole block.  `effective_operator` and
+`run_state` check the block's size against MAX_BLOCK_BYTES before they
+allocate it.
+
+Bit-identity contract: every kernel performs, on every nonzero amplitude,
+the same floating-point operations as the generic update
+u00 * a0 + u01 * a1, u10 * a0 + u11 * a1 (a term with a zero matrix entry
+only adds a signed zero).  The shared prefix gives each column the same
+operations on the same values as simulating the prefix in that column, so
+neither the layout nor the prefix changes a bit of the nonzero results.
+`run_state` takes arbitrary input vectors, for which a precomputed prefix
+would round differently, so it simulates every gate.
 
 cup and cap realize the unnormalized pair creation sum_k |kk> and pair
 annihilation sum_k <kk| of the underlying dagger structure: cup writes a
@@ -24,6 +61,7 @@ from .duality_compiler import Circuit, Gate
 __all__ = [
     "MAX_QUBITS",
     "MAX_WORK_QUBITS",
+    "MAX_BLOCK_BYTES",
     "StateVector",
     "EffectiveOperator",
     "apply_gate",
@@ -36,6 +74,12 @@ __all__ = [
 
 MAX_QUBITS = 24
 MAX_WORK_QUBITS = 12
+# largest amplitude block (complex128, rows x columns) a simulation allocates
+MAX_BLOCK_BYTES = 1 << 30
+PROBABILITY_SLACK = 1e-12
+# gates whose halves exceed this many amplitudes run in slices of about this
+# size, so a slice and its temporaries stay in cache
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,30 +115,107 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _control_masks(n: int, gate: Gate, position: dict) -> tuple[int, int, int]:
-    target_bit = 1 << (n - 1 - position[gate.target])
-    ctrl_mask = 0
-    ctrl_value = 0
-    for q, state in gate.controls:
-        bit = 1 << (n - 1 - position[q])
-        ctrl_mask |= bit
-        ctrl_value |= bit * state
-    return target_bit, ctrl_mask, ctrl_value
+def _halves(block: np.ndarray, n: int, target: int, controls: list) -> tuple:
+    """Views (lo, hi) of the rows of a C-contiguous (2**n, cols) block where
+    the target holds 0 / 1 and every (position, state) control matches."""
+    shape = []
+    index = []
+    target_axis = 0
+    last = -1
+    for pos, state in sorted([*controls, (target, -1)]):
+        if pos - last > 1:
+            shape.append(1 << (pos - last - 1))
+            index.append(slice(None))
+        if state < 0:
+            target_axis = len(index)
+        shape.append(2)
+        index.append(state)
+        last = pos
+    shape.append(block.shape[1] << (n - 1 - last))
+    index.append(slice(None))
+    view = block.reshape(shape)
+    index[target_axis] = 0
+    lo = view[tuple(index)]
+    index[target_axis] = 1
+    return lo, view[tuple(index)]
 
 
-def _apply_inplace(amps: np.ndarray, n: int, gate: Gate, position: dict) -> None:
-    """Apply a gate to a (2**n, batch) amplitude block in place."""
-    target_bit, ctrl_mask, ctrl_value = _control_masks(n, gate, position)
-    indices = np.arange(amps.shape[0])
-    lower = indices[
-        ((indices & target_bit) == 0) & ((indices & ctrl_mask) == ctrl_value)
-    ]
-    upper = lower | target_bit
+# Complex products are formed as `u * a` into a fresh array, the form of the
+# generic update: numpy's vectorized complex multiply may round `a * u`, or
+# an in-place product, differently in the last bit.
+
+
+def _swap(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+    lo_copy = lo.copy()
+    lo[...] = hi
+    hi[...] = lo_copy
+
+
+def _swap_times_i(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+    u = gate.matrix2()  # [[0, -i], [i, 0]]
+    lo_copy = lo.copy()
+    np.multiply(u[0, 1], hi, out=lo)
+    np.multiply(u[1, 0], lo_copy, out=hi)
+
+
+def _negate_hi(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+    np.negative(hi, out=hi)
+
+
+def _scale(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
     u = gate.matrix2()
-    a0 = amps[lower].copy()
-    a1 = amps[upper].copy()
-    amps[lower] = u[0, 0] * a0 + u[0, 1] * a1
-    amps[upper] = u[1, 0] * a0 + u[1, 1] * a1
+    lo[...] = u[0, 0] * lo
+    hi[...] = u[1, 1] * hi
+
+
+def _rotate_y(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+    # matrix2() is [[c, -s], [s, c]] with zero imaginary parts, so the
+    # complex products of the generic update reduce to these real ones
+    half = gate.params[0] / 2
+    c, s = math.cos(half), math.sin(half)
+    a0, a1 = lo.view(np.float64), hi.view(np.float64)
+    a0_copy = a0.copy()
+    a0 *= c
+    a0 -= s * a1
+    a1 *= c
+    a1 += s * a0_copy
+
+
+def _matrix_update(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+    u = gate.matrix2()
+    new_lo = u[0, 0] * lo
+    new_lo += u[0, 1] * hi
+    new_hi = u[1, 0] * lo
+    new_hi += u[1, 1] * hi
+    lo[...] = new_lo
+    hi[...] = new_hi
+
+
+_KERNELS = {
+    "x": _swap,
+    "y": _swap_times_i,
+    "z": _negate_hi,
+    "phase": _scale,
+    "ry": _rotate_y,
+    "rz": _matrix_update,
+    "h": _matrix_update,
+}
+
+
+def _simulate(gates, block: np.ndarray, position: dict) -> None:
+    """Apply gates in order to a C-contiguous (2**n, cols) block in place;
+    `position` maps qubit ids to register positions 0..n-1."""
+    n = len(position)
+    for gate in gates:
+        controls = [(position[q], state) for q, state in gate.controls]
+        lo, hi = _halves(block, n, position[gate.target], controls)
+        kernel = _KERNELS[gate.kind]
+        if lo.size <= _CHUNK:
+            kernel(lo, hi, gate)
+            continue
+        step = max(1, _CHUNK * lo.shape[0] // lo.size)
+        for start in range(0, lo.shape[0], step):
+            kernel(lo[start : start + step], hi[start : start + step], gate)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -104,25 +225,25 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if any(not 0 <= q < n for q in referenced):
         raise ValueError("gate references a qubit outside the register")
     amps = state.amplitudes.reshape(-1, 1).copy()
-    _apply_inplace(amps, n, gate, {q: q for q in range(n)})
+    _simulate((gate,), amps, {q: q for q in range(n)})
     return StateVector(amps.reshape(-1), n)
 
 
-def _simulate_block(circuit: Circuit, block: np.ndarray) -> np.ndarray:
-    n = circuit.n_qubits
-    position = {q: i for i, q in enumerate(circuit.qubit_order())}
-    for gate in circuit.gates:
-        _apply_inplace(block, n, gate, position)
-    return block
-
-
-def _check_sizes(circuit: Circuit) -> tuple[int, int]:
+def _check_sizes(circuit: Circuit, columns: int) -> tuple[int, int]:
+    """(n_work, n_anc) after checking the qubit count, the post-selection
+    and the size of a block of `columns` columns."""
     n_work = len(circuit.work_qubits)
     n_anc = len(circuit.ancilla_qubits)
     if n_work + n_anc > MAX_QUBITS:
         raise ValueError(f"circuit exceeds {MAX_QUBITS} qubits")
     if {q for q, _ in circuit.postselect} != set(circuit.ancilla_qubits):
         raise ValueError("every ancilla must be post-selected exactly once")
+    block_bytes = 2 ** (n_work + n_anc) * columns * 16
+    if block_bytes > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"the amplitude block needs {block_bytes} bytes, over the "
+            f"{MAX_BLOCK_BYTES}-byte budget"
+        )
     return n_work, n_anc
 
 
@@ -135,24 +256,42 @@ def _postselect_mask(circuit: Circuit) -> int:
     return mask
 
 
+def _checked_probability(vector: np.ndarray, input_norm2: float, label: str) -> float:
+    """Raw squared norm of a post-selected vector; fails (NaN included) when
+    it exceeds the input's squared norm by more than PROBABILITY_SLACK."""
+    probability = float(np.sum(np.abs(vector) ** 2))
+    if not probability <= (1 + PROBABILITY_SLACK) * input_norm2:
+        raise ValueError(
+            f"success probability {probability!r} for input {label} exceeds "
+            f"the input's squared norm {input_norm2!r}"
+        )
+    return probability
+
+
+def _register_positions(circuit: Circuit) -> dict:
+    """Block positions: ancillas first, so a gate controlled on every
+    ancilla touches one contiguous run of rows."""
+    return {q: i for i, q in enumerate(circuit.ancilla_qubits + circuit.work_qubits)}
+
+
 def run_state(circuit: Circuit, work_vector: np.ndarray) -> tuple[np.ndarray, float]:
     """Run the circuit on an arbitrary work-register vector.
 
     Returns the post-selected, unnormalized work-register vector and the
     success probability (its squared norm, for a normalized input).
     """
-    n_work, n_anc = _check_sizes(circuit)
+    n_work, n_anc = _check_sizes(circuit, 1)
     work_vector = np.asarray(work_vector, dtype=complex).reshape(-1)
     if work_vector.shape != (2**n_work,):
         raise ValueError("work vector has the wrong length")
-    block = np.zeros((2 ** (n_work + n_anc), 1), dtype=complex)
-    stride = 2**n_anc
-    block[::stride, 0] = work_vector
-    _simulate_block(circuit, block)
-    mask = _postselect_mask(circuit)
-    out = block[mask::stride, 0].copy()
-    probability = float(np.clip(np.sum(np.abs(out) ** 2), 0.0, 1.0))
-    return out, probability
+    dim_work = 2**n_work
+    block = np.zeros((2**n_anc * dim_work, 1), dtype=complex)
+    block[:dim_work, 0] = work_vector
+    _simulate(circuit.gates, block, _register_positions(circuit))
+    kept = _postselect_mask(circuit) * dim_work
+    out = block[kept : kept + dim_work, 0].copy()
+    input_norm2 = float(np.sum(np.abs(work_vector) ** 2))
+    return out, _checked_probability(out, input_norm2, "vector")
 
 
 def run(circuit: Circuit, input_bits: str) -> tuple[np.ndarray, float]:
@@ -179,23 +318,38 @@ class EffectiveOperator:
         object.__setattr__(self, "matrix", mat)
 
 
+def _ancilla_prefix_length(circuit: Circuit) -> int:
+    """Number of leading gates whose target and controls are all ancillas."""
+    ancillas = set(circuit.ancilla_qubits)
+    for count, gate in enumerate(circuit.gates):
+        if gate.target not in ancillas or any(q not in ancillas for q, _ in gate.controls):
+            return count
+    return len(circuit.gates)
+
+
 def effective_operator(circuit: Circuit) -> EffectiveOperator:
-    """Extract the full post-selected block column by column (batched)."""
-    n_work, n_anc = _check_sizes(circuit)
+    """Extract the full post-selected block, all columns at once."""
+    n_work = len(circuit.work_qubits)
     if n_work > MAX_WORK_QUBITS:
         raise ValueError(f"effective operator extraction supports up to {MAX_WORK_QUBITS} work qubits")
+    n_work, n_anc = _check_sizes(circuit, 2**n_work)
     dim_work = 2**n_work
-    stride = 2**n_anc
-    block = np.zeros((dim_work * stride, dim_work), dtype=complex)
+    dim_anc = 2**n_anc
+    prefix = _ancilla_prefix_length(circuit)
+    ancilla_state = np.zeros((dim_anc, 1), dtype=complex)
+    ancilla_state[0, 0] = 1.0
+    ancilla_position = {q: i for i, q in enumerate(circuit.ancilla_qubits)}
+    _simulate(circuit.gates[:prefix], ancilla_state, ancilla_position)
+    block = np.zeros((dim_anc * dim_work, dim_work), dtype=complex)
+    columns = np.arange(dim_work)
+    block.reshape(dim_anc, dim_work, dim_work)[:, columns, columns] = ancilla_state
+    _simulate(circuit.gates[prefix:], block, _register_positions(circuit))
+    kept = _postselect_mask(circuit) * dim_work
+    matrix = block[kept : kept + dim_work].copy()
+    probabilities = {}
     for j in range(dim_work):
-        block[j * stride, j] = 1.0
-    _simulate_block(circuit, block)
-    mask = _postselect_mask(circuit)
-    matrix = block[mask::stride, :].copy()
-    probabilities = {
-        format(j, f"0{n_work}b"): float(np.clip(np.sum(np.abs(matrix[:, j]) ** 2), 0.0, 1.0))
-        for j in range(dim_work)
-    }
+        bits = format(j, f"0{n_work}b")
+        probabilities[bits] = _checked_probability(matrix[:, j], 1.0, bits)
     return EffectiveOperator(matrix, probabilities)
 
 

@@ -8,8 +8,11 @@ run and regression-checked since.
 """
 
 import cmath
+import hashlib
+import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -235,3 +238,28 @@ def test_criterion_9_reproduction_determinism(tmp_path, capsys):
     doc = json.loads(blob)
     assert doc["angles_asserted"] is True
     print("ACCEPTANCE 9 determinism: PASS")
+
+
+# stdout sha256 of three commands; any change to the statevector kernels,
+# compilers or JSON output that moves a last bit changes one of them
+PINNED_STDOUT_SHA256 = {
+    "reproduce-paper --convention paper":
+        "87f231a139aa62a49968cb6f3a04b7977f66fdda3a16c353310df551a051beb1",
+    "reproduce-paper --convention euclidean":
+        "de22aae5c023c2812a4ba3cd89d3b9c66b4d7529d146f67dafec312016ba2c7c",
+    "compile --op eta --mode exact | simulate --effective":
+        "f213847b6f89d83032b2cf1eb0f3a1f9a23bb5d408f216072b1e99497794158b",
+}
+
+
+def test_stdout_bytes_are_pinned(capsys, monkeypatch):
+    """Byte stability: the bundles and a simulated block hash as recorded."""
+    got = {}
+    for command in PINNED_STDOUT_SHA256:
+        stdin_text = ""
+        for stage in command.split(" | "):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+            assert cli.main(stage.split()) == 0
+            stdin_text = capsys.readouterr().out
+        got[command] = hashlib.sha256(stdin_text.encode()).hexdigest()
+    assert got == PINNED_STDOUT_SHA256

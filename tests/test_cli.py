@@ -1,11 +1,16 @@
 """Command-line interface, run in process through cli.main."""
 
+import copy
 import io
 import json
+import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqs import cli
 from cqs.duality_compiler import compile_paper, paper_factored_form
@@ -223,6 +228,147 @@ def test_usage_exit_codes(capsys, monkeypatch):
                            monkeypatch=monkeypatch)
     assert code == 2
     assert "unknown gate kind" in err
+    one_qubit = {"qubits": [{"id": 0, "role": "work"}], "postselect": []}
+    malformed = [
+        (["simulate", "--in", "0"], [], "JSON object"),
+        (["simulate", "--in", "0"], dict(one_qubit, gates=5), "'gates' must be a list"),
+        (["emit"], dict(one_qubit, gates=[], qubits={"id": 0}), "'qubits' must be a list"),
+        (["simulate", "--in", "0"],
+         dict(one_qubit, gates=[{"kind": "ry", "target": 0, "params": [math.nan]}]),
+         "must be finite"),
+        (["simulate", "--in", "0"],
+         dict(one_qubit, gates=[{"kind": "x", "target": [0], "params": []}]),
+         "malformed circuit"),
+        (["decompose", "--in", "-"], [], "JSON object"),
+        (["decompose", "--in", "-"], {"rows": 2, "cols": 2, "entries": 5},
+         "'entries' must be a list"),
+        (["decompose", "--in", "-"], {"rows": 2, "cols": 2, "entries": [[2, 0, 1.0, 0.0]]},
+         "outside"),
+        (["decompose", "--in", "-"], {"rows": 2**40, "cols": 2**40, "entries": []},
+         "rows and cols"),
+    ]
+    for argv, doc, message in malformed:
+        code, out, err = run_cli(capsys, argv, stdin_text=json.dumps(doc),
+                                 monkeypatch=monkeypatch)
+        assert (code, out) == (2, ""), (argv, doc)
+        assert message in err and err.count("\n") == 1, err
+
+
+def _run_quietly(argv, stdin_text):
+    """cli.main with stdin, stdout and stderr swapped for strings (hypothesis
+    tests cannot take function-scoped fixtures)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(-50, 50)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 2**70])
+    | st.text(max_size=4)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+_VALID_DOCUMENTS = {
+    "circuit": {
+        "qubits": [{"id": 0, "role": "work"}, {"id": 1, "role": "work"},
+                   {"id": 2, "role": "ancilla"}],
+        "gates": [
+            {"kind": "ry", "target": 2, "params": [0.5], "controls": []},
+            {"kind": "x", "target": 0, "params": [], "controls": [{"q": 2, "state": 1}]},
+            {"kind": "phase", "target": 1, "params": [0.25], "controls": [{"q": 0, "state": 0}]},
+        ],
+        "postselect": [{"q": 2, "bit": 0}],
+    },
+    "operator": {"rows": 2, "cols": 2, "in_qubits": 1, "out_qubits": 1,
+                 "entries": [[0, 0, 1.0, 0.0], [1, 0, 0.0, -0.5]]},
+    "table": {"group_name": "toy", "entries": [{"label": "triv", "casimir": 0, "dim": 1},
+                                               {"label": "fund", "casimir": "3/2", "dim": 2}]},
+}
+_LOADERS = {
+    "circuit": (["simulate", "--in", "01"], ["simulate", "--effective"], ["emit"]),
+    "operator": (["decompose", "--in", "-"],),
+    "table": (["irreps", "--table", "-"],),
+}
+
+
+def _paths(doc, prefix=()):
+    """Every (container path, key) inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix, key
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _loader_inputs(draw):
+    kind = draw(st.sampled_from(sorted(_LOADERS)))
+    argv = draw(st.sampled_from(_LOADERS[kind]))
+    if draw(st.booleans()):
+        return argv, draw(_JSON_VALUES)
+    doc = copy.deepcopy(_VALID_DOCUMENTS[kind])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        prefix, key = draw(st.sampled_from(paths))
+        holder = doc
+        for step in prefix:
+            holder = holder[step]
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(_JSON_VALUES)
+    return argv, doc
+
+
+def _strict_json(text):
+    def reject(token):
+        raise AssertionError(f"stdout holds the non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_loader_inputs())
+def test_loaders_exit_0_or_2_on_any_document(case):
+    """Any JSON document given to a loading command either works or exits 2
+    with one line on stderr: never a traceback, never exit 1."""
+    argv, doc = case
+    code, out, err = _run_quietly(argv, json.dumps(doc))
+    assert code in (0, 2), (argv, doc, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    elif argv[0] != "emit":
+        _strict_json(out)
+
+
+def test_compile_paper_single_irrep(capsys):
+    """A one-irrep table has fewer work qubits than the figure's angle names."""
+    for op in ("mu", "delta", "eta", "eps"):
+        for convention in ("paper", "euclidean"):
+            code, out, err = run_cli(capsys, ["compile", "--op", op, "--mode", "paper",
+                                              "--truncate", "1", "--convention", convention])
+            assert code == 0, err
+    code, out, _ = run_cli(capsys, ["verify", "--op", "mu", "--mode", "paper", "--truncate", "1"])
+    assert code == 0
+    assert json.loads(out)["relative_residual"] <= 1e-10
 
 
 def test_json_output_is_stable(capsys):

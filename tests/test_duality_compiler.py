@@ -24,7 +24,7 @@ from cqs.duality_compiler import (
     prep_angles_4,
     two_term_angle,
 )
-from cqs.frobenius import FrobeniusSpec, build_eta, build_mu
+from cqs.frobenius import FrobeniusSpec, PhaseConvention, build_eta, build_mu
 from cqs.pauli import PAULI_1Q, normalize_factor
 from cqs.statevector import effective_operator
 
@@ -82,6 +82,9 @@ def test_gate_validation():
         Gate("x", 0, (), ((1, 2),))  # control state not a bit
     with pytest.raises(ValueError, match="unknown gate kind"):
         Gate("u1q", 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Gate("ry", 0, (bad,))
 
 
 def test_gate_dict_roundtrip():
@@ -125,6 +128,25 @@ def test_circuit_dict_roundtrip(spec):
     assert len(back.gates) == len(circuit.gates)
     assert np.max(np.abs(effective_operator(back).matrix
                          - effective_operator(circuit).matrix)) < 1e-15
+
+
+def test_circuit_from_dict_rejects_malformed(spec):
+    good = compile_paper("eta", spec)[0].to_dict()
+    for bad, message in (
+        ([], "JSON object"),
+        (dict(good, gates=5), "'gates' must be a list"),
+        (dict(good, gates=[5]), "'gates' must be a list"),
+        (dict(good, qubits="q0"), "'qubits' must be a list"),
+        (dict(good, postselect={}), "'postselect' must be a list"),
+        (dict(good, gates=[{"kind": "x", "target": 0, "params": 0.5}]), "'params' must be a list"),
+        (dict(good, gates=[{"kind": "x", "target": 0, "controls": [1]}]),
+         "'controls' must be a list"),
+        (dict(good, gates=[{"kind": "x", "target": None}]), "malformed circuit"),
+        (dict(good, gates=[{"kind": ["x"], "target": 0}]), "malformed circuit"),
+        (dict(good, gates=[{"kind": "ry", "target": 0, "params": [float("inf")]}]), "finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Circuit.from_dict(bad)
 
 
 # ---------------------------------------------------------------- angles
@@ -312,6 +334,20 @@ def test_compile_paper_effective_block(spec):
         got = effective_operator(circuit).matrix
         want = form.matrix() / report.nominal_scale.real
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_compile_paper_single_irrep():
+    """su3(1) has two work qubits for mu/delta and one for eta/eps, fewer
+    than the fragments the figure's angle names point at."""
+    for convention in PhaseConvention:
+        spec = FrobeniusSpec.su3(1, beta=1.0, convention=convention)
+        for op_name in ("mu", "delta", "eta", "eps"):
+            circuit, report = compile_paper(op_name, spec)
+            want = paper_factored_form(op_name, spec).matrix() / report.nominal_scale.real
+            got = effective_operator(circuit).matrix
+            assert np.max(np.abs(got - want)) < 1e-12, (convention, op_name)
+        _, mu_report = compile_paper("mu", spec)
+        assert [name for name, _ in mu_report.angles] == ["theta1", "theta2", "theta5"]
 
 
 def test_compile_paper_angle_names(spec):

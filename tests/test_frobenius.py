@@ -212,6 +212,24 @@ def test_dense_operator_dict_roundtrip(spec):
     assert np.array_equal(back.matrix, op.matrix)
 
 
+def test_dense_operator_from_dict_rejects_malformed():
+    good = {"rows": 2, "cols": 2, "in_qubits": 1, "out_qubits": 1, "entries": [[0, 1, 1.0, 0.0]]}
+    assert DenseOperator.from_dict(good).matrix[0, 1] == 1.0
+    for bad, message in (
+        ([], "JSON object"),
+        (dict(good, entries=5), "'entries' must be a list"),
+        (dict(good, entries=[[0, 2, 1.0, 0.0]]), "outside"),
+        (dict(good, entries=[[-1, 0, 1.0, 0.0]]), "outside"),
+        (dict(good, entries=[[0, 0, float("nan"), 0.0]]), "not finite"),
+        (dict(good, entries=[[0, 0, [1.0], 0.0]]), "malformed operator"),
+        (dict(good, rows=2**13), "rows and cols"),
+        (dict(good, in_qubits=10**20), "in_qubits"),
+        (dict(good, in_qubits=2), "cols inconsistent"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            DenseOperator.from_dict(bad)
+
+
 def test_dagger_twice(spec):
     op = logical_form("delta", spec)
     again = op.dagger().dagger()

@@ -1,14 +1,20 @@
 """Statevector engine: gate application, post-selected runs, cup and cap.
 
 apply_gate is checked against a brute-force oracle that walks every basis
-state and applies the control/target logic by bit inspection.
+state and applies the control/target logic by bit inspection; whole random
+circuits are checked against a dense Kronecker-product unitary built from
+this file's own 2x2 matrices.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cqs import statevector
 from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper
 from cqs.frobenius import FrobeniusSpec, build_eta
 from cqs.statevector import (
@@ -246,3 +252,228 @@ def test_cap_orthogonal_branch():
     assert weight == 0.0
     assert reduced.qubit_count == 0
     assert reduced.amplitudes.shape == (1,)
+
+
+def oracle_matrix2(kind, params):
+    """The 2x2 target matrix of each gate kind, written out independently
+    of Gate.matrix2."""
+    if kind == "ry":
+        c, s = math.cos(params[0] / 2), math.sin(params[0] / 2)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if kind == "rz":
+        return np.diag([cmath.exp(-0.5j * params[0]), cmath.exp(0.5j * params[0])])
+    if kind == "phase":
+        return cmath.exp(1j * params[0]) * np.eye(2)
+    fixed = {
+        "x": [[0, 1], [1, 0]],
+        "y": [[0, -1j], [1j, 0]],
+        "z": [[1, 0], [0, -1]],
+        "h": [[1 / math.sqrt(2), 1 / math.sqrt(2)], [1 / math.sqrt(2), -1 / math.sqrt(2)]],
+    }
+    return np.array(fixed[kind], dtype=complex)
+
+
+def oracle_unitary(circuit):
+    """Dense unitary over the register (work then ancillas, big-endian):
+    each gate is I + kron(|s><s| on controls, U - I on the target, I)."""
+    order = circuit.qubit_order()
+    dim = 2 ** len(order)
+    total = np.eye(dim, dtype=complex)
+    for gate in circuit.gates:
+        controls = dict(gate.controls)
+        factors = []
+        for q in order:
+            if q == gate.target:
+                factors.append(oracle_matrix2(gate.kind, gate.params) - np.eye(2))
+            elif q in controls:
+                projector = np.zeros((2, 2))
+                projector[controls[q], controls[q]] = 1.0
+                factors.append(projector)
+            else:
+                factors.append(np.eye(2))
+        term = np.ones((1, 1), dtype=complex)
+        for factor in factors:
+            term = np.kron(term, factor)
+        total = (np.eye(dim) + term) @ total
+    return total
+
+
+def oracle_block(circuit):
+    """<post-selected ancillas| U |ancillas 0>, as a work-register matrix."""
+    n_anc = len(circuit.ancilla_qubits)
+    kept = dict(circuit.postselect)
+    mask = int("".join(str(kept[q]) for q in circuit.ancilla_qubits) or "0", 2)
+    unitary = oracle_unitary(circuit)
+    dim_work = 2 ** len(circuit.work_qubits)
+    rows = [w * 2**n_anc + mask for w in range(dim_work)]
+    cols = [w * 2**n_anc for w in range(dim_work)]
+    return unitary[np.ix_(rows, cols)]
+
+
+_KIND_ARITY = {"ry": 1, "rz": 1, "phase": 1, "x": 0, "y": 0, "z": 0, "h": 0}
+
+
+@st.composite
+def random_circuits(draw):
+    """Circuits of at most 6 qubits over every gate kind, with arbitrary
+    qubit ids, controls, control states and post-selected bits.  `start`
+    picks the opening: a run of ancilla-only gates (shared in the effective
+    operator), a first gate on a work target, or a first gate on work qubits
+    alone, so every ancilla is touched only after a work gate."""
+    n_work = draw(st.integers(1, 3))
+    n_anc = draw(st.integers(0, 6 - n_work))
+    ids = draw(st.permutations(range(3, 3 + 2 * (n_work + n_anc), 2)))
+    work, anc = tuple(ids[:n_work]), tuple(ids[n_work:])
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+    def gate(targets, control_pool):
+        kind = draw(st.sampled_from(sorted(_KIND_ARITY)))
+        target = draw(st.sampled_from(targets))
+        others = [q for q in control_pool if q != target]
+        chosen = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        controls = tuple((q, draw(st.integers(0, 1))) for q in chosen)
+        params = tuple(draw(angles) for _ in range(_KIND_ARITY[kind]))
+        return Gate(kind, target, params, controls)
+
+    start = draw(st.sampled_from(["ancilla prefix", "work target", "work only"]))
+    everyone = work + anc
+    gates = []
+    if start == "ancilla prefix" and anc:
+        gates += [gate(anc, anc) for _ in range(draw(st.integers(1, 4)))]
+    elif start == "work target":
+        gates.append(gate(work, everyone))
+    else:
+        gates.append(gate(work, work))
+    gates += [gate(everyone, everyone) for _ in range(draw(st.integers(0, 8)))]
+    postselect = tuple((q, draw(st.integers(0, 1))) for q in anc)
+    return Circuit(work, anc, tuple(gates), postselect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_circuits(), st.data())
+def test_random_circuits_against_dense_oracle(circuit, data):
+    want = oracle_block(circuit)
+    effective = effective_operator(circuit)
+    assert np.max(np.abs(effective.matrix - want)) <= 1e-12
+    n_work = len(circuit.work_qubits)
+    for j in range(2**n_work):
+        bits = format(j, f"0{n_work}b")
+        norm2 = float(np.sum(np.abs(want[:, j]) ** 2))
+        assert abs(effective.success_probabilities[bits] - norm2) <= 1e-12
+    j = data.draw(st.integers(0, 2**n_work - 1))
+    column, probability = run(circuit, format(j, f"0{n_work}b"))
+    assert np.max(np.abs(column - want[:, j])) <= 1e-12
+    assert abs(probability - float(np.sum(np.abs(want[:, j]) ** 2))) <= 1e-12
+    # the shared ancilla prefix and the batched columns change no value
+    assert np.array_equal(column, effective.matrix[:, j])
+
+
+def generic_update(block, n, gate):
+    """The reference kernel: gather both halves with index masks and apply
+    u00 * a0 + u01 * a1, u10 * a0 + u11 * a1 (qubit ids are positions)."""
+    rows = np.arange(block.shape[0])
+    target_bit = 1 << (n - 1 - gate.target)
+    matched = (rows & target_bit) == 0
+    for q, state in gate.controls:
+        matched &= ((rows >> (n - 1 - q)) & 1) == state
+    lower = rows[matched]
+    upper = lower | target_bit
+    u = gate.matrix2()
+    a0, a1 = block[lower].copy(), block[upper].copy()
+    block[lower] = u[0, 0] * a0 + u[0, 1] * a1
+    block[upper] = u[1, 0] * a0 + u[1, 1] * a1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3, 8]), st.data())
+def test_kernels_repeat_the_generic_arithmetic(n, cols, data):
+    """Every kernel gives exactly the values of the generic update: the
+    bit-identity contract of the statevector module."""
+    kind = data.draw(st.sampled_from(sorted(_KIND_ARITY)))
+    target = data.draw(st.integers(0, n - 1))
+    others = [q for q in range(n) if q != target]
+    chosen = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    controls = tuple((q, data.draw(st.integers(0, 1))) for q in chosen)
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    gate = Gate(kind, target, tuple(data.draw(angles) for _ in range(_KIND_ARITY[kind])),
+                controls)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.integers(-30, 3, size=(2**n, cols))
+    block = (rng.normal(size=(2**n, cols)) + 1j * rng.normal(size=(2**n, cols))) * scales
+    want = block.copy()
+    generic_update(want, n, gate)
+    statevector._simulate((gate,), block, {q: q for q in range(n)})
+    assert np.array_equal(block, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits(), st.integers(1, 7))
+def test_sliced_updates_are_exact(circuit, chunk):
+    """Updating large halves slice by slice changes no value."""
+    whole = effective_operator(circuit).matrix
+    saved = statevector._CHUNK
+    statevector._CHUNK = chunk
+    try:
+        sliced = effective_operator(circuit).matrix
+    finally:
+        statevector._CHUNK = saved
+    assert np.array_equal(sliced, whole)
+
+
+def test_shared_prefix_is_exact():
+    """Running the prepare tree once for all columns changes no value:
+    each column equals a per-column run, which simulates every gate."""
+    prep = (Gate("ry", 2, (0.7,)), Gate("ry", 3, (1.1,), ((2, 1),)), Gate("h", 3, (), ((2, 0),)))
+    body = (Gate("x", 0, (), ((2, 1), (3, 0))), Gate("phase", 1, (0.3,), ((3, 1),)),
+            Gate("y", 1, (), ((2, 0),)), Gate("rz", 0, (0.9,), ((3, 1),)))
+    unprep = tuple(g.adjoint() for g in reversed(prep))
+    circuit = Circuit((0, 1), (2, 3), prep + body + unprep, ((2, 0), (3, 0)))
+    assert statevector._ancilla_prefix_length(circuit) == 3
+    effective = effective_operator(circuit)
+    for j in range(4):
+        column, probability = run(circuit, format(j, "02b"))
+        assert np.array_equal(column, effective.matrix[:, j])
+        assert probability == effective.success_probabilities[format(j, "02b")]
+
+
+def test_probabilities_are_raw():
+    # no ancilla: the success probability of an unnormalized input is its
+    # raw squared norm, not clipped to 1
+    circuit = Circuit((0,), (), (Gate("h", 0),), ())
+    out, probability = run_state(circuit, np.array([2.0, 0.0]))
+    assert probability == pytest.approx(4.0)
+    assert np.allclose(out, [math.sqrt(2), math.sqrt(2)])
+
+
+def test_probability_above_input_norm_raises():
+    nan_gate = Gate("ry", 1, (0.5,))
+    object.__setattr__(nan_gate, "params", (math.nan,))  # bypass validation
+    circuit = Circuit((0,), (1,), (nan_gate,), ((1, 0),))
+    with pytest.raises(ValueError, match="success probability"):
+        effective_operator(circuit)
+    with pytest.raises(ValueError, match="success probability"):
+        run(circuit, "0")
+    healthy = Circuit((0,), (1,), (Gate("h", 1),), ((1, 0),))
+    with pytest.raises(ValueError, match="success probability"):
+        run_state(healthy, np.array([math.nan, 0.0]))
+
+
+def test_block_budget(monkeypatch):
+    # su3(15) mu: 8 work + 12 ancilla qubits, a 4 GiB block
+    wide = Circuit(tuple(range(8)), tuple(range(8, 20)), (),
+                   tuple((q, 0) for q in range(8, 20)))
+    with pytest.raises(ValueError, match="budget"):
+        effective_operator(wide)
+    # 2 work + 1 ancilla: 8 rows x 4 columns x 16 bytes = 512 bytes
+    small = Circuit((0, 1), (2,), (Gate("h", 2),), ((2, 0),))
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", 512)
+    assert effective_operator(small).matrix.shape == (4, 4)
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", 511)
+    with pytest.raises(ValueError, match="budget"):
+        effective_operator(small)
+    # a single column is 8 x 16 = 128 bytes
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", 128)
+    run(small, "01")
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", 127)
+    with pytest.raises(ValueError, match="budget"):
+        run(small, "01")
