@@ -50,8 +50,7 @@ from .duality_compiler import (
     Gate,
     Circuit,
     CompileReport,
-    two_term_angle,
-    prep_angles_4,
+    prep_tree,
     compile_factor,
     paper_factored_form,
     compile_paper,

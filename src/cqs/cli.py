@@ -8,8 +8,10 @@ code path is deterministic, so repeated runs are byte-identical.  Exit
 codes: 0 on success, 1 on a verification failure, 2 on usage or
 input-parsing errors (argparse's own convention), such as a circuit JSON
 naming an unknown gate kind or a non-finite parameter, a document field of
-the wrong JSON type, or a simulation whose amplitude block exceeds
-statevector.MAX_BLOCK_BYTES.
+the wrong JSON type or a non-integer qubit id, target, control state or
+post-selected bit, paper mode asked for the cylinder, or a simulation whose
+amplitude block exceeds statevector.MAX_BLOCK_BYTES.  `python -m cqs.cli`
+runs the same command.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .duality_compiler import Circuit, compile_exact, compile_paper, emit_text
+from .duality_compiler import Circuit, compile_exact, compile_paper, emit_text, paper_factored_form
 from .frobenius import BUILDERS as _BUILDERS
 from .frobenius import DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
 from .pauli import pauli_expand
@@ -139,18 +141,20 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _compile_from_args(args):
-    spec = _spec_from_args(args)
+def _compile(args, spec: FrobeniusSpec):
+    """(circuit, report, dense target, target name) of --op in --mode;
+    paper_factored_form rejects the tags paper mode does not cover."""
     if args.mode == "paper":
-        return compile_paper(args.op, spec)
-    target = _BUILDERS[args.op](spec)
-    return compile_exact(target)
+        circuit, report = compile_paper(args.op, spec)
+        target = paper_factored_form(args.op, spec).matrix()
+        return circuit, report, target, f"{args.op}_factored_form"
+    target_op = _BUILDERS[args.op](spec)
+    circuit, report = compile_exact(target_op)
+    return circuit, report, target_op.matrix, args.op
 
 
 def _cmd_compile(args) -> int:
-    if args.op == "cylinder" and args.mode == "paper":
-        raise _UsageError("paper mode covers mu, delta, eta and eps")
-    circuit, report = _compile_from_args(args)
+    circuit, report, _target, _name = _compile(args, _spec_from_args(args))
     doc = circuit.to_dict()
     doc["report"] = report.to_dict()
     _emit_json(doc, args.out)
@@ -184,17 +188,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    if args.mode == "paper":
-        from .duality_compiler import paper_factored_form
-
-        circuit, _report = compile_paper(args.op, spec)
-        target = paper_factored_form(args.op, spec).matrix()
-        target_name = f"{args.op}_factored_form"
-    else:
-        target_op = _BUILDERS[args.op](spec)
-        circuit, _report = compile_exact(target_op)
-        target = target_op.matrix
-        target_name = args.op
+    circuit, _report, target, target_name = _compile(args, spec)
     report = verify_compiled(circuit, target, target_name, args.mode, axiom_suite(spec))
     _emit_json(report.to_dict(), args.report)
     if report.relative_residual > RESIDUAL_TOLERANCE:
@@ -261,7 +255,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="compile, simulate and compare against the target")
-    p.add_argument("--op", required=True, choices=sorted(set(_BUILDERS) - {"cylinder"}))
+    p.add_argument("--op", required=True, choices=sorted(_BUILDERS))
     p.add_argument("--mode", choices=("paper", "exact"), default="exact")
     _add_table_args(p)
     p.add_argument("--report", default="-", metavar="FILE")
@@ -299,3 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -4,12 +4,19 @@ circuits.
 Two modes are provided.  "paper" mode reproduces the fixed per-work-qubit
 template construction: each work qubit gets a normalized single-qubit factor
 realized either by one Ry-conjugated controlled branch pair (two-term
-factors) or by a two-ancilla W-state preparation, a four-way controlled
+factors) or by a two-ancilla state preparation, a four-way controlled
 select and Hadamard unpreparation (three/four-term factors).  "exact" mode
 expands the full operator over Pauli strings and emits a standard
 prepare / select / unprepare linear-combination-of-unitaries circuit whose
 post-selected block equals the operator divided by the L1 weight of its
 expansion.
+
+Both modes prepare their ancillas with one binary Ry tree, `prep_tree`
+(Grover-Rudolph, quant-ph/0208112; Mottonen et al., quant-ph/0407010).
+Each node takes the angle 2 atan2(sqrt(R), sqrt(L)) from the masses L and
+R of its two halves, so no ratio is clamped and small angles keep their
+relative precision.  The figure angles theta1-theta4 and w_top of paper
+mode are named angles of these trees.
 
 Gates act on single targets with arbitrary (qubit, state) control lists;
 no decomposition into a restricted native set is attempted.
@@ -19,8 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -47,8 +55,7 @@ __all__ = [
     "Circuit",
     "CompileReport",
     "FactorFragment",
-    "two_term_angle",
-    "prep_angles_4",
+    "prep_tree",
     "compile_factor",
     "paper_factored_form",
     "compile_paper",
@@ -94,7 +101,9 @@ class Gate:
     `controls` is a tuple of (qubit, state) pairs; the gate fires on basis
     states where every control qubit holds its required state bit.  The
     `phase` kind multiplies the matched branch by exp(i * param) regardless
-    of the target's state (a plain global phase when uncontrolled).
+    of the target's state (a plain global phase when uncontrolled).  Qubit
+    ids and control states must be integers (Python or numpy); a float such
+    as 1.9 raises TypeError rather than being truncated.
     """
 
     kind: str
@@ -108,7 +117,8 @@ class Gate:
         object.__setattr__(self, "params", tuple(_finite(p) for p in self.params))
         if len(self.params) != GATE_KINDS[self.kind]:
             raise ValueError(f"{self.kind} takes {GATE_KINDS[self.kind]} parameter(s)")
-        ctl = tuple((int(q), int(s)) for q, s in self.controls)
+        object.__setattr__(self, "target", operator.index(self.target))
+        ctl = tuple((operator.index(q), operator.index(s)) for q, s in self.controls)
         object.__setattr__(self, "controls", ctl)
         seen = set()
         for q, s in ctl:
@@ -153,7 +163,7 @@ class Gate:
             raise ValueError("gate 'params' must be a list")
         return Gate(
             doc["kind"],
-            int(doc["target"]),
+            doc["target"],
             tuple(params),
             tuple((c["q"], c["state"]) for c in _objects(doc.get("controls", []), "controls")),
         )
@@ -164,7 +174,8 @@ class Circuit:
     """Gate list over a work register plus post-selected ancillas.
 
     Register order is work qubits first (in declared order), then ancillas;
-    qubit 0 is the leftmost bit of basis-state labels.
+    qubit 0 is the leftmost bit of basis-state labels.  Qubit ids and
+    post-selected bits must be integers, as in `Gate`.
     """
 
     work_qubits: tuple[int, ...]
@@ -173,10 +184,12 @@ class Circuit:
     postselect: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "work_qubits", tuple(int(q) for q in self.work_qubits))
-        object.__setattr__(self, "ancilla_qubits", tuple(int(q) for q in self.ancilla_qubits))
+        index = operator.index
+        object.__setattr__(self, "work_qubits", tuple(index(q) for q in self.work_qubits))
+        object.__setattr__(self, "ancilla_qubits", tuple(index(q) for q in self.ancilla_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "postselect", tuple((int(q), int(b)) for q, b in self.postselect))
+        post = tuple((index(q), index(b)) for q, b in self.postselect)
+        object.__setattr__(self, "postselect", post)
         declared = self.work_qubits + self.ancilla_qubits
         if len(set(declared)) != len(declared):
             raise ValueError("qubit ids must be unique")
@@ -251,37 +264,50 @@ class CompileReport:
         }
 
 
-def two_term_angle(w0: float, w1: float) -> float:
-    """Rotation angle theta with cos^2(theta/2) : sin^2(theta/2) = w0 : w1."""
-    if w0 < 0 or w1 < 0 or w0 + w1 <= 0:
-        raise ValueError("weights must be non-negative with a positive sum")
-    return 2.0 * math.acos(math.sqrt(w0 / (w0 + w1)))
+def _pattern_controls(ancillas: Sequence[int], pattern: int) -> tuple[tuple[int, int], ...]:
+    """Controls that match `ancillas` to the bits of `pattern`, the first
+    ancilla holding the most significant bit."""
+    top = len(ancillas) - 1
+    return tuple((a, (pattern >> (top - j)) & 1) for j, a in enumerate(ancillas))
 
 
-def prep_angles_4(c: Sequence[float]) -> tuple[float, float, float]:
-    """Angles (theta_top, theta_left, theta_right) of the two-qubit tree
-    preparing amplitudes (c0, c1, c2, c3) from |00>.
+def prep_tree(
+    mass: Sequence[float], ancillas: Sequence[int]
+) -> tuple[list[Gate], list[tuple[str, float]]]:
+    """Ry tree sending |0...0> on `ancillas` to amplitudes sqrt(mass / sum(mass)).
 
-    Requires non-negative amplitudes with sum of squares 1 (to 1e-9).
+    Leaf k is the ancilla pattern k (first ancilla most significant); the
+    mass is padded with zeros to 2**len(ancillas) leaves.  The node at level
+    l with prefix p splits its mass between its halves L and R (pairwise sums
+    of the leaf masses) with Ry(2 atan2(sqrt(R), sqrt(L))) on ancilla l,
+    controlled on the prefix bits.  A node with R = 0 gets no gate.  Returns
+    the gates and their angles named `prep_l<l>_p<p>`.
     """
-    c = [float(v) for v in c]
-    if len(c) != 4:
-        raise ValueError("need exactly four amplitudes")
-    if any(v < 0 for v in c):
-        raise ValueError("amplitudes must be non-negative")
-    total = sum(v * v for v in c)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"amplitudes must be normalized, got |c|^2 = {total}")
-    left_mass = c[0] * c[0] + c[1] * c[1]
-    right_mass = c[2] * c[2] + c[3] * c[3]
-    theta_top = 2.0 * math.acos(min(1.0, math.sqrt(left_mass)))
-    theta_left = (
-        2.0 * math.acos(min(1.0, c[0] / math.sqrt(left_mass))) if left_mass > 0 else 0.0
-    )
-    theta_right = (
-        2.0 * math.acos(min(1.0, c[2] / math.sqrt(right_mass))) if right_mass > 0 else 0.0
-    )
-    return theta_top, theta_left, theta_right
+    m = len(ancillas)
+    leaves = [float(v) for v in mass]
+    if len(leaves) > 2**m:
+        raise ValueError(f"{len(leaves)} masses do not fit {m} ancilla(s)")
+    if not all(v >= 0.0 for v in leaves):
+        raise ValueError("masses must be non-negative")
+    sums = [leaves + [0.0] * (2**m - len(leaves))]
+    while len(sums[-1]) > 1:
+        below = sums[-1]
+        sums.append([below[i] + below[i + 1] for i in range(0, len(below), 2)])
+    if not 0.0 < sums[-1][0] < math.inf:
+        raise ValueError("masses must have a positive finite sum")
+    gates: list[Gate] = []
+    named: list[tuple[str, float]] = []
+    for level in range(m):
+        halves = sums[m - 1 - level]
+        for prefix in range(2**level):
+            left, right = halves[2 * prefix], halves[2 * prefix + 1]
+            if right == 0.0:
+                continue
+            theta = 2.0 * math.atan2(math.sqrt(right), math.sqrt(left))
+            controls = _pattern_controls(ancillas[:level], prefix)
+            gates.append(Gate("ry", ancillas[level], (theta,), controls))
+            named.append((f"prep_l{level}_p{prefix}", theta))
+    return gates, named
 
 
 @dataclass(frozen=True)
@@ -290,8 +316,8 @@ class FactorFragment:
 
     kind is 'single', 'two' or 'four'.  `nominal_scale` is the s with
     post-selected block = factor / s (1 for single/two, 2 for the
-    Hadamard-unprepared four-way select).  `phases` records the signed
-    branch phases by Pauli letter as they went into the phase gates.
+    Hadamard-unprepared four-way select).  `angles` are the named angles of
+    its `prep_tree`.
     """
 
     kind: str
@@ -299,11 +325,11 @@ class FactorFragment:
     ancillas: tuple[int, ...]
     postselect: tuple[tuple[int, int], ...]
     nominal_scale: float
-    theta: Optional[float] = None
-    w_top: Optional[float] = None
-    w_left: Optional[float] = None
-    w_right: Optional[float] = None
-    phases: tuple[tuple[str, float], ...] = ()
+    angles: tuple[tuple[str, float], ...] = ()
+
+    def angle(self, name: str) -> float:
+        """A named tree angle; 0.0 for a node that needed no gate."""
+        return dict(self.angles).get(name, 0.0)
 
 
 def _branch_gates(letter: str, phase: float, target: int,
@@ -318,51 +344,39 @@ def _branch_gates(letter: str, phase: float, target: int,
 
 def compile_factor(factor: NormalizedFactor, target: int, ancilla_start: int) -> FactorFragment:
     """Compile one normalized factor onto `target`, allocating fresh ancilla
-    ids from `ancilla_start` upward."""
+    ids from `ancilla_start` upward.
+
+    A two-term factor selects its branches on one ancilla between a
+    `prep_tree` and its adjoint, so the block weights are the tree's masses,
+    the L1 magnitudes.  A three- or four-term factor selects on two ancillas
+    (pattern = index in IXYZ) and unprepares with Hadamards, so the block
+    weights are half the tree's amplitudes, the L2 magnitudes.
+    """
     k = len(factor.letters)
-    phases = tuple(zip(factor.letters, factor.phases))
     if k == 1:
         gates = tuple(_branch_gates(factor.letters[0], factor.phases[0], target, ()))
-        return FactorFragment("single", gates, (), (), 1.0, phases=phases)
+        return FactorFragment("single", gates, (), (), 1.0)
     if k == 2:
-        anc = ancilla_start
-        theta = two_term_angle(factor.magnitudes[0], factor.magnitudes[1])
-        gates = [Gate("ry", anc, (theta,))]
-        for state, (letter, phase) in enumerate(phases):
-            gates.extend(_branch_gates(letter, phase, target, ((anc, state),)))
-        gates.append(Gate("ry", anc, (-theta,)))
-        return FactorFragment(
-            "two", tuple(gates), (anc,), ((anc, 0),), 1.0, theta=theta, phases=phases
-        )
-    # three or four terms: two ancillas, W preparation, select, Hadamard pair
-    slots = {letter: (m, p) for letter, m, p in
-             zip(factor.letters, factor.magnitudes, factor.phases)}
-    amplitudes = [slots.get(letter, (0.0, 0.0))[0] for letter in PAULI_LETTERS]
-    w_top, w_left, w_right = prep_angles_4(amplitudes)
-    a0, a1 = ancilla_start, ancilla_start + 1
-    gates = [Gate("ry", a0, (w_top,))]
-    if w_left != 0.0:
-        gates.append(Gate("ry", a1, (w_left,), ((a0, 0),)))
-    if w_right != 0.0:
-        gates.append(Gate("ry", a1, (w_right,), ((a0, 1),)))
-    for idx, letter in enumerate(PAULI_LETTERS):
-        magnitude, phase = slots.get(letter, (0.0, 0.0))
-        if magnitude == 0.0:
-            continue
-        controls = ((a0, idx >> 1), (a1, idx & 1))
-        gates.extend(_branch_gates(letter, phase, target, controls))
-    gates.append(Gate("h", a0, ()))
-    gates.append(Gate("h", a1, ()))
+        ancillas, patterns = (ancilla_start,), (0, 1)
+        mass = factor.magnitudes
+    else:
+        ancillas = (ancilla_start, ancilla_start + 1)
+        patterns = tuple(PAULI_LETTERS.index(letter) for letter in factor.letters)
+        mass = [0.0] * 4
+        for pattern, magnitude in zip(patterns, factor.magnitudes):
+            mass[pattern] = magnitude * magnitude
+    prep, angles = prep_tree(mass, ancillas)
+    gates = list(prep)
+    for pattern, letter, phase in zip(patterns, factor.letters, factor.phases):
+        gates.extend(_branch_gates(letter, phase, target, _pattern_controls(ancillas, pattern)))
+    if k == 2:
+        gates.extend(gate.adjoint() for gate in reversed(prep))
+        kind, scale = "two", 1.0
+    else:
+        gates.extend(Gate("h", a, ()) for a in ancillas)
+        kind, scale = "four", 2.0
     return FactorFragment(
-        "four",
-        tuple(gates),
-        (a0, a1),
-        ((a0, 0), (a1, 0)),
-        2.0,
-        w_top=w_top,
-        w_left=w_left,
-        w_right=w_right,
-        phases=phases,
+        kind, tuple(gates), ancillas, tuple((a, 0) for a in ancillas), scale, tuple(angles)
     )
 
 
@@ -385,7 +399,7 @@ def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
     the true operator by a quantifiable residual.
     """
     if op_name not in _ANGLE_LAYOUT:
-        raise ValueError(f"unsupported operator name {op_name!r}")
+        raise ValueError("paper mode covers mu, delta, eta and eps")
     n_qubits = spec.encoding.bits_per_circle * max(GENERATOR_ARITY[op_name])
     brackets: list[dict[str, complex]] = [dict() for _ in range(n_qubits)]
     for out_bits, in_bits, weight in generator_terms(op_name, spec, padded=True):
@@ -419,17 +433,15 @@ def _reported_phase(coefficient: complex, spec: FrobeniusSpec) -> float:
     return abs(principal)
 
 
-# which fragment angles carry the figure names, per operator
-_ANGLE_LAYOUT = {
-    "mu": (("theta1", 0, "theta"), ("theta2", 1, "theta"),
-           ("theta3", 2, "w_left"), ("theta4", 2, "w_right")),
-    "delta": (("theta1", 0, "theta"), ("theta2", 1, "theta"),
-              ("theta3", 2, "w_left"), ("theta4", 2, "w_right")),
-    "eta": (("theta1", 0, "w_left"), ("theta2", 0, "w_right"),
-            ("theta3", 1, "w_left"), ("theta4", 1, "w_right")),
-    "eps": (("theta1", 0, "w_left"), ("theta2", 0, "w_right"),
-            ("theta3", 1, "w_left"), ("theta4", 1, "w_right")),
-}
+# which tree angles carry the figure names: (name, fragment index, fragment
+# kind, prep_tree angle name); the row is absent when the fragment has
+# another kind
+_MERGE_ANGLES = (("theta1", 0, "two", "prep_l0_p0"), ("theta2", 1, "two", "prep_l0_p0"),
+                 ("theta3", 2, "four", "prep_l1_p0"), ("theta4", 2, "four", "prep_l1_p1"))
+_UNIT_ANGLES = (("theta1", 0, "four", "prep_l1_p0"), ("theta2", 0, "four", "prep_l1_p1"),
+                ("theta3", 1, "four", "prep_l1_p0"), ("theta4", 1, "four", "prep_l1_p1"))
+_ANGLE_LAYOUT = {"mu": _MERGE_ANGLES, "delta": _MERGE_ANGLES,
+                 "eta": _UNIT_ANGLES, "eps": _UNIT_ANGLES}
 
 # named phase-gate angles: (name, fragment index, Pauli letter)
 _PHASE_LAYOUT = {
@@ -471,17 +483,16 @@ def compile_paper(op_name: str, spec: FrobeniusSpec) -> tuple[Circuit, CompileRe
     circuit = Circuit(tuple(range(n_work)), tuple(ancillas), tuple(gates), tuple(postselect))
     angles: list[tuple[str, float]] = []
     # a small table can have fewer work qubits than the figure names
-    for name, frag_idx, attr in _ANGLE_LAYOUT[op_name]:
-        value = getattr(fragments[frag_idx], attr) if frag_idx < n_work else None
-        if value is not None:
-            angles.append((name, float(value)))
+    for name, frag_idx, kind, tree_angle in _ANGLE_LAYOUT[op_name]:
+        if frag_idx < n_work and fragments[frag_idx].kind == kind:
+            angles.append((name, fragments[frag_idx].angle(tree_angle)))
     for name, frag_idx, letter in _PHASE_LAYOUT[op_name]:
         coefficient = brackets[frag_idx].get(letter) if frag_idx < n_work else None
         if coefficient is not None:
             angles.append((name, _reported_phase(coefficient, spec)))
     for q, fragment in enumerate(fragments):
-        if fragment.w_top is not None:
-            angles.append((f"w_top_q{q}", float(fragment.w_top)))
+        if fragment.kind == "four":
+            angles.append((f"w_top_q{q}", fragment.angle("prep_l0_p0")))
     report = CompileReport(
         mode="paper",
         ancilla_count=len(ancillas),
@@ -492,40 +503,14 @@ def compile_paper(op_name: str, spec: FrobeniusSpec) -> tuple[Circuit, CompileRe
     return circuit, report
 
 
-def _prep_tree(amplitudes: np.ndarray, ancillas: Sequence[int]) -> tuple[list[Gate], list[tuple[str, float]]]:
-    """Binary-tree Ry cascade sending |0...0> to the given non-negative
-    amplitude vector over the ancilla register."""
-    m = len(ancillas)
-    gates: list[Gate] = []
-    named: list[tuple[str, float]] = []
-    mass = amplitudes**2
-    for level in range(m):
-        block = 2 ** (m - level)
-        for prefix in range(2**level):
-            lo = prefix * block
-            total = float(mass[lo : lo + block].sum())
-            if total <= 0.0:
-                continue
-            left = float(mass[lo : lo + block // 2].sum())
-            theta = 2.0 * math.acos(min(1.0, math.sqrt(left / total)))
-            if theta == 0.0:
-                continue
-            controls = tuple(
-                (ancillas[j], (prefix >> (level - 1 - j)) & 1) for j in range(level)
-            )
-            gates.append(Gate("ry", ancillas[level], (theta,), controls))
-            named.append((f"prep_l{level}_p{prefix}", theta))
-    return gates, named
-
-
 def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, CompileReport]:
     """Compile a square operator exactly via its Pauli expansion.
 
     With expansion sum_k alpha_k P_k and s = sum_k |alpha_k|, the circuit
-    prepares ancilla amplitudes sqrt(|alpha_k| / s), applies each phased
-    P_k under the ancilla pattern k, unprepares, and post-selects the
-    all-zeros pattern, leaving the block op / s.  Work registers up to
-    8 qubits are accepted.
+    prepares ancilla amplitudes sqrt(|alpha_k| / s) with `prep_tree`,
+    applies each phased P_k under the ancilla pattern k, unprepares, and
+    post-selects the all-zeros pattern, leaving the block op / s.  Work
+    registers up to 8 qubits are accepted.
     """
     mat = _as_matrix(op)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -541,26 +526,19 @@ def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, Compil
     weights = np.array([abs(t.coefficient) for t in terms])
     s = float(weights.sum())
     k_count = len(terms)
-    m = max(1, (k_count - 1).bit_length()) if k_count > 1 else 0
+    m = (k_count - 1).bit_length()
     ancillas = tuple(range(n_work, n_work + m))
-    gates: list[Gate] = []
-    named: list[tuple[str, float]] = []
-    if m > 0:
-        amplitudes = np.zeros(2**m)
-        amplitudes[:k_count] = np.sqrt(weights / s)
-        prep, named = _prep_tree(amplitudes, ancillas)
-        gates.extend(prep)
+    prep, named = prep_tree(weights, ancillas)
+    gates = list(prep)
     for k, term in enumerate(terms):
-        controls = tuple((ancillas[j], (k >> (m - 1 - j)) & 1) for j in range(m))
+        controls = _pattern_controls(ancillas, k)
         phase = float(np.angle(term.coefficient))
         if phase != 0.0:
             gates.append(Gate("phase", 0, (phase,), controls))
         for q, letter in enumerate(term.string.letters):
             if letter != "I":
                 gates.append(Gate(letter.lower(), q, (), controls))
-    if m > 0:
-        for gate in reversed(prep):
-            gates.append(gate.adjoint())
+    gates.extend(gate.adjoint() for gate in reversed(prep))
     circuit = Circuit(
         tuple(range(n_work)),
         ancillas,
@@ -577,12 +555,6 @@ def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, Compil
     return circuit, report
 
 
-def _qubit_name(circuit: Circuit, qubit: int) -> str:
-    if qubit in circuit.work_qubits:
-        return f"q{circuit.work_qubits.index(qubit)}"
-    return f"a{circuit.ancilla_qubits.index(qubit)}"
-
-
 def emit_text(circuit: Circuit) -> str:
     """Flat-text rendering of a circuit.
 
@@ -592,21 +564,18 @@ def emit_text(circuit: Circuit) -> str:
     `!`, then `postselect <q> -> <bit>;` lines.  Floats use shortest
     round-trip repr, so equal circuits emit byte-equal text.
     """
-    lines = []
-    lines.append("work " + ", ".join(_qubit_name(circuit, q) for q in circuit.work_qubits) + ";")
+    names = {q: f"q{i}" for i, q in enumerate(circuit.work_qubits)}
+    names.update((q, f"a{i}") for i, q in enumerate(circuit.ancilla_qubits))
+    lines = ["work " + ", ".join(names[q] for q in circuit.work_qubits) + ";"]
     if circuit.ancilla_qubits:
-        lines.append(
-            "ancilla " + ", ".join(_qubit_name(circuit, q) for q in circuit.ancilla_qubits) + ";"
-        )
+        lines.append("ancilla " + ", ".join(names[q] for q in circuit.ancilla_qubits) + ";")
     for gate in circuit.gates:
         name = "c" * len(gate.controls) + gate.kind
         if gate.params:
             name += "(" + ",".join(repr(p) for p in gate.params) + ")"
-        operands = [
-            ("" if state else "!") + _qubit_name(circuit, q) for q, state in gate.controls
-        ]
-        operands.append(_qubit_name(circuit, gate.target))
+        operands = [("" if state else "!") + names[q] for q, state in gate.controls]
+        operands.append(names[gate.target])
         lines.append(f"{name} {', '.join(operands)};")
     for q, bit in circuit.postselect:
-        lines.append(f"postselect {_qubit_name(circuit, q)} -> {bit};")
+        lines.append(f"postselect {names[q]} -> {bit};")
     return "\n".join(lines) + "\n"

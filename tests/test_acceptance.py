@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from cqs import cli
-from cqs.duality_compiler import compile_exact, compile_paper, prep_angles_4, two_term_angle
+from cqs.duality_compiler import compile_exact, compile_paper, prep_tree
 from cqs.encoding import default_encoding
 from cqs.frobenius import (
     FrobeniusSpec,
@@ -99,8 +99,8 @@ PRINTED = {
 
 
 def test_criterion_3_angle_reproduction():
-    """Every printed rotation angle comes out of two_term_angle /
-    prep_angles_4 within 0.005 rad."""
+    """Every printed rotation angle comes out of the prep_tree angles
+    within 0.005 rad."""
     spec = _spec()
     for op_name, printed in PRINTED.items():
         _, report = compile_paper(op_name, spec)
@@ -108,12 +108,13 @@ def test_criterion_3_angle_reproduction():
         for name, value in printed.items():
             assert abs(computed[name] - value) <= ANGLE_TOL, (op_name, name, computed[name])
     # the two shared angles hit their closed forms exactly
-    assert two_term_angle(1.5, 0.5) == pytest.approx(math.pi / 3, abs=1e-15)
+    assert dict(prep_tree((1.5, 0.5), (0,))[1])["prep_l0_p0"] == pytest.approx(
+        math.pi / 3, abs=1e-15)
     c = np.array([0.5, 1.0, 1.0, 0.5]) / math.sqrt(2.5)
-    top, left, right = prep_angles_4(c)
-    assert top == pytest.approx(math.pi / 2, abs=1e-12)
-    assert left == pytest.approx(2.21, abs=ANGLE_TOL)
-    assert right == pytest.approx(0.93, abs=ANGLE_TOL)
+    angles = dict(prep_tree(c * c, (0, 1))[1])
+    assert angles["prep_l0_p0"] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert angles["prep_l1_p0"] == pytest.approx(2.21, abs=ANGLE_TOL)
+    assert angles["prep_l1_p1"] == pytest.approx(0.93, abs=ANGLE_TOL)
     print("ACCEPTANCE 3 angle-reproduction: PASS")
 
 
@@ -244,11 +245,11 @@ def test_criterion_9_reproduction_determinism(tmp_path, capsys):
 # compilers or JSON output that moves a last bit changes one of them
 PINNED_STDOUT_SHA256 = {
     "reproduce-paper --convention paper":
-        "87f231a139aa62a49968cb6f3a04b7977f66fdda3a16c353310df551a051beb1",
+        "0183a36c2722d1dd5be37c673220d5fa2f2036f3f8351e3c04bd0d2588888f94",
     "reproduce-paper --convention euclidean":
-        "de22aae5c023c2812a4ba3cd89d3b9c66b4d7529d146f67dafec312016ba2c7c",
+        "219fe1fc59ef8779da127e52c96db05dc369bd91c73726afe7cbef83be262901",
     "compile --op eta --mode exact | simulate --effective":
-        "f213847b6f89d83032b2cf1eb0f3a1f9a23bb5d408f216072b1e99497794158b",
+        "bfcc46815dd9498d897cc7032e761301ef980e933743952915674a04534882dc",
 }
 
 

@@ -4,8 +4,11 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +164,40 @@ def test_verify_paper_stdout(capsys):
     assert doc["relative_residual"] <= 1e-10
 
 
+def test_verify_cylinder(capsys):
+    """verify takes every generator tag; paper mode rejects the cylinder."""
+    code, out, _ = run_cli(capsys, ["verify", "--op", "cylinder", "--mode", "exact"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["target_name"] == "cylinder"
+    assert doc["relative_residual"] <= 1e-10
+    code, out, err = run_cli(capsys, ["verify", "--op", "cylinder", "--mode", "paper"])
+    assert (code, out) == (2, "")
+    assert "paper mode" in err and err.count("\n") == 1
+
+
+def test_verify_eta_paper_small_rotation(capsys):
+    """The first eta bracket at su3(9..15), euclidean, beta 1 needs an Ry of
+    about 1e-9 rad; without it the residual was 2.6e-10 to 5.2e-10 (exit 1)."""
+    for n in range(9, 16):
+        code, out, err = run_cli(capsys, ["verify", "--op", "eta", "--mode", "paper",
+                                          "--convention", "euclidean", "--beta", "1",
+                                          "--truncate", str(n)])
+        assert code == 0, (n, err)
+        assert json.loads(out)["relative_residual"] <= 1e-15, n
+
+
+def test_python_m_cli_runs_main():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cqs.cli", "compile", "--op", "cylinder", "--mode", "paper"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
 def test_reproduce_paper_cli(capsys):
     code, out, _ = run_cli(capsys, ["reproduce-paper", "--convention", "paper"])
     assert code == 0
@@ -229,6 +266,8 @@ def test_usage_exit_codes(capsys, monkeypatch):
     assert code == 2
     assert "unknown gate kind" in err
     one_qubit = {"qubits": [{"id": 0, "role": "work"}], "postselect": []}
+    work, ancilla = {"id": 0, "role": "work"}, {"id": 1, "role": "ancilla"}
+    two_qubits = {"qubits": [work, ancilla], "gates": [], "postselect": [{"q": 1, "bit": 0}]}
     malformed = [
         (["simulate", "--in", "0"], [], "JSON object"),
         (["simulate", "--in", "0"], dict(one_qubit, gates=5), "'gates' must be a list"),
@@ -239,6 +278,15 @@ def test_usage_exit_codes(capsys, monkeypatch):
         (["simulate", "--in", "0"],
          dict(one_qubit, gates=[{"kind": "x", "target": [0], "params": []}]),
          "malformed circuit"),
+        (["simulate", "--in", "0"], dict(two_qubits, qubits=[work, dict(ancilla, id=1.9)]),
+         "cannot be interpreted as an integer"),
+        (["simulate", "--in", "0"], dict(two_qubits, gates=[{"kind": "h", "target": 1.2}]),
+         "cannot be interpreted as an integer"),
+        (["emit"], dict(two_qubits, gates=[{"kind": "x", "target": 0,
+                                            "controls": [{"q": 1, "state": 0.5}]}]),
+         "cannot be interpreted as an integer"),
+        (["simulate", "--in", "0"], dict(two_qubits, postselect=[{"q": 1, "bit": 0.7}]),
+         "cannot be interpreted as an integer"),
         (["decompose", "--in", "-"], [], "JSON object"),
         (["decompose", "--in", "-"], {"rows": 2, "cols": 2, "entries": 5},
          "'entries' must be a list"),

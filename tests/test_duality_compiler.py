@@ -9,8 +9,11 @@ against an independent construction rather than against its own output.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cqs.duality_compiler import (
     Circuit,
@@ -21,12 +24,12 @@ from cqs.duality_compiler import (
     compile_paper,
     emit_text,
     paper_factored_form,
-    prep_angles_4,
-    two_term_angle,
+    prep_tree,
 )
 from cqs.frobenius import FrobeniusSpec, PhaseConvention, build_eta, build_mu
 from cqs.pauli import PAULI_1Q, normalize_factor
 from cqs.statevector import effective_operator
+from cqs.verify import compare_up_to_scale
 
 W = cmath.exp(-16j / 3)
 
@@ -85,6 +88,15 @@ def test_gate_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             Gate("ry", 0, (bad,))
+    for bad in (1.9, 1.0, "1"):  # not truncated or parsed
+        with pytest.raises(TypeError):
+            Gate("x", bad)
+        with pytest.raises(TypeError):
+            Gate("x", 0, (), ((bad, 1),))
+        with pytest.raises(TypeError):
+            Gate("x", 0, (), ((1, bad),))
+    gate = Gate("x", np.int64(2), (), ((np.int32(0), np.int8(1)),))
+    assert type(gate.target) is int and gate.controls == ((0, 1),)
 
 
 def test_gate_dict_roundtrip():
@@ -114,6 +126,13 @@ def test_circuit_validation():
         Circuit((0,), (1,), (), ((1, 2),))
     with pytest.raises(ValueError):
         Circuit((0,), (), (Gate("x", 3),), ())  # undeclared qubit
+    for bad in (1.9, "1"):
+        with pytest.raises(TypeError):
+            Circuit((bad,), (), (), ())
+        with pytest.raises(TypeError):
+            Circuit((0,), (bad,), (), ())
+        with pytest.raises(TypeError):
+            Circuit((0,), (1,), (), ((1, bad),))
     circuit = Circuit((0,), (1,), (g,), ((1, 0),))
     assert circuit.n_qubits == 2
     assert circuit.qubit_order() == (0, 1)
@@ -152,31 +171,87 @@ def test_circuit_from_dict_rejects_malformed(spec):
 # ---------------------------------------------------------------- angles
 
 
-def test_two_term_angle_oracle():
+def tree_state(gates, m):
+    """Amplitudes over m qubits (qubit 0 most significant) after `gates`
+    from |0...0>, by a direct loop over the basis states."""
+    amps = np.zeros(2**m)
+    amps[0] = 1.0
+    for gate in gates:
+        assert gate.kind == "ry"
+        c, s = math.cos(gate.params[0] / 2), math.sin(gate.params[0] / 2)
+        bit = 1 << (m - 1 - gate.target)
+        for i in range(2**m):
+            fires = all((i >> (m - 1 - q)) & 1 == state for q, state in gate.controls)
+            if fires and not i & bit:
+                a0, a1 = amps[i], amps[i | bit]
+                amps[i], amps[i | bit] = c * a0 - s * a1, s * a0 + c * a1
+    return amps
+
+
+_MASSES = st.lists(
+    st.one_of(st.just(0.0), st.floats(-30.0, 2.0).map(lambda e: 10.0**e)),
+    min_size=1,
+    max_size=64,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MASSES)
+def test_prep_tree_prepares_sqrt_mass(mass):
+    assume(any(mass))
+    m = (len(mass) - 1).bit_length()
+    gates, named = prep_tree(mass, tuple(range(m)))
+    assert [theta for _, theta in named] == [gate.params[0] for gate in gates]
+    want = np.zeros(2**m)
+    want[: len(mass)] = np.sqrt(np.array(mass) / sum(mass))
+    assert np.max(np.abs(tree_state(gates, m) - want)) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MASSES)
+def test_prep_tree_angles_within_2_ulp(mass):
+    """Each angle against 2 atan2(sqrt R, sqrt L) with exact half masses,
+    evaluated in mpmath at 200 bits."""
+    assume(any(mass))
+    m = (len(mass) - 1).bit_length()
+    leaves = [mpmath.mpf(v) for v in mass] + [mpmath.mpf(0)] * (2**m - len(mass))
+    with mpmath.workprec(200):
+        for name, theta in prep_tree(mass, tuple(range(m)))[1]:
+            level, prefix = (int(part[1:]) for part in name.split("_")[1:])
+            block = 2 ** (m - level)
+            left = mpmath.fsum(leaves[prefix * block: prefix * block + block // 2])
+            right = mpmath.fsum(leaves[prefix * block + block // 2: (prefix + 1) * block])
+            exact = 2 * mpmath.atan2(mpmath.sqrt(right), mpmath.sqrt(left))
+            assert abs(mpmath.mpf(theta) - exact) <= 2 * math.ulp(float(exact)), name
+
+
+def test_prep_tree_two_leaves():
     rng = np.random.default_rng(11)
     for _ in range(50):
         w0, w1 = rng.uniform(0.01, 5.0, size=2)
-        theta = two_term_angle(w0, w1)
+        (gate,), ((name, theta),) = prep_tree((w0, w1), (7,))
+        assert (name, gate.target, gate.controls) == ("prep_l0_p0", 7, ())
         assert 0.0 <= theta <= math.pi
         assert math.cos(theta / 2) ** 2 * (w0 + w1) == pytest.approx(w0)
-    assert two_term_angle(1.0, 1.0) == pytest.approx(math.pi / 2)
-    assert two_term_angle(1.0, 0.0) == 0.0
-    assert two_term_angle(3.0, 1.0) == pytest.approx(math.pi / 3)
+    assert prep_tree((1.0, 1.0), (0,))[1] == [("prep_l0_p0", math.pi / 2)]
+    assert prep_tree((3.0, 1.0), (0,))[1][0][1] == pytest.approx(math.pi / 3, abs=1e-15)
+    assert prep_tree((1.0, 0.0), (0,)) == ([], [])
 
 
-def test_two_term_angle_rejects():
-    with pytest.raises(ValueError):
-        two_term_angle(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        two_term_angle(0.0, 0.0)
+def test_prep_tree_keeps_small_angles():
+    # an acos of a ratio clamped to 1 gives 0 here
+    ((name, theta),) = prep_tree((1.0, 1e-18), (0,))[1]
+    assert name == "prep_l0_p0"
+    assert theta == pytest.approx(2e-9, rel=1e-15)
 
 
-def test_prep_angles_4_oracle():
+def test_prep_tree_four_leaves():
     rng = np.random.default_rng(12)
     for _ in range(50):
         c = rng.uniform(0.0, 1.0, size=4)
         c /= np.linalg.norm(c)
-        top, left, right = prep_angles_4(c)
+        angles = dict(prep_tree(c * c, (0, 1))[1])
+        top, left, right = (angles[f"prep_l{n}"] for n in ("0_p0", "1_p0", "1_p1"))
         got = [
             math.cos(top / 2) * math.cos(left / 2),
             math.cos(top / 2) * math.sin(left / 2),
@@ -184,21 +259,52 @@ def test_prep_angles_4_oracle():
             math.sin(top / 2) * math.sin(right / 2),
         ]
         assert np.allclose(got, c, atol=1e-12)
+    # the paper's balanced four-term bracket: amplitudes (0.5, 1, 1, 0.5) / sqrt(2.5)
+    c = np.array([0.5, 1.0, 1.0, 0.5]) / math.sqrt(2.5)
+    gates, named = prep_tree(c * c, (3, 4))
+    assert [(g.target, g.controls) for g in gates] == [(3, ()), (4, ((3, 0),)), (4, ((3, 1),))]
+    angles = dict(named)
+    assert angles["prep_l0_p0"] == pytest.approx(math.pi / 2, abs=1e-15)
+    assert angles["prep_l1_p0"] == pytest.approx(2 * math.atan(2.0), abs=1e-15)  # 2.21
+    assert angles["prep_l1_p1"] == pytest.approx(2 * math.atan(0.5), abs=1e-15)  # 0.93
 
 
-def test_prep_angles_4_degenerate_branches():
-    top, left, right = prep_angles_4((0.0, 0.0, 1.0, 0.0))
-    assert top == pytest.approx(math.pi)
-    assert left == 0.0 and right == 0.0
+def test_prep_tree_degenerate_branches():
+    gates, named = prep_tree((0.0, 0.0, 1.0, 0.0), (0, 1))
+    assert named == [("prep_l0_p0", math.pi)]
+    assert len(gates) == 1
+
+
+def test_two_term_angle_rejects():
+    """The two-term bracket's angle, now the one-ancilla prep_tree: a
+    negative weight or an all-zero pair has no angle."""
+    with pytest.raises(ValueError):
+        prep_tree((-0.1, 1.0), (0,))
+    with pytest.raises(ValueError):
+        prep_tree((0.0, 0.0), (0,))
 
 
 def test_prep_angles_4_rejects():
+    """The four-term bracket's angles, now the two-ancilla prep_tree: a
+    negative mass, or more leaves than two ancillas hold, is refused."""
     with pytest.raises(ValueError):
-        prep_angles_4((1.0, 0.0, 0.0))
+        prep_tree((-0.5, 0.5, 0.5, 0.5), (0, 1))
     with pytest.raises(ValueError):
-        prep_angles_4((-0.5, 0.5, 0.5, 0.5))
+        prep_tree((1.0, 0.0, 0.0, 0.0, 1.0), (0, 1))
     with pytest.raises(ValueError):
-        prep_angles_4((1.0, 1.0, 0.0, 0.0))
+        prep_tree((0.0, 0.0, 0.0, 0.0), (0, 1))
+
+
+def test_prep_tree_rejects():
+    for mass, ancillas in (
+        ((math.nan, 1.0), (0,)),
+        ((math.inf, 1.0), (0,)),
+        ((1e308, 1e308), (0,)),  # the sum overflows
+        ((1.0, 0.0, 0.0, 0.0, 1.0), (0, 1)),  # five leaves on two ancillas
+        ((), ()),
+    ):
+        with pytest.raises(ValueError):
+            prep_tree(mass, ancillas)
 
 
 # ------------------------------------------------------------- fragments
@@ -228,11 +334,16 @@ def test_compile_factor_two_term():
     assert fragment.ancillas == (1,)
     assert fragment.postselect == ((1, 0),)
     assert fragment.nominal_scale == 1.0
-    assert fragment.theta == pytest.approx(
-        two_term_angle(normalized.magnitudes[0], normalized.magnitudes[1])
-    )
+    ((name, theta),) = prep_tree(normalized.magnitudes, (1,))[1]
+    assert fragment.angles == ((name, theta),)
+    first, last = fragment.gates[0], fragment.gates[-1]
+    assert (first.kind, first.target, first.params) == ("ry", 1, (theta,))
+    assert (last.kind, last.target, last.params) == ("ry", 1, (-theta,))
     got = fragment_block(fragment)
     assert np.max(np.abs(got - normalized.matrix())) < 1e-12
+    # mu's second bracket {1.5, -0.5}: weights 3:1 give pi/3
+    fragment = compile_factor(normalize_factor({"I": 1.5, "Z": -0.5})[0], 0, 1)
+    assert fragment.angle("prep_l0_p0") == pytest.approx(math.pi / 3, abs=1e-15)
 
 
 def test_compile_factor_four_term():
@@ -371,6 +482,19 @@ def test_compile_paper_shared_angles_exact(spec):
     assert angles["theta2"] == pytest.approx(math.pi / 3, abs=1e-15)
     assert angles["w_top_q2"] == pytest.approx(math.pi / 2, abs=1e-12)
     assert angles["w_top_q3"] == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+def test_compile_paper_eta_keeps_small_rotation():
+    """eta at su3(9..15), euclidean, beta 1: the first bracket's right
+    branch turns by about 1e-9 rad.  An acos with a clamped ratio gave 0
+    there and dropped the gate, leaving residuals of 2.6e-10 to 5.2e-10."""
+    for n in range(9, 16):
+        spec = FrobeniusSpec.su3(n, beta=1.0, convention=PhaseConvention.EUCLIDEAN)
+        circuit, report = compile_paper("eta", spec)
+        assert 7e-10 < dict(report.angles)["theta2"] < 1.5e-9, n
+        target = paper_factored_form("eta", spec).matrix()
+        residual, _ = compare_up_to_scale(effective_operator(circuit).matrix, target)
+        assert residual <= 1e-15, n
 
 
 def test_compile_paper_unwrapped_phase(spec):
