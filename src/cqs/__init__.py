@@ -58,9 +58,7 @@ from .duality_compiler import (
     emit_text,
 )
 from .statevector import (
-    StateVector,
     EffectiveOperator,
-    apply_gate,
     run,
     run_state,
     effective_operator,

@@ -9,8 +9,9 @@ codes: 0 on success, 1 on a verification failure, 2 on usage or
 input-parsing errors (argparse's own convention), such as a circuit JSON
 naming an unknown gate kind or a non-finite parameter, a document field of
 the wrong JSON type or a non-integer qubit id, target, control state or
-post-selected bit, paper mode asked for the cylinder, or a simulation whose
-amplitude block exceeds statevector.MAX_BLOCK_BYTES.  `python -m cqs.cli`
+post-selected bit, paper mode asked for the cylinder, a --truncate outside
+[1, 4095], an operator wider than frobenius.MAX_DOCUMENT_QUBITS, or a
+simulation whose amplitude block exceeds statevector.MAX_BLOCK_BYTES.  `python -m cqs.cli`
 runs the same command.
 """
 

@@ -45,6 +45,7 @@ from .pauli import (
     FactoredOperator,
     NormalizedFactor,
     _as_matrix,
+    _factor_dict,
     normalize_factor,
     pauli_expand,
 )
@@ -380,12 +381,12 @@ def compile_factor(factor: NormalizedFactor, target: int, ancilla_start: int) ->
     )
 
 
+# Pauli coefficients of the single-qubit ket-bra |a><b|, whose flattened
+# entries are row 2a + b of the 4x4 identity
 _KETBRA_1Q = {
-    (0, 0): {"I": 0.5, "Z": 0.5},
-    (0, 1): {"X": 0.5, "Y": 0.5j},
-    (1, 0): {"X": 0.5, "Y": -0.5j},
-    (1, 1): {"I": 0.5, "Z": -0.5},
+    (a, b): _factor_dict(np.eye(4, dtype=complex)[2 * a + b]) for a in (0, 1) for b in (0, 1)
 }
+
 
 def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
     """The per-qubit factored (product) approximation of one generator.

@@ -257,6 +257,12 @@ def _dense(tag: str, spec: FrobeniusSpec, beta: Optional[float], padded: bool) -
     a_in, a_out = len(rule.inp), len(rule.out)
     if padded:
         a_in = a_out = max(a_in, a_out)
+    widest = b * max(a_in, a_out)
+    if widest > MAX_DOCUMENT_QUBITS:
+        raise ValueError(
+            f"{tag} on {b}-qubit circles needs a {widest}-qubit register, over "
+            f"the {MAX_DOCUMENT_QUBITS}-qubit limit"
+        )
     mat = np.zeros((2 ** (b * a_out), 2 ** (b * a_in)), dtype=complex)
     for out_bits, in_bits, weight in generator_terms(tag, spec, beta, padded):
         mat[int(out_bits or "0", 2), int(in_bits or "0", 2)] = weight

@@ -122,43 +122,44 @@ def _su3_entry(label: IrrepLabel) -> RepEntry:
     return RepEntry(label, casimir_su3(label.p, label.q), dim_su3(label.p, label.q))
 
 
-def _min_casimir_at_level(s: int) -> Fraction:
-    # Smallest Casimir among labels with p + q = s sits at the most balanced
-    # split; for odd s the balance is off by one, adding exactly 1/3.
-    base = Fraction(s * s + 4 * s)
-    return base if s % 2 == 0 else base + Fraction(1, 3)
-
-
 def su3_truncation(count: int) -> RepTable:
     """First `count` SU(3) irreps of the truncation.
 
     The singlet and the two fundamentals come first, in that conventional
     order; every further entry is drawn from all remaining (p, q) sorted by
     (casimir, dim, p, q) ascending, so truncations of different sizes agree
-    on their common prefix.
+    on their common prefix.  `count` lies in [1, 2**MAX_DOCUMENT_QUBITS - 1],
+    the most irreps a default encoding fits in one circle register of
+    frobenius.MAX_DOCUMENT_QUBITS qubits.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    from .frobenius import MAX_DOCUMENT_QUBITS
+
+    limit = 2**MAX_DOCUMENT_QUBITS - 1
+    if not 1 <= count <= limit:
+        raise ValueError(f"count must lie in [1, {limit}]")
     entries = [_su3_entry(lbl) for lbl in _FIRST_THREE[:count]]
     needed = count - len(entries)
     if needed > 0:
-        span = 3
-        while True:
-            cands = sorted(
-                (
-                    _su3_entry(IrrepLabel(p, q))
-                    for p in range(span + 1)
-                    for q in range(span + 1 - p)
-                    if IrrepLabel(p, q) not in _FIRST_THREE
-                ),
-                key=lambda e: (e.casimir, e.dim, e.label.p, e.label.q),
-            )
-            # Safe to stop once nothing beyond the enumerated span could
-            # still sort ahead of the last entry we are about to take.
-            if len(cands) >= needed and cands[needed - 1].casimir < _min_casimir_at_level(span + 1):
-                entries.extend(cands[:needed])
-                break
-            span += 2
+        # The labels with p + q <= s number (s + 1)(s + 2) / 2, the first
+        # three included, and have Casimir <= (4/3)(s^2 + 3s); a label with
+        # p + q = t has Casimir >= t^2 + 4t, so none beyond level `top` can
+        # sort ahead of the last entry taken.
+        s = 1
+        while (s + 1) * (s + 2) // 2 - 3 < needed:
+            s += 1
+        top = s
+        while 3 * ((top + 1) ** 2 + 4 * (top + 1)) <= 4 * (s * s + 3 * s):
+            top += 1
+        # levels 0 and 1 hold exactly the first three
+        cands = sorted(
+            (
+                _su3_entry(IrrepLabel(p, level - p))
+                for level in range(2, top + 1)
+                for p in range(level + 1)
+            ),
+            key=lambda e: (e.casimir, e.dim, e.label.p, e.label.q),
+        )
+        entries.extend(cands[:needed])
     return RepTable(tuple(entries), group_name="su3")
 
 

@@ -44,9 +44,12 @@ neither the layout nor the prefix changes a bit of the nonzero results.
 would round differently, so it simulates every gate.
 
 cup and cap realize the unnormalized pair creation sum_k |kk> and pair
-annihilation sum_k <kk| of the underlying dagger structure: cup writes a
-normalized Bell pair onto two fresh qubits and returns the bookkept sqrt(2)
-scale, cap consumes two qubits and returns the projection weight.
+annihilation sum_k <kk| of the underlying dagger structure.  Both take an
+amplitude vector (any array-like of length 2**n, n <= MAX_QUBITS, qubit 0
+the leftmost bit) and return a new complex ndarray: cup writes a normalized
+Bell pair onto two fresh qubits and returns the bookkept sqrt(2) scale, cap
+consumes two qubits and returns the reduced vector with its projection
+weight.
 """
 
 from __future__ import annotations
@@ -62,9 +65,7 @@ __all__ = [
     "MAX_QUBITS",
     "MAX_WORK_QUBITS",
     "MAX_BLOCK_BYTES",
-    "StateVector",
     "EffectiveOperator",
-    "apply_gate",
     "run",
     "run_state",
     "effective_operator",
@@ -80,39 +81,6 @@ PROBABILITY_SLACK = 1e-12
 # gates whose halves exceed this many amplitudes run in slices of about this
 # size, so a slice and its temporaries stay in cache
 _CHUNK = 1 << 12
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Amplitudes over 2**qubit_count basis states (qubit 0 = leftmost bit)."""
-
-    amplitudes: np.ndarray
-    qubit_count: int
-
-    def __post_init__(self):
-        if not 0 <= self.qubit_count <= MAX_QUBITS:
-            raise ValueError(f"qubit_count must be in [0, {MAX_QUBITS}]")
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.qubit_count,):
-            raise ValueError("amplitude vector has the wrong length")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @staticmethod
-    def from_bitstring(bits: str) -> "StateVector":
-        if any(ch not in "01" for ch in bits):
-            raise ValueError(f"bad basis label {bits!r}")
-        n = len(bits)
-        amps = np.zeros(2**n, dtype=complex)
-        amps[int(bits, 2) if bits else 0] = 1.0
-        return StateVector(amps, n)
-
-    @staticmethod
-    def zero(n: int) -> "StateVector":
-        return StateVector.from_bitstring("0" * n)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def _halves(block: np.ndarray, n: int, target: int, controls: list) -> tuple:
@@ -216,17 +184,6 @@ def _simulate(gates, block: np.ndarray, position: dict) -> None:
         step = max(1, _CHUNK * lo.shape[0] // lo.size)
         for start in range(0, lo.shape[0], step):
             kernel(lo[start : start + step], hi[start : start + step], gate)
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate; qubit ids are register positions."""
-    n = state.qubit_count
-    referenced = [gate.target, *(q for q, _ in gate.controls)]
-    if any(not 0 <= q < n for q in referenced):
-        raise ValueError("gate references a qubit outside the register")
-    amps = state.amplitudes.reshape(-1, 1).copy()
-    _simulate((gate,), amps, {q: q for q in range(n)})
-    return StateVector(amps.reshape(-1), n)
 
 
 def _check_sizes(circuit: Circuit, columns: int) -> tuple[int, int]:
@@ -353,6 +310,18 @@ def effective_operator(circuit: Circuit) -> EffectiveOperator:
     return EffectiveOperator(matrix, probabilities)
 
 
+def _amplitude_tensor(amplitudes) -> tuple[np.ndarray, int]:
+    """A length-2**n amplitude vector as a complex (2,)*n tensor, and n."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    size = amps.size
+    if amps.ndim != 1 or size == 0 or size & (size - 1):
+        raise ValueError("amplitudes must be a vector of length 2**n")
+    n = size.bit_length() - 1
+    if n > MAX_QUBITS:
+        raise ValueError(f"amplitude vector exceeds {MAX_QUBITS} qubits")
+    return amps.reshape((2,) * n), n
+
+
 def _pair_index(n: int, q1: int, q2: int, bit: int) -> tuple:
     """Index into a (2,)*n amplitude tensor fixing qubits q1 and q2 to `bit`."""
     if q1 == q2 or not (0 <= q1 < n and 0 <= q2 < n):
@@ -362,15 +331,14 @@ def _pair_index(n: int, q1: int, q2: int, bit: int) -> tuple:
     return tuple(index)
 
 
-def cup(state: StateVector, q1: int, q2: int) -> tuple[StateVector, float]:
+def cup(amplitudes, q1: int, q2: int) -> tuple[np.ndarray, float]:
     """Write a Bell pair (|00> + |11>) / sqrt(2) onto two fresh |0> qubits.
 
-    Returns (new state, sqrt(2)): the scale by which the unnormalized pair
-    creation sum_k |kk> exceeds the stored normalized pair.
+    Returns (new amplitudes, sqrt(2)): the scale by which the unnormalized
+    pair creation sum_k |kk> exceeds the stored normalized pair.
     """
-    n = state.qubit_count
+    amps, n = _amplitude_tensor(amplitudes)
     zeros = _pair_index(n, q1, q2, 0)
-    amps = state.amplitudes.reshape((2,) * n)
     occupied = np.abs(amps)
     occupied[zeros] = 0.0
     if np.max(occupied, initial=0.0) > 1e-12:
@@ -378,22 +346,21 @@ def cup(state: StateVector, q1: int, q2: int) -> tuple[StateVector, float]:
     out = np.zeros_like(amps)
     out[zeros] = amps[zeros] / math.sqrt(2)
     out[_pair_index(n, q1, q2, 1)] = amps[zeros] / math.sqrt(2)
-    return StateVector(out.reshape(-1), n), math.sqrt(2)
+    return out.reshape(-1), math.sqrt(2)
 
 
-def cap(state: StateVector, q1: int, q2: int) -> tuple[StateVector, float]:
+def cap(amplitudes, q1: int, q2: int) -> tuple[np.ndarray, float]:
     """Project two qubits onto the normalized pair (<00| + <11|) / sqrt(2)
     and drop them from the register.
 
-    Returns (reduced state, projection weight); the weight is the success
-    probability for a normalized input.
+    Returns (reduced amplitudes, projection weight); the weight is the
+    success probability for a normalized input.
     """
-    n = state.qubit_count
-    amps = state.amplitudes.reshape((2,) * n)
+    amps, n = _amplitude_tensor(amplitudes)
     # the remaining axes keep their order, so the flattened branch is the
     # reduced register's amplitude vector
     branch = (
         (amps[_pair_index(n, q1, q2, 0)] + amps[_pair_index(n, q1, q2, 1)]) / math.sqrt(2)
     ).reshape(-1)
     weight = float(np.sum(np.abs(branch) ** 2))
-    return StateVector(branch, n - 2), weight
+    return branch, weight

@@ -265,6 +265,15 @@ def test_usage_exit_codes(capsys, monkeypatch):
                            monkeypatch=monkeypatch)
     assert code == 2
     assert "unknown gate kind" in err
+    # sizes are checked before anything is enumerated or allocated
+    for argv, message in (
+        (["irreps", "--truncate", "4096"], "[1, 4095]"),
+        (["build", "--op", "mu", "--truncate", "64"], "over the 12-qubit limit"),
+        (["build", "--op", "mu", "--truncate", "1000"], "over the 12-qubit limit"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err and err.count("\n") == 1, err
     one_qubit = {"qubits": [{"id": 0, "role": "work"}], "postselect": []}
     work, ancilla = {"id": 0, "role": "work"}, {"id": 1, "role": "ancilla"}
     two_qubits = {"qubits": [work, ancilla], "gates": [], "postselect": [{"q": 1, "bit": 0}]}

@@ -124,8 +124,10 @@ def test_circuit_validation():
         Circuit((0,), (1,), (), ((1, 0), (1, 1)))
     with pytest.raises(ValueError):
         Circuit((0,), (1,), (), ((1, 2),))
-    with pytest.raises(ValueError):
-        Circuit((0,), (), (Gate("x", 3),), ())  # undeclared qubit
+    with pytest.raises(ValueError, match="undeclared qubit 3"):
+        Circuit((0,), (), (Gate("x", 3),), ())  # undeclared target
+    with pytest.raises(ValueError, match="undeclared qubit 5"):
+        Circuit((0, 1), (), (Gate("x", 0, (), ((5, 1),)),), ())  # undeclared control
     for bad in (1.9, "1"):
         with pytest.raises(TypeError):
             Circuit((bad,), (), (), ())

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqs import frobenius
 from cqs.frobenius import (
     GENERATOR_ARITY,
     DenseOperator,
@@ -137,6 +138,21 @@ def test_logical_shapes(spec):
         assert op.matrix.shape == (4**a_out, 4**a_in)
     with pytest.raises(ValueError):
         logical_form("pants", spec)
+
+
+def test_register_width_checked_before_allocation(spec, monkeypatch):
+    # su3(64) needs 7-qubit circles, so mu needs a 14-qubit (4 GiB) register
+    wide = FrobeniusSpec.su3(64)
+    for build in (build_mu, build_delta, lambda s: logical_form("mu", s)):
+        with pytest.raises(ValueError, match="14-qubit register, over the 12-qubit limit"):
+            build(wide)
+    assert build_eta(wide).matrix.shape == (2**7, 2**7)
+    # the limit is inclusive: su3(3) mu is a 4-qubit register
+    monkeypatch.setattr(frobenius, "MAX_DOCUMENT_QUBITS", 4)
+    assert build_mu(spec).matrix.shape == (16, 16)
+    monkeypatch.setattr(frobenius, "MAX_DOCUMENT_QUBITS", 3)
+    with pytest.raises(ValueError, match="over the 3-qubit limit"):
+        build_mu(spec)
 
 
 def test_compose_word_cylinder_gluing(spec):

@@ -67,20 +67,24 @@ def test_truncation_forced_prefix():
 
 
 def test_truncation_against_bruteforce_sort():
-    # oracle: enumerate a generous (p, q) span, force the conventional first
-    # three, sort the rest by (casimir, dim, p, q)
+    # oracle: enumerate the square 0 <= p, q < span, force the conventional
+    # first three, sort the rest by (casimir, dim, p, q)
+    span = 64
     first = [IrrepLabel(0, 0), IrrepLabel(1, 0), IrrepLabel(0, 1)]
     rest = sorted(
         (
             (casimir_su3(p, q), dim_su3(p, q), p, q)
-            for p in range(15)
-            for q in range(15)
+            for p in range(span)
+            for q in range(span)
             if IrrepLabel(p, q) not in first
         ),
     )
     expected = first + [IrrepLabel(p, q) for _, _, p, q in rest]
-    for count in (1, 2, 3, 4, 7, 12, 20):
+    # every label outside the square has Casimir >= casimir_su3(span, 0)
+    outside = casimir_su3(span, 0)
+    for count in (1, 2, 3, 4, 7, 12, 20, 100, 101, 299, 1000):
         table = su3_truncation(count)
+        assert table.entries[-1].casimir < outside  # the square covers this count
         assert list(table.labels()) == expected[:count]
 
 
@@ -91,8 +95,11 @@ def test_truncation_prefix_stability():
 
 
 def test_truncation_rejects_bad_count():
-    with pytest.raises(ValueError):
-        su3_truncation(0)
+    # 4095 = 2**12 - 1 irreps fill a 12-qubit default-encoded circle register
+    for bad in (0, -1, 4096, 100000):
+        with pytest.raises(ValueError, match=r"\[1, 4095\]"):
+            su3_truncation(bad)
+    assert len(su3_truncation(4095)) == 4095
 
 
 def test_rep_entry_validation():

@@ -1,9 +1,10 @@
 """Statevector engine: gate application, post-selected runs, cup and cap.
 
-apply_gate is checked against a brute-force oracle that walks every basis
-state and applies the control/target logic by bit inspection; whole random
-circuits are checked against a dense Kronecker-product unitary built from
-this file's own 2x2 matrices.
+Single gates, run through `run_state` on a one-gate circuit, are checked
+against a brute-force oracle that walks every basis state and applies the
+control/target logic by bit inspection; whole random circuits are checked
+against a dense Kronecker-product unitary built from this file's own 2x2
+matrices.
 """
 
 import cmath
@@ -19,8 +20,6 @@ from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper
 from cqs.frobenius import FrobeniusSpec, build_eta
 from cqs.statevector import (
     MAX_QUBITS,
-    StateVector,
-    apply_gate,
     cap,
     cup,
     effective_operator,
@@ -48,27 +47,37 @@ def dense_gate_oracle(gate, n):
     return full
 
 
-def test_from_bitstring_and_zero():
-    s = StateVector.from_bitstring("101")
-    assert s.qubit_count == 3
-    assert s.amplitudes[0b101] == 1.0
-    assert s.norm() == pytest.approx(1.0)
-    assert np.array_equal(StateVector.zero(2).amplitudes, [1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        StateVector.from_bitstring("10a")
+def basis(bits):
+    """Basis-state amplitude vector of a bitstring (qubit 0 leftmost)."""
+    vec = np.zeros(2 ** len(bits), dtype=complex)
+    vec[int(bits, 2)] = 1.0
+    return vec
 
 
 def test_statevector_validation():
-    with pytest.raises(ValueError):
-        StateVector(np.zeros(3), 2)
-    with pytest.raises(ValueError):
-        StateVector(np.zeros(2), 25)  # beyond the qubit budget
-    s = StateVector(np.array([1.0, 0.0]), 1)
-    with pytest.raises(ValueError):
-        s.amplitudes[0] = 2.0
+    """cup and cap take a vector of length 2**n, n <= MAX_QUBITS."""
+    for op in (cup, cap):
+        for bad in (np.zeros(3), np.zeros(6), np.zeros(0), np.zeros((2, 2)), 1.0):
+            with pytest.raises(ValueError, match="length 2"):
+                op(bad, 0, 1)
+        # beyond the qubit budget; a broadcast view allocates nothing
+        too_long = np.broadcast_to(np.complex128(0), (2 ** (MAX_QUBITS + 1),))
+        with pytest.raises(ValueError, match=f"exceeds {MAX_QUBITS} qubits"):
+            op(too_long, 0, 1)
+    # array-likes of any numeric dtype are accepted
+    out, _ = cup([1, 0, 0, 0], 0, 1)
+    assert out.dtype == complex and out.shape == (4,)
+    reduced, weight = cap(np.array([1.0, 0.0, 0.0, 1.0]), 0, 1)
+    assert reduced.dtype == complex and reduced.shape == (1,)
+    assert weight == pytest.approx(2.0)
+    # the input vector is never written
+    vec = basis("100")
+    cup(vec, 1, 2)
+    cap(vec, 0, 2)
+    assert np.array_equal(vec, basis("100"))
 
 
-def test_apply_gate_against_oracle():
+def test_single_gate_against_oracle():
     rng = np.random.default_rng(17)
     kinds = [
         ("ry", 1), ("rz", 1), ("phase", 1), ("x", 0), ("y", 0), ("z", 0), ("h", 0),
@@ -85,17 +94,9 @@ def test_apply_gate_against_oracle():
         gate = Gate(kind, target, params, tuple(controls))
         vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         vec /= np.linalg.norm(vec)
-        got = apply_gate(StateVector(vec, n), gate).amplitudes
+        got, _ = run_state(Circuit(tuple(range(n)), (), (gate,), ()), vec)
         want = dense_gate_oracle(gate, n) @ vec
         assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_apply_gate_out_of_range():
-    s = StateVector.zero(2)
-    with pytest.raises(ValueError):
-        apply_gate(s, Gate("x", 2))
-    with pytest.raises(ValueError):
-        apply_gate(s, Gate("x", 0, (), ((5, 1),)))
 
 
 def test_unitary_circuit_preserves_norm():
@@ -177,38 +178,36 @@ def test_qubit_budget():
 
 
 def test_cup_writes_bell_pair():
-    state, scale = cup(StateVector.from_bitstring("100"), 1, 2)
+    state, scale = cup(basis("100"), 1, 2)
     assert scale == pytest.approx(math.sqrt(2))
     want = np.zeros(8, dtype=complex)
     want[0b100] = 1 / math.sqrt(2)
     want[0b111] = 1 / math.sqrt(2)
-    assert np.allclose(state.amplitudes, want)
+    assert np.allclose(state, want)
     # pair qubits given out of order and apart
-    state, _ = cup(StateVector.from_bitstring("0100"), 3, 0)
-    assert np.flatnonzero(state.amplitudes).tolist() == [0b0100, 0b1101]
+    state, _ = cup(basis("0100"), 3, 0)
+    assert np.flatnonzero(state).tolist() == [0b0100, 0b1101]
 
 
 def test_cup_requires_fresh_qubits():
-    state = apply_gate(StateVector.zero(2), Gate("x", 1))
-    with pytest.raises(ValueError):
-        cup(state, 0, 1)
-    with pytest.raises(ValueError):
-        cup(StateVector.zero(2), 0, 0)
-    with pytest.raises(ValueError):
-        cup(StateVector.zero(2), 0, 5)
+    with pytest.raises(ValueError, match="fresh"):
+        cup(basis("01"), 0, 1)
+    with pytest.raises(ValueError, match="distinct"):
+        cup(basis("00"), 0, 0)
+    with pytest.raises(ValueError, match="in-range"):
+        cup(basis("00"), 0, 5)
 
 
 def test_cap_projection_weight():
     rng = np.random.default_rng(29)
     vec = rng.normal(size=8) + 1j * rng.normal(size=8)
     vec /= np.linalg.norm(vec)
-    state = StateVector(vec, 3)
-    reduced, weight = cap(state, 0, 2)
+    reduced, weight = cap(vec, 0, 2)
     # direct projection: qubit 1 survives; (q0, q2) projected on the pair
     want = np.zeros(2, dtype=complex)
     for q1_bit in range(2):
         want[q1_bit] = (vec[int(f"0{q1_bit}0", 2)] + vec[int(f"1{q1_bit}1", 2)]) / math.sqrt(2)
-    assert np.allclose(reduced.amplitudes, want)
+    assert np.allclose(reduced, want)
     assert weight == pytest.approx(float(np.sum(np.abs(want) ** 2)))
 
 
@@ -227,9 +226,9 @@ def test_cap_every_pair_against_bit_oracle():
                     if bits[q1] == bits[q2]:
                         reduced_idx = int("".join(bits[q] for q in keep) or "0", 2)
                         want[reduced_idx] += vec[idx] / math.sqrt(2)
-                reduced, weight = cap(StateVector(vec, n), q1, q2)
-                assert reduced.qubit_count == n - 2
-                assert np.allclose(reduced.amplitudes, want, atol=1e-14)
+                reduced, weight = cap(vec, q1, q2)
+                assert reduced.shape == (2 ** (n - 2),)
+                assert np.allclose(reduced, want, atol=1e-14)
                 assert weight == pytest.approx(float(np.sum(np.abs(want) ** 2)))
 
 
@@ -240,18 +239,17 @@ def test_snake_identity():
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi /= np.linalg.norm(psi)
     start = np.kron(psi, [1, 0, 0, 0]).astype(complex)
-    bent, cup_scale = cup(StateVector(start, 3), 1, 2)
+    bent, cup_scale = cup(start, 1, 2)
     final, weight = cap(bent, 0, 1)
-    assert np.allclose(final.amplitudes, psi / 2)
+    assert np.allclose(final, psi / 2)
     assert cup_scale * math.sqrt(2) == pytest.approx(2.0)  # undoes the 1/2
     assert weight == pytest.approx(0.25)
 
 
 def test_cap_orthogonal_branch():
-    reduced, weight = cap(StateVector.from_bitstring("01"), 0, 1)
+    reduced, weight = cap(basis("01"), 0, 1)
     assert weight == 0.0
-    assert reduced.qubit_count == 0
-    assert reduced.amplitudes.shape == (1,)
+    assert reduced.shape == (1,)
 
 
 def oracle_matrix2(kind, params):
