@@ -99,6 +99,14 @@ def test_single_gate_against_oracle():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_apply_gate_out_of_range():
+    """A gate on a qubit outside the register never reaches the simulator."""
+    with pytest.raises(ValueError, match="undeclared qubit 2"):
+        run_state(Circuit((0, 1), (), (Gate("x", 2),), ()), basis("00"))
+    with pytest.raises(ValueError, match="undeclared qubit 5"):
+        run_state(Circuit((0, 1), (), (Gate("x", 0, (), ((5, 1),)),), ()), basis("00"))
+
+
 def test_unitary_circuit_preserves_norm():
     circuit = Circuit((0, 1), (), (Gate("h", 0), Gate("x", 1, (), ((0, 1),))), ())
     vec, probability = run(circuit, "00")
