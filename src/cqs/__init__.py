@@ -15,12 +15,8 @@ from .reptheory import (
     dump_rep_table,
 )
 from .encoding import (
-    VACUUM,
     EncodingMap,
-    paper_su3_encoding,
     default_encoding,
-    encode_state,
-    decode_state,
 )
 from .frobenius import (
     PhaseConvention,
@@ -44,7 +40,6 @@ from .pauli import (
     pauli_reconstruct,
     normalize_factor,
     factorization_residual,
-    best_product_approximation,
 )
 from .duality_compiler import (
     Gate,

@@ -395,9 +395,9 @@ def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
     ket-bra term per irrep, fold each term's scalar weight into its first
     qubit's single-qubit piece, sum the pieces per qubit independently, then
     normalize every resulting bracket (L1 for one/two-term brackets, L2 for
-    three/four-term ones).  The overall scale is 1 by construction; the sum
-    of rank-1 terms is generally not a product, so this form differs from
-    the true operator by a quantifiable residual.
+    three/four-term ones); the bracket scales are dropped.  The sum of
+    rank-1 terms is generally not a product, so this form differs from the
+    true operator by a quantifiable residual.
     """
     if op_name not in _ANGLE_LAYOUT:
         raise ValueError("paper mode covers mu, delta, eta and eps")
@@ -413,7 +413,7 @@ def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
     for bracket in brackets:
         normalized, _scale = normalize_factor(bracket)
         factors.append(normalized.coefficients())
-    return FactoredOperator(tuple(factors), 1.0)
+    return FactoredOperator(tuple(factors))
 
 
 def _reported_phase(coefficient: complex, spec: FrobeniusSpec) -> float:

@@ -2,7 +2,7 @@
 
 Each circle of the lattice carries a fixed-width register.  The all-zeros
 pattern is reserved for the vacuum (no circle / padding), and every irrep in
-a table gets a distinct nonzero pattern.  Multi-circle states concatenate
+a table gets a distinct nonzero pattern.  Multi-circle registers concatenate
 per-circle patterns left to right, so appending vacuum circles never changes
 the meaning of the leading bits.
 """
@@ -11,37 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
-from .reptheory import IrrepLabel, Label, RepTable, su3_truncation
+from .reptheory import Label, RepTable
 
 __all__ = [
-    "VACUUM",
     "EncodingMap",
-    "paper_su3_encoding",
     "default_encoding",
-    "encode_state",
-    "decode_state",
 ]
-
-
-class _Vacuum:
-    """Sentinel marking an empty (vacuum) circle in a state description."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "VACUUM"
-
-
-VACUUM = _Vacuum()
-
-CircleContent = Union[Label, _Vacuum]
 
 
 def _check_bits(bits: str, width: int) -> None:
@@ -61,7 +37,6 @@ class EncodingMap:
     vacuum: str
     assignments: tuple[tuple[Label, str], ...]
     _by_label: dict = field(init=False, repr=False, compare=False)
-    _by_bits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bits_per_circle < 1:
@@ -70,17 +45,18 @@ class EncodingMap:
         if self.vacuum != "0" * self.bits_per_circle:
             raise ValueError("the vacuum pattern is reserved as all zeros")
         by_label: dict = {}
-        by_bits: dict = {}
+        names: set = set()
+        patterns: set = set()
         for label, bits in self.assignments:
             _check_bits(bits, self.bits_per_circle)
             if bits == self.vacuum:
                 raise ValueError(f"irrep {label} assigned the vacuum pattern")
-            if str(label) in {str(k) for k in by_label} or bits in by_bits:
+            if str(label) in names or bits in patterns:
                 raise ValueError("encoding assignments must be injective")
             by_label[label] = bits
-            by_bits[bits] = label
+            names.add(str(label))
+            patterns.add(bits)
         object.__setattr__(self, "_by_label", by_label)
-        object.__setattr__(self, "_by_bits", by_bits)
 
     def bits(self, label: Label) -> str:
         try:
@@ -88,31 +64,8 @@ class EncodingMap:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"label {label!r} is not in this encoding") from exc
 
-    def label_of(self, bits: str) -> CircleContent:
-        if bits == self.vacuum:
-            return VACUUM
-        try:
-            return self._by_bits[bits]
-        except KeyError as exc:
-            raise ValueError(f"bit pattern {bits!r} is unused in this encoding") from exc
-
     def covers(self, table: RepTable) -> bool:
         return all(e.label in self._by_label for e in table)
-
-    def to_dict(self) -> dict:
-        return {
-            "bits_per_circle": self.bits_per_circle,
-            "vacuum": self.vacuum,
-            "assignments": {str(label): bits for label, bits in self.assignments},
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "EncodingMap":
-        assignments = tuple(
-            (IrrepLabel.parse(name) or name, bits)
-            for name, bits in doc["assignments"].items()
-        )
-        return EncodingMap(int(doc["bits_per_circle"]), doc["vacuum"], assignments)
 
 
 def default_encoding(table: RepTable) -> EncodingMap:
@@ -127,28 +80,3 @@ def default_encoding(table: RepTable) -> EncodingMap:
         for entry, value in zip(table, values)
     )
     return EncodingMap(width, "0" * width, assignments)
-
-
-def paper_su3_encoding() -> EncodingMap:
-    """Two-bit encoding used by the published circuit templates: the singlet
-    is 11, the two fundamentals are 10 and 01, vacuum is 00."""
-    return default_encoding(su3_truncation(3))
-
-
-def encode_state(encoding: EncodingMap, circles: Sequence[CircleContent]) -> str:
-    """Concatenate the bit patterns of a sequence of circles (VACUUM allowed)."""
-    parts = []
-    for content in circles:
-        if isinstance(content, _Vacuum):
-            parts.append(encoding.vacuum)
-        else:
-            parts.append(encoding.bits(content))
-    return "".join(parts)
-
-
-def decode_state(encoding: EncodingMap, bits: str) -> list[CircleContent]:
-    """Inverse of encode_state; errors on unknown chunks or ragged length."""
-    width = encoding.bits_per_circle
-    if len(bits) % width != 0:
-        raise ValueError(f"bit string length {len(bits)} is not a multiple of {width}")
-    return [encoding.label_of(bits[i : i + width]) for i in range(0, len(bits), width)]

@@ -335,7 +335,8 @@ def compose_word(word: Sequence[WordStep], spec: FrobeniusSpec,
     starting at `position` (the unit inserts a new circle there), tensored
     with identity on all other circles.  Steps apply first to last.  The
     empty word is the identity; if `in_circles` is omitted the minimal
-    consistent starting circle count is inferred.
+    consistent starting circle count is inferred.  A word whose widest
+    register exceeds MAX_DOCUMENT_QUBITS is rejected before any allocation.
     """
     for step in word:
         if len(step) != 3:
@@ -347,20 +348,27 @@ def compose_word(word: Sequence[WordStep], spec: FrobeniusSpec,
     circles = _infer_in_circles(word) if in_circles is None else int(in_circles)
     if circles < 0:
         raise ValueError("in_circles must be >= 0")
-    start = circles
-    acc = np.eye(d**circles, dtype=complex)
-    for tag, beta, pos in word:
+    counts = [circles]  # circle count before each step, then at the end
+    for tag, _beta, pos in word:
         a_in, a_out = GENERATOR_ARITY[tag]
-        pos = int(pos)
-        if pos < 0 or pos + a_in > circles:
+        if int(pos) < 0 or int(pos) + a_in > counts[-1]:
             raise ValueError(
-                f"generator {tag!r} at position {pos} does not fit {circles} circles"
+                f"generator {tag!r} at position {pos} does not fit {counts[-1]} circles"
             )
+        counts.append(counts[-1] + a_out - a_in)
+    widest = max(counts)
+    if b * widest > MAX_DOCUMENT_QUBITS:
+        raise ValueError(
+            f"word reaches {widest} circles of {b} qubits, a {b * widest}-qubit "
+            f"register, over the {MAX_DOCUMENT_QUBITS}-qubit limit"
+        )
+    acc = np.eye(d ** counts[0], dtype=complex)
+    for (tag, beta, pos), circles in zip(word, counts):
+        pos = int(pos)
         gen = logical_form(tag, spec, beta).matrix
         full = np.kron(
             np.kron(np.eye(d**pos, dtype=complex), gen),
-            np.eye(d ** (circles - pos - a_in), dtype=complex),
+            np.eye(d ** (circles - pos - GENERATOR_ARITY[tag][0]), dtype=complex),
         )
         acc = full @ acc
-        circles += a_out - a_in
-    return DenseOperator(acc, in_qubits=b * start, out_qubits=b * circles)
+    return DenseOperator(acc, in_qubits=b * counts[0], out_qubits=b * counts[-1])

@@ -8,7 +8,7 @@ coefficients below 1e-14 in magnitude are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "pauli_reconstruct",
     "normalize_factor",
     "factorization_residual",
-    "best_product_approximation",
 ]
 
 PAULI_LETTERS = "IXYZ"
@@ -193,14 +192,13 @@ def normalize_factor(factor: Mapping[str, complex]) -> tuple[NormalizedFactor, c
 
 @dataclass(frozen=True, eq=False)
 class FactoredOperator:
-    """A claimed product form: scale * factor_0 (x) factor_1 (x) ...
+    """A claimed product form: factor_0 (x) factor_1 (x) ...
 
     Each factor is a mapping from Pauli letters to complex coefficients with
     at least one nonzero entry; factor k acts on qubit k.
     """
 
     factors: tuple[Mapping[str, complex], ...]
-    scale: complex = 1.0
 
     def __post_init__(self):
         if not self.factors:
@@ -226,7 +224,7 @@ class FactoredOperator:
         out = self.factor_matrix(0)
         for k in range(1, self.n_qubits):
             out = np.kron(out, self.factor_matrix(k))
-        return self.scale * out
+        return out
 
 
 def factorization_residual(claimed: FactoredOperator,
@@ -251,55 +249,3 @@ def _factor_dict(vec4: np.ndarray) -> dict[str, complex]:
         if abs(c) > DROP_TOLERANCE:
             coeffs[letter] = c
     return coeffs or {"I": 0.0}
-
-
-def best_product_approximation(op: Union[DenseOperator, np.ndarray],
-                               split: Optional[Sequence[int]] = None) -> FactoredOperator:
-    """Greedy product-form fit of a square operator.
-
-    Qubits are peeled off in `split` order (default natural order): at each
-    step the operator tensor is reshaped across the one-qubit / rest
-    bipartition and its dominant rank-1 component is taken from its singular
-    value decomposition; the procedure recurses on the remainder.  The
-    result is a FactoredOperator with one single-qubit factor per qubit in
-    qubit order.
-    """
-    mat = _as_matrix(op)
-    n = _qubit_count(mat)
-    order = list(range(n)) if split is None else [int(q) for q in split]
-    if sorted(order) != list(range(n)):
-        raise ValueError("split must list every qubit exactly once")
-    tensor = _entry_tensor(mat, n).transpose(order)
-    vectors: list[np.ndarray] = []
-    rest = tensor
-    scale = complex(1.0)
-    for step in range(n - 1):
-        u, sigmas, vh = np.linalg.svd(rest.reshape(4, -1), full_matrices=False)
-        sigma = float(sigmas[0])
-        if sigma == 0.0:
-            # remainder vanished: emit identity stubs with a zero scale
-            vectors.append(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-            scale = 0.0
-            rest = np.zeros((4,) * (n - 1 - step), dtype=complex)
-            continue
-        vectors.append(u[:, 0])
-        rest = (sigma * vh[0]).reshape((4,) * (n - 1 - step))
-    vectors.append(rest.reshape(4))
-    # canonical presentation: unit-norm factors with the largest entry made
-    # real positive, everything else folded into the overall scale
-    factors_by_peel: list[dict[str, complex]] = []
-    for vec in vectors:
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            factors_by_peel.append({"I": 1.0})
-            scale = 0.0
-            continue
-        unit = vec / norm
-        pivot = unit[int(np.argmax(np.abs(unit)))]
-        phase = pivot / abs(pivot)
-        factors_by_peel.append(_factor_dict(unit / phase))
-        scale *= norm * phase
-    factors: list = [None] * n
-    for peel_pos, qubit in enumerate(order):
-        factors[qubit] = factors_by_peel[peel_pos]
-    return FactoredOperator(tuple(factors), scale)

@@ -60,10 +60,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality_compiler import Circuit, Gate
+from .frobenius import MAX_DOCUMENT_QUBITS
 
 __all__ = [
     "MAX_QUBITS",
-    "MAX_WORK_QUBITS",
     "MAX_BLOCK_BYTES",
     "EffectiveOperator",
     "run",
@@ -74,7 +74,6 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
-MAX_WORK_QUBITS = 12
 # largest amplitude block (complex128, rows x columns) a simulation allocates
 MAX_BLOCK_BYTES = 1 << 30
 PROBABILITY_SLACK = 1e-12
@@ -287,8 +286,8 @@ def _ancilla_prefix_length(circuit: Circuit) -> int:
 def effective_operator(circuit: Circuit) -> EffectiveOperator:
     """Extract the full post-selected block, all columns at once."""
     n_work = len(circuit.work_qubits)
-    if n_work > MAX_WORK_QUBITS:
-        raise ValueError(f"effective operator extraction supports up to {MAX_WORK_QUBITS} work qubits")
+    if n_work > MAX_DOCUMENT_QUBITS:
+        raise ValueError(f"effective operator extraction supports up to {MAX_DOCUMENT_QUBITS} work qubits")
     n_work, n_anc = _check_sizes(circuit, 2**n_work)
     dim_work = 2**n_work
     dim_anc = 2**n_anc

@@ -68,18 +68,6 @@ class VerifyReport:
             "axiom_results": [[name, value] for name, value in self.axiom_results],
         }
 
-    @staticmethod
-    def from_dict(doc: dict) -> "VerifyReport":
-        return VerifyReport(
-            target_name=doc["target_name"],
-            mode=doc["mode"],
-            relative_residual=float(doc["relative_residual"]),
-            fitted_scale=complex(doc["fitted_scale"][0], doc["fitted_scale"][1]),
-            min_success_probability=float(doc["min_success_probability"]),
-            max_success_probability=float(doc["max_success_probability"]),
-            axiom_results=tuple((name, float(v)) for name, v in doc["axiom_results"]),
-        )
-
 
 def compare_up_to_scale(a, b) -> tuple[float, complex]:
     """Least-squares fit of a = scale * b.

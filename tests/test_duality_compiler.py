@@ -388,7 +388,6 @@ def eta_brackets():
 
 
 def assert_factors_match(form, brackets):
-    assert form.scale == 1.0
     assert form.n_qubits == len(brackets)
     for k, bracket in enumerate(brackets):
         normalized, _ = normalize_factor(bracket)
@@ -559,6 +558,14 @@ def test_compile_exact_rejects():
         compile_exact(np.zeros((2, 4)))
     with pytest.raises(ValueError):
         compile_exact(np.eye(512))  # 9 work qubits
+
+
+@pytest.mark.parametrize("count,gates,ancillas", [(3, 266, 6), (7, 3054, 9), (15, 30910, 12)])
+def test_compile_exact_mu_costs(count, gates, ancillas):
+    # exact circuit costs of mu, the same figures the benchmark reports
+    circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(count)))
+    assert len(circuit.gates) == gates
+    assert len(circuit.ancilla_qubits) == ancillas
 
 
 def test_compile_report_dict(spec):

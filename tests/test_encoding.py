@@ -2,14 +2,7 @@
 
 import pytest
 
-from cqs.encoding import (
-    VACUUM,
-    EncodingMap,
-    decode_state,
-    default_encoding,
-    encode_state,
-    paper_su3_encoding,
-)
+from cqs.encoding import EncodingMap, default_encoding
 from cqs.reptheory import IrrepLabel, RepEntry, RepTable, su3_truncation
 
 
@@ -18,7 +11,8 @@ def toy_table(n):
 
 
 def test_template_su3_patterns():
-    enc = paper_su3_encoding()
+    # the paper's two-bit patterns: singlet 11, fundamentals 10 / 01, vacuum 00
+    enc = default_encoding(su3_truncation(3))
     assert enc.bits_per_circle == 2
     assert enc.vacuum == "00"
     assert enc.bits(IrrepLabel(0, 0)) == "11"
@@ -45,23 +39,14 @@ def test_injectivity_and_vacuum_reserved():
     assert enc.vacuum not in patterns
 
 
-def test_label_of_inverse():
-    enc = paper_su3_encoding()
-    for label, bits in enc.assignments:
-        assert enc.label_of(bits) == label
-    assert enc.label_of("00") is VACUUM
-
-
 def test_lookup_errors():
-    enc = paper_su3_encoding()
+    enc = default_encoding(su3_truncation(3))
     with pytest.raises(ValueError):
         enc.bits(IrrepLabel(2, 2))
-    with pytest.raises(ValueError):
-        enc.label_of("0000")
 
 
 def test_covers():
-    enc = paper_su3_encoding()
+    enc = default_encoding(su3_truncation(3))
     assert enc.covers(su3_truncation(3))
     assert enc.covers(su3_truncation(2))
     assert not enc.covers(su3_truncation(4))
@@ -77,37 +62,9 @@ def test_constructor_rejects_bad_maps():
     with pytest.raises(ValueError):
         EncodingMap(2, "00", (("a", "11"), ("a", "10")))
     with pytest.raises(ValueError):
+        # a Dynkin label and its string name are the same irrep
+        EncodingMap(2, "00", ((IrrepLabel(1, 0), "11"), ("D(1,0)", "10")))
+    with pytest.raises(ValueError):
         EncodingMap(2, "00", (("a", "1"),))  # ragged pattern
     with pytest.raises(ValueError):
         EncodingMap(0, "", ())
-
-
-def test_encode_decode_roundtrip():
-    enc = paper_su3_encoding()
-    circles = [IrrepLabel(1, 0), VACUUM, IrrepLabel(0, 0), IrrepLabel(0, 1)]
-    bits = encode_state(enc, circles)
-    assert bits == "10001101"
-    assert decode_state(enc, bits) == circles
-    assert encode_state(enc, []) == ""
-    assert decode_state(enc, "") == []
-
-
-def test_decode_errors():
-    enc = paper_su3_encoding()
-    with pytest.raises(ValueError):
-        decode_state(enc, "101")  # ragged
-    with pytest.raises(ValueError):
-        decode_state(default_encoding(toy_table(2)), "01")  # unused pattern
-
-
-def test_dict_roundtrip():
-    enc = paper_su3_encoding()
-    back = EncodingMap.from_dict(enc.to_dict())
-    assert back == enc
-    # labels come back as parsed Dynkin labels, not strings
-    assert back.assignments[0][0] == IrrepLabel(0, 0)
-
-
-def test_vacuum_singleton():
-    assert VACUUM is type(VACUUM)()
-    assert repr(VACUUM) == "VACUUM"

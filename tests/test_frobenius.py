@@ -197,8 +197,21 @@ def test_compose_word_errors(spec):
         compose_word([("mu", None, -1)], spec)
 
 
+def test_compose_word_width_checked_before_allocation(spec, monkeypatch):
+    # four 6-qubit su3(63) circles would be a 24-qubit (4 PiB) identity
+    with pytest.raises(ValueError, match="24-qubit register, over the 12-qubit limit"):
+        compose_word([("cylinder", None, 0)], FrobeniusSpec.su3(63), in_circles=4)
+    # two deltas grow one 2-qubit circle to three before the mus shrink it
+    # back, so only the middle of the word is 6 qubits wide
+    word = [("delta", None, 0), ("delta", None, 0), ("mu", None, 0), ("mu", None, 0)]
+    monkeypatch.setattr(frobenius, "MAX_DOCUMENT_QUBITS", 6)
+    assert compose_word(word, spec).matrix.shape == (4, 4)
+    monkeypatch.setattr(frobenius, "MAX_DOCUMENT_QUBITS", 5)
+    with pytest.raises(ValueError, match="6-qubit register, over the 5-qubit limit"):
+        compose_word(word, spec)
+
+
 def test_spec_validation():
-    from cqs.encoding import paper_su3_encoding
     from cqs.reptheory import su3_truncation
 
     with pytest.raises(ValueError):
@@ -206,7 +219,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FrobeniusSpec.su3(3, beta=float("nan"))
     with pytest.raises(ValueError):
-        FrobeniusSpec(su3_truncation(4), paper_su3_encoding())
+        FrobeniusSpec(su3_truncation(4), default_encoding(su3_truncation(3)))
 
 
 def test_dense_operator_contracts():

@@ -1,4 +1,4 @@
-"""Pauli expansion, factor normalization, and product-form fitting."""
+"""Pauli expansion, factor normalization, and product-form residuals."""
 
 import cmath
 import math
@@ -11,7 +11,6 @@ from cqs.pauli import (
     PAULI_LETTERS,
     FactoredOperator,
     PauliString,
-    best_product_approximation,
     factorization_residual,
     normalize_factor,
     pauli_expand,
@@ -154,8 +153,8 @@ def test_normalize_rejects():
 
 
 def test_factored_operator_matrix_oracle():
-    factors = ({"I": 1.0, "Z": 0.5}, {"X": 2.0}, {"Y": -1j})
-    claimed = FactoredOperator(factors, scale=0.5 + 0.5j)
+    factors = ({"I": 0.5 + 0.5j, "Z": 0.25 + 0.25j}, {"X": 2.0}, {"Y": -1j})
+    claimed = FactoredOperator(factors)
     want = (
         (0.5 + 0.5j)
         * np.kron(
@@ -177,7 +176,7 @@ def test_factored_operator_validation():
 
 
 def test_residual_zero_for_true_product():
-    claimed = FactoredOperator(({"I": 1.0, "X": 0.5}, {"Z": 2.0}), scale=1.5)
+    claimed = FactoredOperator(({"I": 1.5, "X": 0.75}, {"Z": 2.0}))
     assert factorization_residual(claimed, claimed.matrix()) < 1e-15
 
 
@@ -187,57 +186,3 @@ def test_residual_errors():
         factorization_residual(claimed, np.zeros((4, 4)))
     with pytest.raises(ValueError):
         factorization_residual(claimed, np.zeros((2, 2)))
-
-
-def test_best_product_recovers_products():
-    rng = np.random.default_rng(5)
-    for n in (2, 3):
-        for _ in range(5):
-            parts = [
-                rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)
-            ]
-            full = parts[0]
-            for p in parts[1:]:
-                full = np.kron(full, p)
-            fitted = best_product_approximation(full)
-            assert factorization_residual(fitted, full) < 1e-10
-            # canonical factors are unit Frobenius norm
-            for k in range(n):
-                assert np.linalg.norm(fitted.factor_matrix(k)) == pytest.approx(1.0)
-
-
-def test_best_product_exact_product_orthogonal_to_all_ones():
-    # the peeled factor [[1, -1], [0, 0]] is orthogonal to the all-ones
-    # vector, which a power iteration started there never leaves
-    op = np.kron([[1, -1], [0, 0]], np.eye(2))
-    fitted = best_product_approximation(op)
-    assert abs(fitted.scale) == pytest.approx(2.0)
-    assert factorization_residual(fitted, op) < 1e-12
-
-
-def test_best_product_swap_residual():
-    # SWAP = (II + XX + YY + ZZ)/2 has a known best product distance
-    swap = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            swap[i * 2 + j, j * 2 + i] = 1.0
-    fitted = best_product_approximation(swap)
-    residual = factorization_residual(fitted, swap)
-    assert residual == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-
-
-def test_best_product_split_orders_agree_on_products():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    full = np.kron(a, b)
-    for split in ([0, 1], [1, 0]):
-        fitted = best_product_approximation(full, split=split)
-        assert factorization_residual(fitted, full) < 1e-10
-
-
-def test_best_product_split_validation():
-    with pytest.raises(ValueError):
-        best_product_approximation(np.eye(4), split=[0, 0])
-    with pytest.raises(ValueError):
-        best_product_approximation(np.eye(4), split=[0])
