@@ -95,6 +95,35 @@ def _objects(items, key: str) -> list:
     return items
 
 
+class _Controls(tuple):
+    """A checked control list: (qubit, state) pairs of integers with states
+    0 or 1 and distinct qubits, and `qubits`, the set of its qubits.
+
+    Built once per distinct list and shared by every gate that uses it, so
+    a long run of gates under one ancilla pattern checks the pattern once.
+    It compares and hashes as the plain tuple of its pairs.
+    """
+
+    def __new__(cls, pairs=()):
+        index = operator.index
+        checked, qubits = [], set()
+        for q, s in pairs:
+            q, s = index(q), index(s)
+            if s not in (0, 1):
+                raise ValueError("control states must be 0 or 1")
+            if q in qubits:
+                raise ValueError("control qubits must be distinct from each other and the target")
+            qubits.add(q)
+            checked.append((q, s))
+        self = super().__new__(cls, checked)
+        self.qubits = frozenset(qubits)
+        return self
+
+
+# the controls of every uncontrolled gate
+_NO_CONTROLS = _Controls()
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One single-qubit gate, optionally controlled.
@@ -104,30 +133,30 @@ class Gate:
     `phase` kind multiplies the matched branch by exp(i * param) regardless
     of the target's state (a plain global phase when uncontrolled).  Qubit
     ids and control states must be integers (Python or numpy); a float such
-    as 1.9 raises TypeError rather than being truncated.
+    as 1.9 raises TypeError rather than being truncated.  Controls are
+    checked once per distinct value: a list a gate receives is checked and
+    stored as a shared `_Controls`, which `adjoint` and the compilers pass
+    on to further gates unchecked; each gate still checks its target is not
+    among them.
     """
 
     kind: str
     target: int
     params: tuple[float, ...] = ()
-    controls: tuple[tuple[int, int], ...] = ()
+    controls: tuple[tuple[int, int], ...] = _NO_CONTROLS
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(_finite(p) for p in self.params))
+        if self.params or type(self.params) is not tuple:  # () needs no checks
+            object.__setattr__(self, "params", tuple(_finite(p) for p in self.params))
         if len(self.params) != GATE_KINDS[self.kind]:
             raise ValueError(f"{self.kind} takes {GATE_KINDS[self.kind]} parameter(s)")
         object.__setattr__(self, "target", operator.index(self.target))
-        ctl = tuple((operator.index(q), operator.index(s)) for q, s in self.controls)
-        object.__setattr__(self, "controls", ctl)
-        seen = set()
-        for q, s in ctl:
-            if s not in (0, 1):
-                raise ValueError("control states must be 0 or 1")
-            if q == self.target or q in seen:
-                raise ValueError("control qubits must be distinct from each other and the target")
-            seen.add(q)
+        if type(self.controls) is not _Controls:
+            object.__setattr__(self, "controls", _Controls(self.controls) or _NO_CONTROLS)
+        if self.target in self.controls.qubits:
+            raise ValueError("control qubits must be distinct from each other and the target")
 
     def matrix2(self) -> np.ndarray:
         """The 2x2 matrix applied to the target on matched branches."""
@@ -159,15 +188,19 @@ class Gate:
 
     @staticmethod
     def from_dict(doc: dict) -> "Gate":
-        params = doc.get("params", [])
-        if not isinstance(params, list):
-            raise ValueError("gate 'params' must be a list")
-        return Gate(
-            doc["kind"],
-            doc["target"],
-            tuple(params),
-            tuple((c["q"], c["state"]) for c in _objects(doc.get("controls", []), "controls")),
-        )
+        return _gate_from_dict(doc, {})
+
+
+def _gate_from_dict(doc: dict, shared: dict) -> Gate:
+    """Parse a gate document, taking its checked controls from `shared`
+    when an equal value is there already, so the gates of one circuit
+    document share their control lists as compiled circuits do."""
+    params = doc.get("params", [])
+    if not isinstance(params, list):
+        raise ValueError("gate 'params' must be a list")
+    items = _objects(doc.get("controls", []), "controls")
+    controls = _Controls((c["q"], c["state"]) for c in items)
+    return Gate(doc["kind"], doc["target"], tuple(params), shared.setdefault(controls, controls))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +239,8 @@ class Circuit:
         if len({q for q, _ in self.postselect}) != len(self.postselect):
             raise ValueError("duplicate postselect entries")
         for gate in self.gates:
+            if gate.target in known and known.issuperset(gate.controls.qubits):
+                continue
             for q in (gate.target, *(q for q, _ in gate.controls)):
                 if q not in known:
                     raise ValueError(f"gate references undeclared qubit {q}")
@@ -235,7 +270,8 @@ class Circuit:
         try:
             work = tuple(q["id"] for q in qubits if q["role"] == "work")
             anc = tuple(q["id"] for q in qubits if q["role"] == "ancilla")
-            gates = tuple(Gate.from_dict(g) for g in _objects(doc["gates"], "gates"))
+            shared: dict = {}
+            gates = tuple(_gate_from_dict(g, shared) for g in _objects(doc["gates"], "gates"))
             post = tuple((p["q"], p["bit"]) for p in _objects(doc["postselect"], "postselect"))
             return Circuit(work, anc, gates, post)
         except (TypeError, OverflowError) as exc:
@@ -265,11 +301,11 @@ class CompileReport:
         }
 
 
-def _pattern_controls(ancillas: Sequence[int], pattern: int) -> tuple[tuple[int, int], ...]:
+def _pattern_controls(ancillas: Sequence[int], pattern: int) -> _Controls:
     """Controls that match `ancillas` to the bits of `pattern`, the first
     ancilla holding the most significant bit."""
     top = len(ancillas) - 1
-    return tuple((a, (pattern >> (top - j)) & 1) for j, a in enumerate(ancillas))
+    return _Controls((a, (pattern >> (top - j)) & 1) for j, a in enumerate(ancillas))
 
 
 def prep_tree(
@@ -570,13 +606,19 @@ def emit_text(circuit: Circuit) -> str:
     lines = ["work " + ", ".join(names[q] for q in circuit.work_qubits) + ";"]
     if circuit.ancilla_qubits:
         lines.append("ancilla " + ", ".join(names[q] for q in circuit.ancilla_qubits) + ";")
+    # (name prefix, control operands) per distinct controls value
+    rendered: dict[tuple[tuple[int, int], ...], tuple[str, str]] = {}
     for gate in circuit.gates:
-        name = "c" * len(gate.controls) + gate.kind
+        controls = gate.controls
+        text = rendered.get(controls)
+        if text is None:
+            operands = "".join(("" if state else "!") + names[q] + ", " for q, state in controls)
+            text = rendered[controls] = ("c" * len(controls), operands)
+        prefix, operands = text
+        name = prefix + gate.kind
         if gate.params:
             name += "(" + ",".join(repr(p) for p in gate.params) + ")"
-        operands = [("" if state else "!") + names[q] for q, state in gate.controls]
-        operands.append(names[gate.target])
-        lines.append(f"{name} {', '.join(operands)};")
+        lines.append(f"{name} {operands}{names[gate.target]};")
     for q, bit in circuit.postselect:
         lines.append(f"postselect {names[q]} -> {bit};")
     return "\n".join(lines) + "\n"

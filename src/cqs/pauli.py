@@ -99,19 +99,25 @@ def pauli_expand(op: Union[DenseOperator, np.ndarray]) -> list[PauliTerm]:
 
     Deterministic: strings come out in lexicographic I < X < Y < Z order and
     the contraction order is fixed, so equal inputs give bit-equal outputs.
+    A NaN or infinite entry raises ValueError rather than being dropped.
     """
     mat = _as_matrix(op)
     n = _qubit_count(mat)
+    if not np.isfinite(mat).all():
+        raise ValueError("operator entries must be finite")
     coeffs = _entry_tensor(mat, n)
     for _ in range(n):
         # consume the leading entry axis, append the letter axis at the end
         coeffs = np.tensordot(coeffs, _EXPANSION_BASIS, axes=([0], [1]))
-    terms = []
-    for key in np.ndindex(*coeffs.shape):
-        c = complex(coeffs[key])
-        if abs(c) > DROP_TOLERANCE:
-            terms.append(PauliTerm(c, PauliString("".join(PAULI_LETTERS[k] for k in key))))
-    return terms
+    # argwhere lists the kept keys in C order, which is the I < X < Y < Z
+    # lexicographic order of their strings; hypot is the magnitude Python's
+    # abs(complex) gives, while np.abs can differ from it in the last place
+    keys = np.argwhere(np.hypot(coeffs.real, coeffs.imag) > DROP_TOLERANCE)
+    values = coeffs[tuple(keys.T)].tolist()
+    return [
+        PauliTerm(c, PauliString("".join(PAULI_LETTERS[k] for k in key)))
+        for key, c in zip(keys.tolist(), values)
+    ]
 
 
 def pauli_reconstruct(terms: Sequence[PauliTerm], n_qubits: int) -> np.ndarray:

@@ -278,7 +278,7 @@ def _ancilla_prefix_length(circuit: Circuit) -> int:
     """Number of leading gates whose target and controls are all ancillas."""
     ancillas = set(circuit.ancilla_qubits)
     for count, gate in enumerate(circuit.gates):
-        if gate.target not in ancillas or any(q not in ancillas for q, _ in gate.controls):
+        if gate.target not in ancillas or not ancillas.issuperset(gate.controls.qubits):
             return count
     return len(circuit.gates)
 

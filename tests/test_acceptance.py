@@ -241,8 +241,9 @@ def test_criterion_9_reproduction_determinism(tmp_path, capsys):
     print("ACCEPTANCE 9 determinism: PASS")
 
 
-# stdout sha256 of three commands; any change to the statevector kernels,
-# compilers or JSON output that moves a last bit changes one of them
+# stdout sha256 of these commands; any change to the statevector kernels,
+# compilers, JSON output or emit text that moves a last bit changes one of
+# them.  The su3(7) mu circuit is the 3054-gate path with 9-control gates.
 PINNED_STDOUT_SHA256 = {
     "reproduce-paper --convention paper":
         "0183a36c2722d1dd5be37c673220d5fa2f2036f3f8351e3c04bd0d2588888f94",
@@ -250,11 +251,16 @@ PINNED_STDOUT_SHA256 = {
         "219fe1fc59ef8779da127e52c96db05dc369bd91c73726afe7cbef83be262901",
     "compile --op eta --mode exact | simulate --effective":
         "bfcc46815dd9498d897cc7032e761301ef980e933743952915674a04534882dc",
+    "compile --op mu --truncate 7":
+        "a609ca4c0fdfe6da7b154ccaf61ad559f3a06ad718cf30b7dca0adf793e496ea",
+    "compile --op mu --truncate 7 | emit":
+        "e3cb0537080fd5114cac4a29ef1bbf74acb7489c5b0dfd4bf9fee50e25889587",
 }
 
 
 def test_stdout_bytes_are_pinned(capsys, monkeypatch):
-    """Byte stability: the bundles and a simulated block hash as recorded."""
+    """Byte stability: the bundles, a simulated block and a large circuit
+    with its emit text hash as recorded."""
     got = {}
     for command in PINNED_STDOUT_SHA256:
         stdin_text = ""

@@ -26,6 +26,7 @@ from cqs.duality_compiler import (
     paper_factored_form,
     prep_tree,
 )
+from cqs.duality_compiler import _pattern_controls
 from cqs.frobenius import FrobeniusSpec, PhaseConvention, build_eta, build_mu
 from cqs.pauli import PAULI_1Q, normalize_factor
 from cqs.statevector import effective_operator
@@ -107,6 +108,31 @@ def test_gate_dict_roundtrip():
         assert back.params == gate.params
         assert back.controls == gate.controls
         assert np.allclose(back.matrix2(), gate.matrix2())
+
+
+def test_checked_controls_are_shared():
+    shared = _pattern_controls((1, 2), 2)  # ancilla 1 on 1, ancilla 2 on 0
+    gate = Gate("ry", 0, (0.5,), shared)
+    assert gate.controls is shared
+    assert Gate("x", 3, (), shared).controls is shared
+    assert gate.adjoint().controls is gate.controls
+    assert gate.controls == ((1, 1), (2, 0)) and hash(gate.controls) == hash(((1, 1), (2, 0)))
+    assert Gate("x", 0).controls is Gate("h", 1, ()).controls  # one empty value
+    with pytest.raises(ValueError, match="distinct"):
+        Gate("x", 2, (), shared)  # a reused value still checks the target
+    with pytest.raises(ValueError, match="undeclared qubit 5"):
+        Circuit((0, 1), (), (Gate("x", 0, (), ((1, 1), (5, 1), (6, 0))),), ())
+    late = _pattern_controls((5, 6), 1)
+    with pytest.raises(ValueError, match="undeclared qubit 5"):
+        Circuit((0, 1, 6), (), (Gate("x", 0, (), late), Gate("z", 1, (), late)), ())
+    with pytest.raises(ValueError, match="undeclared qubit 3"):
+        Circuit((0,), (), (Gate("x", 3, (), late),), ())  # the target is named first
+    plain = Gate("x", 1, (), ((0, 1),))
+    assert plain.controls == ((0, 1),)
+    assert plain.to_dict() == {
+        "kind": "x", "params": [], "target": 1, "controls": [{"q": 0, "state": 1}]
+    }
+    assert Gate("x", 1, (), _pattern_controls((0,), 1)).to_dict() == plain.to_dict()
 
 
 # -------------------------------------------------------------- circuits
@@ -558,6 +584,29 @@ def test_compile_exact_rejects():
         compile_exact(np.zeros((2, 4)))
     with pytest.raises(ValueError):
         compile_exact(np.eye(512))  # 9 work qubits
+
+
+def test_compile_exact_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            compile_exact(np.array([[bad, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            compile_exact(np.diag([1j, 0, 0, bad]))
+
+
+def test_compile_exact_shares_controls():
+    # the gates of one LCU term share its ancilla pattern, and a prep-tree
+    # node's gate and its adjoint share theirs: at most one controls value
+    # per term and per tree angle, not one per gate
+    circuit, report = compile_exact(build_mu(FrobeniusSpec.su3(7)))
+    distinct = len({id(gate.controls) for gate in circuit.gates})
+    assert len(circuit.gates) == 3054
+    assert distinct <= report.term_count + len(report.angles) == 895
+    # a circuit read back from its document shares equal lists too
+    back = Circuit.from_dict(circuit.to_dict())
+    assert len({id(gate.controls) for gate in back.gates}) == len(
+        {gate.controls for gate in back.gates}) <= distinct
+    assert [gate.controls for gate in back.gates] == [gate.controls for gate in circuit.gates]
 
 
 @pytest.mark.parametrize("count,gates,ancillas", [(3, 266, 6), (7, 3054, 9), (15, 30910, 12)])

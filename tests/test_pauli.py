@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqs.pauli import (
+    DROP_TOLERANCE,
     PAULI_1Q,
     PAULI_LETTERS,
     FactoredOperator,
     PauliString,
+    PauliTerm,
     factorization_residual,
     normalize_factor,
     pauli_expand,
     pauli_reconstruct,
 )
+from cqs.pauli import _EXPANSION_BASIS, _entry_tensor
 
 
 def expand_dict(mat):
@@ -75,6 +80,70 @@ def test_small_coefficients_dropped():
     assert pauli_expand(1e-16 * PAULI_1Q["X"]) == []
     back = pauli_reconstruct([], 1)
     assert np.array_equal(back, np.zeros((2, 2)))
+
+
+def expand_by_ndindex(mat):
+    """The scan pauli_expand ran before it thresholded the whole tensor at
+    once: every one of the 4^n keys, in np.ndindex order."""
+    n = mat.shape[0].bit_length() - 1
+    coeffs = _entry_tensor(mat, n)
+    for _ in range(n):
+        coeffs = np.tensordot(coeffs, _EXPANSION_BASIS, axes=([0], [1]))
+    terms = []
+    for key in np.ndindex(*coeffs.shape):
+        c = complex(coeffs[key])
+        if abs(c) > DROP_TOLERANCE:
+            terms.append(PauliTerm(c, PauliString("".join(PAULI_LETTERS[k] for k in key))))
+    return terms
+
+
+# Matrix entries in units of 2^n: an entry alone at (0, 0) gives every
+# {I, Z}^n string the coefficient entry / 2^n, so these put coefficients at,
+# one ulp either side of and a relative 1e-9 either side of DROP_TOLERANCE,
+# with real and with complex (hypot-rounded) magnitudes.
+_NEAR_TOLERANCE = [
+    unit * value
+    for value in (DROP_TOLERANCE, np.nextafter(DROP_TOLERANCE, 0.0),
+                  np.nextafter(DROP_TOLERANCE, 1.0),
+                  DROP_TOLERANCE * (1 - 1e-9), DROP_TOLERANCE * (1 + 1e-9))
+    for unit in (1.0, -1.0, 1j, 0.6 + 0.8j, -0.8 + 0.6j)
+]
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Mostly-zero matrices of 1 to 4 qubits: a few ordinary entries (some
+    exactly 0) and a few near-tolerance ones, scaled by 2^n."""
+    n = draw(st.integers(1, 4))
+    dim = 2**n
+    index = st.integers(0, dim * dim - 1)
+    ordinary = st.one_of(
+        st.just(0j), st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+    )
+    mat = np.zeros(dim * dim, dtype=complex)
+    for i, value in draw(st.lists(st.tuples(index, ordinary), max_size=8)):
+        mat[i] = value
+    for i, value in draw(st.lists(st.tuples(index, st.sampled_from(_NEAR_TOLERANCE)), max_size=4)):
+        mat[i] = dim * value
+    return mat.reshape(dim, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_expand_matches_ndindex_scan(mat):
+    got, want = pauli_expand(mat), expand_by_ndindex(mat)
+    assert [t.string.letters for t in got] == [t.string.letters for t in want]
+    for g, w in zip(got, want):
+        assert type(g.coefficient) is complex
+        assert g.coefficient.real == w.coefficient.real
+        assert g.coefficient.imag == w.coefficient.imag
+
+
+def test_expand_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        for mat in (np.array([[bad, 0], [0, 1]]), np.diag([1, 1, 1, bad])):
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                pauli_expand(mat)
 
 
 def test_expand_rejects_bad_shapes():
