@@ -55,7 +55,6 @@ from .duality_compiler import (
 from .statevector import (
     EffectiveOperator,
     run,
-    run_state,
     effective_operator,
     cup,
     cap,

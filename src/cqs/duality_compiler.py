@@ -1,22 +1,23 @@
 """Compilation of non-unitary operators into ancilla-assisted, post-selected
 circuits.
 
-Two modes are provided.  "paper" mode reproduces the fixed per-work-qubit
-template construction: each work qubit gets a normalized single-qubit factor
-realized either by one Ry-conjugated controlled branch pair (two-term
-factors) or by a two-ancilla state preparation, a four-way controlled
-select and Hadamard unpreparation (three/four-term factors).  "exact" mode
-expands the full operator over Pauli strings and emits a standard
-prepare / select / unprepare linear-combination-of-unitaries circuit whose
-post-selected block equals the operator divided by the L1 weight of its
-expansion.
+Two modes are provided.  "exact" mode expands the full operator over Pauli
+strings and emits a standard prepare / select / unprepare
+linear-combination-of-unitaries (LCU) circuit whose post-selected block
+equals the operator divided by the L1 weight of its expansion.  "paper"
+mode reproduces the fixed per-work-qubit template construction: each work
+qubit gets a normalized single-qubit factor, realized by the same LCU on
+k - 1 ancillas for a factor of k <= 2 terms, or by a two-ancilla
+preparation, a four-way select and Hadamard unpreparation for three or
+four terms.
 
-Both modes prepare their ancillas with one binary Ry tree, `prep_tree`
-(Grover-Rudolph, quant-ph/0208112; Mottonen et al., quant-ph/0407010).
-Each node takes the angle 2 atan2(sqrt(R), sqrt(L)) from the masses L and
-R of its two halves, so no ratio is clamped and small angles keep their
-relative precision.  The figure angles theta1-theta4 and w_top of paper
-mode are named angles of these trees.
+Both modes emit their prepare and select stages through one helper,
+`_prepare_select`.  The ancillas are prepared with one binary Ry tree,
+`prep_tree` (Grover-Rudolph, quant-ph/0208112; Mottonen et al.,
+quant-ph/0407010).  Each node takes the angle 2 atan2(sqrt(R), sqrt(L))
+from the masses L and R of its two halves, so no ratio is clamped and
+small angles keep their relative precision.  The figure angles
+theta1-theta4 and w_top of paper mode are named angles of these trees.
 
 Gates act on single targets with arbitrary (qubit, state) control lists;
 no decomposition into a restricted native set is attempted.
@@ -37,6 +38,8 @@ from .frobenius import (
     FrobeniusSpec,
     GENERATOR_ARITY,
     PhaseConvention,
+    _index,
+    _real,
     generator_terms,
 )
 from .pauli import (
@@ -45,7 +48,6 @@ from .pauli import (
     FactoredOperator,
     NormalizedFactor,
     _as_matrix,
-    _factor_dict,
     normalize_factor,
     pauli_expand,
 )
@@ -82,7 +84,7 @@ _FIXED_KIND_MATRICES["h"] = np.array([[1, 1], [1, -1]], dtype=complex) / math.sq
 
 
 def _finite(value) -> float:
-    value = float(value)
+    value = _real(value)
     if not math.isfinite(value):
         raise ValueError(f"gate parameters must be finite, got {value!r}")
     return value
@@ -186,10 +188,6 @@ class Gate:
             "controls": [{"q": q, "state": s} for q, s in self.controls],
         }
 
-    @staticmethod
-    def from_dict(doc: dict) -> "Gate":
-        return _gate_from_dict(doc, {})
-
 
 def _gate_from_dict(doc: dict, shared: dict) -> Gate:
     """Parse a gate document, taking its checked controls from `shared`
@@ -199,8 +197,9 @@ def _gate_from_dict(doc: dict, shared: dict) -> Gate:
     if not isinstance(params, list):
         raise ValueError("gate 'params' must be a list")
     items = _objects(doc.get("controls", []), "controls")
-    controls = _Controls((c["q"], c["state"]) for c in items)
-    return Gate(doc["kind"], doc["target"], tuple(params), shared.setdefault(controls, controls))
+    controls = _Controls((_index(c["q"]), _index(c["state"])) for c in items)
+    target = _index(doc["target"])
+    return Gate(doc["kind"], target, tuple(params), shared.setdefault(controls, controls))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,17 +262,22 @@ class Circuit:
     @staticmethod
     def from_dict(doc: dict) -> "Circuit":
         """Parse a circuit document; any malformed one raises ValueError
-        (or KeyError for a missing field)."""
+        (or KeyError for a missing field).  Integer fields refuse JSON
+        booleans and every qubit's role must be `work` or `ancilla`."""
         if not isinstance(doc, dict):
             raise ValueError("a circuit document must be a JSON object")
-        qubits = _objects(doc["qubits"], "qubits")
         try:
-            work = tuple(q["id"] for q in qubits if q["role"] == "work")
-            anc = tuple(q["id"] for q in qubits if q["role"] == "ancilla")
+            roles: dict = {"work": [], "ancilla": []}
+            for qubit in _objects(doc["qubits"], "qubits"):
+                role = qubit["role"]
+                if role not in roles:
+                    raise ValueError(f"unknown qubit role {role!r}")
+                roles[role].append(_index(qubit["id"]))
             shared: dict = {}
             gates = tuple(_gate_from_dict(g, shared) for g in _objects(doc["gates"], "gates"))
-            post = tuple((p["q"], p["bit"]) for p in _objects(doc["postselect"], "postselect"))
-            return Circuit(work, anc, gates, post)
+            post = tuple((_index(p["q"]), _index(p["bit"]))
+                         for p in _objects(doc["postselect"], "postselect"))
+            return Circuit(tuple(roles["work"]), tuple(roles["ancilla"]), gates, post)
         except (TypeError, OverflowError) as exc:
             # a field of the wrong JSON type, such as a list where a number goes
             raise ValueError(f"malformed circuit: {exc}") from exc
@@ -347,6 +351,26 @@ def prep_tree(
     return gates, named
 
 
+def _prepare_select(mass: Sequence[float], ancillas: Sequence[int], branches,
+                    targets: Sequence[int]) -> tuple[list[Gate], list[Gate], list]:
+    """The prepare and select stages of an LCU on `ancillas`: the gates of
+    `prep_tree(mass, ancillas)`, the select gates and the tree's named
+    angles.  Under its ancilla `pattern`, each branch (pattern, letters,
+    phase) puts a nonzero phase on `targets[0]`, then each non-identity
+    letter on its target.  The caller appends the unprepare stage.
+    """
+    prep, named = prep_tree(mass, ancillas)
+    select: list[Gate] = []
+    for pattern, letters, phase in branches:
+        controls = _pattern_controls(ancillas, pattern)
+        if phase != 0.0:
+            select.append(Gate("phase", targets[0], (phase,), controls))
+        for target, letter in zip(targets, letters):
+            if letter != "I":
+                select.append(Gate(letter.lower(), target, (), controls))
+    return prep, select, named
+
+
 @dataclass(frozen=True)
 class FactorFragment:
     """Circuit piece realizing one normalized single-qubit factor.
@@ -369,58 +393,47 @@ class FactorFragment:
         return dict(self.angles).get(name, 0.0)
 
 
-def _branch_gates(letter: str, phase: float, target: int,
-                  controls: tuple[tuple[int, int], ...]) -> list[Gate]:
-    gates = []
-    if phase != 0.0:
-        gates.append(Gate("phase", target, (phase,), controls))
-    if letter != "I":
-        gates.append(Gate(letter.lower(), target, (), controls))
-    return gates
-
-
 def compile_factor(factor: NormalizedFactor, target: int, ancilla_start: int) -> FactorFragment:
     """Compile one normalized factor onto `target`, allocating fresh ancilla
     ids from `ancilla_start` upward.
 
-    A two-term factor selects its branches on one ancilla between a
-    `prep_tree` and its adjoint, so the block weights are the tree's masses,
-    the L1 magnitudes.  A three- or four-term factor selects on two ancillas
-    (pattern = index in IXYZ) and unprepares with Hadamards, so the block
-    weights are half the tree's amplitudes, the L2 magnitudes.
+    A factor of k <= 2 terms is the LCU of `compile_exact`: it selects its
+    terms on k - 1 ancillas between a `prep_tree` and its adjoint, so the
+    block weights are the tree's masses, the L1 magnitudes.  A three- or
+    four-term factor selects on two ancillas (pattern = index in IXYZ) and
+    unprepares with Hadamards, so the block weights are half the tree's
+    amplitudes, the L2 magnitudes.
     """
     k = len(factor.letters)
-    if k == 1:
-        gates = tuple(_branch_gates(factor.letters[0], factor.phases[0], target, ()))
-        return FactorFragment("single", gates, (), (), 1.0)
-    if k == 2:
-        ancillas, patterns = (ancilla_start,), (0, 1)
-        mass = factor.magnitudes
+    if k <= 2:
+        ancillas = tuple(range(ancilla_start, ancilla_start + k - 1))
+        patterns, mass = range(k), factor.magnitudes
     else:
         ancillas = (ancilla_start, ancilla_start + 1)
         patterns = tuple(PAULI_LETTERS.index(letter) for letter in factor.letters)
         mass = [0.0] * 4
         for pattern, magnitude in zip(patterns, factor.magnitudes):
             mass[pattern] = magnitude * magnitude
-    prep, angles = prep_tree(mass, ancillas)
-    gates = list(prep)
-    for pattern, letter, phase in zip(patterns, factor.letters, factor.phases):
-        gates.extend(_branch_gates(letter, phase, target, _pattern_controls(ancillas, pattern)))
-    if k == 2:
-        gates.extend(gate.adjoint() for gate in reversed(prep))
-        kind, scale = "two", 1.0
+    branches = zip(patterns, factor.letters, factor.phases)
+    prep, select, angles = _prepare_select(mass, ancillas, branches, (target,))
+    if k <= 2:
+        unprep = [gate.adjoint() for gate in reversed(prep)]
+        kind, scale = ("single", "two")[k - 1], 1.0
     else:
-        gates.extend(Gate("h", a, ()) for a in ancillas)
+        unprep = [Gate("h", a, ()) for a in ancillas]
         kind, scale = "four", 2.0
     return FactorFragment(
-        kind, tuple(gates), ancillas, tuple((a, 0) for a in ancillas), scale, tuple(angles)
+        kind, tuple(prep + select + unprep), ancillas, tuple((a, 0) for a in ancillas), scale,
+        tuple(angles),
     )
 
 
 # Pauli coefficients of the single-qubit ket-bra |a><b|, whose flattened
 # entries are row 2a + b of the 4x4 identity
 _KETBRA_1Q = {
-    (a, b): _factor_dict(np.eye(4, dtype=complex)[2 * a + b]) for a in (0, 1) for b in (0, 1)
+    (a, b): {t.string.letters: t.coefficient
+             for t in pauli_expand(np.eye(4, dtype=complex)[2 * a + b].reshape(2, 2))}
+    for a in (0, 1) for b in (0, 1)
 }
 
 
@@ -565,21 +578,13 @@ def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, Compil
     k_count = len(terms)
     m = (k_count - 1).bit_length()
     ancillas = tuple(range(n_work, n_work + m))
-    prep, named = prep_tree(weights, ancillas)
-    gates = list(prep)
-    for k, term in enumerate(terms):
-        controls = _pattern_controls(ancillas, k)
-        phase = float(np.angle(term.coefficient))
-        if phase != 0.0:
-            gates.append(Gate("phase", 0, (phase,), controls))
-        for q, letter in enumerate(term.string.letters):
-            if letter != "I":
-                gates.append(Gate(letter.lower(), q, (), controls))
-    gates.extend(gate.adjoint() for gate in reversed(prep))
+    branches = [(k, t.string.letters, float(np.angle(t.coefficient))) for k, t in enumerate(terms)]
+    prep, select, named = _prepare_select(weights, ancillas, branches, range(n_work))
+    unprep = [gate.adjoint() for gate in reversed(prep)]
     circuit = Circuit(
         tuple(range(n_work)),
         ancillas,
-        tuple(gates),
+        tuple(prep + select + unprep),
         tuple((a, 0) for a in ancillas),
     )
     report = CompileReport(

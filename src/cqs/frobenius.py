@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -103,6 +104,22 @@ class FrobeniusSpec:
 MAX_DOCUMENT_QUBITS = 12
 
 
+def _index(value) -> int:
+    """An integer document field: `operator.index`, refusing the booleans
+    it would take as 0 and 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _real(value) -> float:
+    """A real-number field: `float`, refusing the strings and booleans it
+    would parse."""
+    if isinstance(value, (str, bytes, bool)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """A dense complex matrix, optionally tagged with register widths.
@@ -161,19 +178,19 @@ class DenseOperator:
         if not isinstance(entries, list):
             raise ValueError("'entries' must be a list")
         try:
-            rows, cols = int(doc["rows"]), int(doc["cols"])
+            rows, cols = _index(doc["rows"]), _index(doc["cols"])
             limit = 2**MAX_DOCUMENT_QUBITS
             if not (0 <= rows <= limit and 0 <= cols <= limit):
                 raise ValueError(f"rows and cols must lie in [0, {limit}]")
             widths = [doc.get(key) for key in ("in_qubits", "out_qubits")]
-            widths = [None if w is None else int(w) for w in widths]
+            widths = [None if w is None else _index(w) for w in widths]
             if any(w is not None and not 0 <= w <= MAX_DOCUMENT_QUBITS for w in widths):
                 raise ValueError(
                     f"in_qubits and out_qubits must lie in [0, {MAX_DOCUMENT_QUBITS}]"
                 )
             mat = np.zeros((rows, cols), dtype=complex)
             for r, c, re, im in entries:
-                r, c, value = int(r), int(c), complex(float(re), float(im))
+                r, c, value = _index(r), _index(c), complex(_real(re), _real(im))
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"entry ({r}, {c}) lies outside the {rows} x {cols} matrix")
                 if not cmath.isfinite(value):

@@ -244,14 +244,3 @@ def factorization_residual(claimed: FactoredOperator,
     if denom == 0.0:
         raise ValueError("exact operator is zero")
     return float(np.linalg.norm(got - target) / denom)
-
-
-def _factor_dict(vec4: np.ndarray) -> dict[str, complex]:
-    """Single-qubit entry-basis 4-vector -> Pauli coefficient mapping."""
-    mat = vec4.reshape(2, 2)
-    coeffs = {}
-    for letter in PAULI_LETTERS:
-        c = complex(np.trace(PAULI_1Q[letter].conj().T @ mat) / 2.0)
-        if abs(c) > DROP_TOLERANCE:
-            coeffs[letter] = c
-    return coeffs or {"I": 0.0}

@@ -5,7 +5,7 @@ are simulated on the work register plus ancillas, all ancillas starting in
 |0>.  Post-selection projects the ancillas onto their required bits without
 renormalizing; the squared norm of the surviving work-register vector is the
 success probability.  Probabilities are reported raw, never clipped: one
-above (1 + 1e-12) times the input's squared norm, or NaN, raises ValueError.
+above 1 + 1e-12, or NaN, raises ValueError.
 
 Gate application follows the strided-view layout of Haener & Steiger
 (arXiv:1704.01127).  A C-contiguous (2**n, cols) amplitude block is reshaped
@@ -26,13 +26,13 @@ work register after them.  A select gate controlled on every ancilla then
 touches one contiguous run of rows, and the post-selected block is one
 contiguous slab.
 
-`effective_operator` simulates all 2**n_work basis columns at once.  The
-leading gates that touch ancillas only (the state-preparation tree of an
-LCU circuit) act identically on every column, so they run once on the
-2**n_anc ancilla vector, which is then written into every column before the
-remaining gates run on the whole block.  `effective_operator` and
-`run_state` check the block's size against MAX_BLOCK_BYTES before they
-allocate it.
+One function, `_postselected`, simulates a list of work-register basis
+columns: `effective_operator` passes all 2**n_work of them, `run` the one
+column of its input.  The leading gates that touch ancillas only (the
+state-preparation tree of an LCU circuit) act identically on every column,
+so they run once on the 2**n_anc ancilla vector, which is then written into
+each column before the remaining gates run on the whole block.  The block's
+size is checked against MAX_BLOCK_BYTES before it is allocated.
 
 Bit-identity contract: every kernel performs, on every nonzero amplitude,
 the same floating-point operations as the generic update
@@ -40,8 +40,6 @@ u00 * a0 + u01 * a1, u10 * a0 + u11 * a1 (a term with a zero matrix entry
 only adds a signed zero).  The shared prefix gives each column the same
 operations on the same values as simulating the prefix in that column, so
 neither the layout nor the prefix changes a bit of the nonzero results.
-`run_state` takes arbitrary input vectors, for which a precomputed prefix
-would round differently, so it simulates every gate.
 
 cup and cap realize the unnormalized pair creation sum_k |kk> and pair
 annihilation sum_k <kk| of the underlying dagger structure.  Both take an
@@ -67,7 +65,6 @@ __all__ = [
     "MAX_BLOCK_BYTES",
     "EffectiveOperator",
     "run",
-    "run_state",
     "effective_operator",
     "cup",
     "cap",
@@ -212,15 +209,12 @@ def _postselect_mask(circuit: Circuit) -> int:
     return mask
 
 
-def _checked_probability(vector: np.ndarray, input_norm2: float, label: str) -> float:
-    """Raw squared norm of a post-selected vector; fails (NaN included) when
-    it exceeds the input's squared norm by more than PROBABILITY_SLACK."""
+def _checked_probability(vector: np.ndarray, label: str) -> float:
+    """Raw squared norm of a post-selected basis-input column; fails (NaN
+    included) when it exceeds 1 by more than PROBABILITY_SLACK."""
     probability = float(np.sum(np.abs(vector) ** 2))
-    if not probability <= (1 + PROBABILITY_SLACK) * input_norm2:
-        raise ValueError(
-            f"success probability {probability!r} for input {label} exceeds "
-            f"the input's squared norm {input_norm2!r}"
-        )
+    if not probability <= 1 + PROBABILITY_SLACK:
+        raise ValueError(f"success probability {probability!r} for input {label} exceeds 1")
     return probability
 
 
@@ -228,36 +222,6 @@ def _register_positions(circuit: Circuit) -> dict:
     """Block positions: ancillas first, so a gate controlled on every
     ancilla touches one contiguous run of rows."""
     return {q: i for i, q in enumerate(circuit.ancilla_qubits + circuit.work_qubits)}
-
-
-def run_state(circuit: Circuit, work_vector: np.ndarray) -> tuple[np.ndarray, float]:
-    """Run the circuit on an arbitrary work-register vector.
-
-    Returns the post-selected, unnormalized work-register vector and the
-    success probability (its squared norm, for a normalized input).
-    """
-    n_work, n_anc = _check_sizes(circuit, 1)
-    work_vector = np.asarray(work_vector, dtype=complex).reshape(-1)
-    if work_vector.shape != (2**n_work,):
-        raise ValueError("work vector has the wrong length")
-    dim_work = 2**n_work
-    block = np.zeros((2**n_anc * dim_work, 1), dtype=complex)
-    block[:dim_work, 0] = work_vector
-    _simulate(circuit.gates, block, _register_positions(circuit))
-    kept = _postselect_mask(circuit) * dim_work
-    out = block[kept : kept + dim_work, 0].copy()
-    input_norm2 = float(np.sum(np.abs(work_vector) ** 2))
-    return out, _checked_probability(out, input_norm2, "vector")
-
-
-def run(circuit: Circuit, input_bits: str) -> tuple[np.ndarray, float]:
-    """Run the circuit on a work-register basis state given as a bitstring."""
-    n_work = len(circuit.work_qubits)
-    if len(input_bits) != n_work or any(ch not in "01" for ch in input_bits):
-        raise ValueError(f"input must be {n_work} bits of 0/1, got {input_bits!r}")
-    vec = np.zeros(2**n_work, dtype=complex)
-    vec[int(input_bits, 2)] = 1.0
-    return run_state(circuit, vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,29 +247,48 @@ def _ancilla_prefix_length(circuit: Circuit) -> int:
     return len(circuit.gates)
 
 
-def effective_operator(circuit: Circuit) -> EffectiveOperator:
-    """Extract the full post-selected block, all columns at once."""
-    n_work = len(circuit.work_qubits)
-    if n_work > MAX_DOCUMENT_QUBITS:
-        raise ValueError(f"effective operator extraction supports up to {MAX_DOCUMENT_QUBITS} work qubits")
-    n_work, n_anc = _check_sizes(circuit, 2**n_work)
-    dim_work = 2**n_work
-    dim_anc = 2**n_anc
+def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
+    """Post-selected work-register rows for the work basis inputs
+    `columns`: column j of the result is the circuit's output on input
+    columns[j].  The ancilla-only prefix runs once, on the ancilla register."""
+    n_work, n_anc = _check_sizes(circuit, len(columns))
+    dim_work, dim_anc = 2**n_work, 2**n_anc
     prefix = _ancilla_prefix_length(circuit)
     ancilla_state = np.zeros((dim_anc, 1), dtype=complex)
     ancilla_state[0, 0] = 1.0
     ancilla_position = {q: i for i, q in enumerate(circuit.ancilla_qubits)}
     _simulate(circuit.gates[:prefix], ancilla_state, ancilla_position)
-    block = np.zeros((dim_anc * dim_work, dim_work), dtype=complex)
-    columns = np.arange(dim_work)
-    block.reshape(dim_anc, dim_work, dim_work)[:, columns, columns] = ancilla_state
+    count = len(columns)
+    block = np.zeros((dim_anc * dim_work, count), dtype=complex)
+    block.reshape(dim_anc, dim_work, count)[:, columns, np.arange(count)] = ancilla_state
     _simulate(circuit.gates[prefix:], block, _register_positions(circuit))
     kept = _postselect_mask(circuit) * dim_work
-    matrix = block[kept : kept + dim_work].copy()
+    return block[kept : kept + dim_work].copy()
+
+
+def run(circuit: Circuit, input_bits: str) -> tuple[np.ndarray, float]:
+    """Run the circuit on a work-register basis state given as a bitstring.
+
+    Returns the post-selected, unnormalized work-register vector and the
+    success probability, its squared norm.
+    """
+    n_work = len(circuit.work_qubits)
+    if len(input_bits) != n_work or any(ch not in "01" for ch in input_bits):
+        raise ValueError(f"input must be {n_work} bits of 0/1, got {input_bits!r}")
+    out = _postselected(circuit, [int(input_bits, 2)])[:, 0]
+    return out, _checked_probability(out, input_bits)
+
+
+def effective_operator(circuit: Circuit) -> EffectiveOperator:
+    """Extract the full post-selected block, all columns at once."""
+    n_work = len(circuit.work_qubits)
+    if n_work > MAX_DOCUMENT_QUBITS:
+        raise ValueError(f"effective operator extraction supports up to {MAX_DOCUMENT_QUBITS} work qubits")
+    matrix = _postselected(circuit, list(range(2**n_work)))
     probabilities = {}
-    for j in range(dim_work):
+    for j in range(2**n_work):
         bits = format(j, f"0{n_work}b")
-        probabilities[bits] = _checked_probability(matrix[:, j], 1.0, bits)
+        probabilities[bits] = _checked_probability(matrix[:, j], bits)
     return EffectiveOperator(matrix, probabilities)
 
 

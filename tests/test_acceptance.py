@@ -255,6 +255,12 @@ PINNED_STDOUT_SHA256 = {
         "a609ca4c0fdfe6da7b154ccaf61ad559f3a06ad718cf30b7dca0adf793e496ea",
     "compile --op mu --truncate 7 | emit":
         "e3cb0537080fd5114cac4a29ef1bbf74acb7489c5b0dfd4bf9fee50e25889587",
+    "compile --op mu --truncate 7 | simulate --in 111111":
+        "1727f5d7898649b652898d844168fcb0b96affcd4d25430fa9a122a4f6a655fd",
+    "compile --op eta --mode paper --truncate 7 | simulate --in 000":
+        "15905f6fc79e91e244b3ab6e58cbe15e203de7cdc90961046bd946aa8716f41d",
+    "compile --op mu --mode paper --truncate 15 | emit":
+        "35fd5ac7cd71d3496613e1a5dded687a604c86eaded62bb41ef4bd08cbe3179b",
 }
 
 

@@ -89,6 +89,9 @@ def test_gate_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             Gate("ry", 0, (bad,))
+    for bad in ("1.5", True, b"1.5"):  # not parsed or read as 1.0
+        with pytest.raises(TypeError, match="real number"):
+            Gate("ry", 0, (bad,))
     for bad in (1.9, 1.0, "1"):  # not truncated or parsed
         with pytest.raises(TypeError):
             Gate("x", bad)
@@ -102,7 +105,8 @@ def test_gate_validation():
 
 def test_gate_dict_roundtrip():
     for gate in (Gate("ry", 2, (0.25,), ((0, 1), (1, 0))), Gate("y", 1, (), ((0, 0),))):
-        back = Gate.from_dict(gate.to_dict())
+        doc = Circuit((0, 1, 2), (), (gate,), ()).to_dict()
+        (back,) = Circuit.from_dict(doc).gates
         assert back.kind == gate.kind
         assert back.target == gate.target
         assert back.params == gate.params
@@ -191,6 +195,19 @@ def test_circuit_from_dict_rejects_malformed(spec):
         (dict(good, gates=[{"kind": "x", "target": None}]), "malformed circuit"),
         (dict(good, gates=[{"kind": ["x"], "target": 0}]), "malformed circuit"),
         (dict(good, gates=[{"kind": "ry", "target": 0, "params": [float("inf")]}]), "finite"),
+        (dict(good, gates=[{"kind": "ry", "target": 0, "params": ["1.5"]}]), "malformed circuit"),
+        (dict(good, gates=[{"kind": "ry", "target": 0, "params": [True]}]), "malformed circuit"),
+        (dict(good, gates=[{"kind": "h", "target": True}]), "malformed circuit"),
+        (dict(good, gates=[{"kind": "x", "target": 0, "controls": [{"q": True, "state": 1}]}]),
+         "malformed circuit"),
+        (dict(good, gates=[{"kind": "x", "target": 0, "controls": [{"q": 1, "state": True}]}]),
+         "malformed circuit"),
+        (dict(good, qubits=[{"id": True, "role": "work"}], gates=[], postselect=[]),
+         "malformed circuit"),
+        (dict(good, postselect=[dict(p, bit=False) for p in good["postselect"]]),
+         "malformed circuit"),
+        (dict(good, qubits=good["qubits"] + [{"id": 99, "role": "ancila"}]),
+         "unknown qubit role 'ancila'"),
     ):
         with pytest.raises(ValueError, match=message):
             Circuit.from_dict(bad)
@@ -541,6 +558,23 @@ def test_compile_exact_single_pauli():
     assert report.ancilla_count == 0
     assert circuit.ancilla_qubits == ()
     assert np.allclose(effective_operator(circuit).matrix, PAULI_1Q["X"])
+
+
+@pytest.mark.parametrize("matrix, factor", [
+    (np.diag([0.5, 1.0]), {"I": 0.75, "Z": -0.25}),
+    (2j * PAULI_1Q["Y"], {"Y": 2j}),
+])
+def test_compile_exact_matches_compile_factor(matrix, factor):
+    """A one-qubit operator of one term, or of two terms of L1 weight 1,
+    compiles gate for gate as the paper-mode factor of its coefficients:
+    both emit through one prepare/select helper."""
+    circuit, _ = compile_exact(matrix)
+    fragment = compile_factor(normalize_factor(factor)[0], 0, 1)
+    assert [(g.kind, g.target, g.params, g.controls) for g in circuit.gates] == [
+        (g.kind, g.target, g.params, g.controls) for g in fragment.gates
+    ]
+    assert circuit.ancilla_qubits == fragment.ancillas
+    assert circuit.postselect == fragment.postselect
 
 
 def test_compile_exact_two_terms():

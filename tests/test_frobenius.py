@@ -254,6 +254,16 @@ def test_dense_operator_from_dict_rejects_malformed():
         (dict(good, rows=2**13), "rows and cols"),
         (dict(good, in_qubits=10**20), "in_qubits"),
         (dict(good, in_qubits=2), "cols inconsistent"),
+        # numbers are not truncated, parsed from strings or read from booleans
+        ({"rows": 2.9, "cols": 2.9, "entries": [[0.7, 1.2, "1.5", True]]}, "malformed operator"),
+        (dict(good, rows=2.0), "malformed operator"),
+        (dict(good, cols=True), "malformed operator"),
+        (dict(good, in_qubits=1.0), "malformed operator"),
+        (dict(good, out_qubits=True), "malformed operator"),
+        (dict(good, entries=[[0.0, 1, 1.0, 0.0]]), "malformed operator"),
+        (dict(good, entries=[[0, True, 1.0, 0.0]]), "malformed operator"),
+        (dict(good, entries=[[0, 1, "1.5", 0.0]]), "malformed operator"),
+        (dict(good, entries=[[0, 1, 1.0, True]]), "malformed operator"),
     ):
         with pytest.raises(ValueError, match=message):
             DenseOperator.from_dict(bad)

@@ -1,10 +1,10 @@
 """Statevector engine: gate application, post-selected runs, cup and cap.
 
-Single gates, run through `run_state` on a one-gate circuit, are checked
+Single gates, as the effective operator of a one-gate circuit, are checked
 against a brute-force oracle that walks every basis state and applies the
 control/target logic by bit inspection; whole random circuits are checked
 against a dense Kronecker-product unitary built from this file's own 2x2
-matrices.
+matrices, and `run` against a full-register run that simulates every gate.
 """
 
 import cmath
@@ -24,7 +24,6 @@ from cqs.statevector import (
     cup,
     effective_operator,
     run,
-    run_state,
 )
 
 
@@ -52,6 +51,18 @@ def basis(bits):
     vec = np.zeros(2 ** len(bits), dtype=complex)
     vec[int(bits, 2)] = 1.0
     return vec
+
+
+def full_register_run(circuit, vector):
+    """Post-selected work vector from simulating every gate on the whole
+    register, `vector` on the work qubits and |0> on the ancillas: the
+    reference that the shared ancilla prefix of `run` must match bit for bit."""
+    dim_work = 2 ** len(circuit.work_qubits)
+    block = np.zeros((2 ** len(circuit.ancilla_qubits) * dim_work, 1), dtype=complex)
+    block[:dim_work, 0] = vector
+    statevector._simulate(circuit.gates, block, statevector._register_positions(circuit))
+    kept = statevector._postselect_mask(circuit) * dim_work
+    return block[kept : kept + dim_work, 0]
 
 
 def test_statevector_validation():
@@ -92,19 +103,16 @@ def test_single_gate_against_oracle():
                 controls.append((q, int(rng.integers(2))))
         params = tuple(rng.uniform(-math.pi, math.pi, size=n_params))
         gate = Gate(kind, target, params, tuple(controls))
-        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        vec /= np.linalg.norm(vec)
-        got, _ = run_state(Circuit(tuple(range(n)), (), (gate,), ()), vec)
-        want = dense_gate_oracle(gate, n) @ vec
-        assert np.max(np.abs(got - want)) < 1e-12
+        got = effective_operator(Circuit(tuple(range(n)), (), (gate,), ())).matrix
+        assert np.max(np.abs(got - dense_gate_oracle(gate, n))) < 1e-12
 
 
 def test_apply_gate_out_of_range():
     """A gate on a qubit outside the register never reaches the simulator."""
     with pytest.raises(ValueError, match="undeclared qubit 2"):
-        run_state(Circuit((0, 1), (), (Gate("x", 2),), ()), basis("00"))
+        run(Circuit((0, 1), (), (Gate("x", 2),), ()), "00")
     with pytest.raises(ValueError, match="undeclared qubit 5"):
-        run_state(Circuit((0, 1), (), (Gate("x", 0, (), ((5, 1),)),), ()), basis("00"))
+        run(Circuit((0, 1), (), (Gate("x", 0, (), ((5, 1),)),), ()), "00")
 
 
 def test_unitary_circuit_preserves_norm():
@@ -137,16 +145,16 @@ def test_postselect_one_branch():
     assert np.max(np.abs(vec)) == 0.0
 
 
-def test_run_state_linearity():
+def test_effective_operator_is_linear():
+    """The block maps a superposition as a full-register run of it does."""
     spec = FrobeniusSpec.su3(3, beta=1.0)
     circuit, _ = compile_exact(build_eta(spec))
     effective = effective_operator(circuit)
     rng = np.random.default_rng(23)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
     vec /= np.linalg.norm(vec)
-    out, probability = run_state(circuit, vec)
+    out = full_register_run(circuit, vec)
     assert np.max(np.abs(out - effective.matrix @ vec)) < 1e-12
-    assert probability == pytest.approx(float(np.sum(np.abs(out) ** 2)))
 
 
 def test_effective_matches_basis_runs():
@@ -166,8 +174,6 @@ def test_run_input_validation():
         run(circuit, "00")
     with pytest.raises(ValueError):
         run(circuit, "2")
-    with pytest.raises(ValueError):
-        run_state(circuit, np.zeros(4))
 
 
 def test_unpostselected_ancilla_rejected():
@@ -371,6 +377,7 @@ def test_random_circuits_against_dense_oracle(circuit, data):
     assert np.max(np.abs(column - want[:, j])) <= 1e-12
     assert abs(probability - float(np.sum(np.abs(want[:, j]) ** 2))) <= 1e-12
     # the shared ancilla prefix and the batched columns change no value
+    assert np.array_equal(column, full_register_run(circuit, basis(format(j, f"0{n_work}b"))))
     assert np.array_equal(column, effective.matrix[:, j])
 
 
@@ -427,8 +434,8 @@ def test_sliced_updates_are_exact(circuit, chunk):
 
 
 def test_shared_prefix_is_exact():
-    """Running the prepare tree once for all columns changes no value:
-    each column equals a per-column run, which simulates every gate."""
+    """Running the prepare tree once changes no value: each column of the
+    block, and each `run`, equals a full-register run of every gate."""
     prep = (Gate("ry", 2, (0.7,)), Gate("ry", 3, (1.1,), ((2, 1),)), Gate("h", 3, (), ((2, 0),)))
     body = (Gate("x", 0, (), ((2, 1), (3, 0))), Gate("phase", 1, (0.3,), ((3, 1),)),
             Gate("y", 1, (), ((2, 0),)), Gate("rz", 0, (0.9,), ((3, 1),)))
@@ -437,18 +444,22 @@ def test_shared_prefix_is_exact():
     assert statevector._ancilla_prefix_length(circuit) == 3
     effective = effective_operator(circuit)
     for j in range(4):
-        column, probability = run(circuit, format(j, "02b"))
-        assert np.array_equal(column, effective.matrix[:, j])
-        assert probability == effective.success_probabilities[format(j, "02b")]
+        bits = format(j, "02b")
+        reference = full_register_run(circuit, basis(bits))
+        column, probability = run(circuit, bits)
+        assert np.array_equal(column, reference)
+        assert np.array_equal(effective.matrix[:, j], reference)
+        assert probability == effective.success_probabilities[bits]
+        assert probability == float(np.sum(np.abs(reference) ** 2))
 
 
 def test_probabilities_are_raw():
-    # no ancilla: the success probability of an unnormalized input is its
-    # raw squared norm, not clipped to 1
-    circuit = Circuit((0,), (), (Gate("h", 0),), ())
-    out, probability = run_state(circuit, np.array([2.0, 0.0]))
-    assert probability == pytest.approx(4.0)
-    assert np.allclose(out, [math.sqrt(2), math.sqrt(2)])
+    # cos^2 + sin^2 of this rotation rounds one ulp above 1; the success
+    # probability is that raw squared norm, not clipped to 1
+    circuit = Circuit((0,), (), (Gate("ry", 0, (2.1,)),), ())
+    out, probability = run(circuit, "0")
+    assert probability == float(np.sum(np.abs(out) ** 2)) == 1.0000000000000002
+    assert effective_operator(circuit).success_probabilities == {"0": probability, "1": probability}
 
 
 def test_probability_above_input_norm_raises():
@@ -459,9 +470,6 @@ def test_probability_above_input_norm_raises():
         effective_operator(circuit)
     with pytest.raises(ValueError, match="success probability"):
         run(circuit, "0")
-    healthy = Circuit((0,), (1,), (Gate("h", 1),), ((1, 0),))
-    with pytest.raises(ValueError, match="success probability"):
-        run_state(healthy, np.array([math.nan, 0.0]))
 
 
 def test_block_budget(monkeypatch):
