@@ -189,12 +189,16 @@ class DenseOperator:
                     f"in_qubits and out_qubits must lie in [0, {MAX_DOCUMENT_QUBITS}]"
                 )
             mat = np.zeros((rows, cols), dtype=complex)
+            seen = set()
             for r, c, re, im in entries:
                 r, c, value = _index(r), _index(c), complex(_real(re), _real(im))
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"entry ({r}, {c}) lies outside the {rows} x {cols} matrix")
                 if not cmath.isfinite(value):
                     raise ValueError(f"entry ({r}, {c}) is not finite")
+                if (r, c) in seen:
+                    raise ValueError(f"entry ({r}, {c}) is given more than once")
+                seen.add((r, c))
                 mat[r, c] = value
         except (TypeError, OverflowError) as exc:
             # a field of the wrong JSON type, such as a list where a number goes

@@ -31,15 +31,25 @@ columns: `effective_operator` passes all 2**n_work of them, `run` the one
 column of its input.  The leading gates that touch ancillas only (the
 state-preparation tree of an LCU circuit) act identically on every column,
 so they run once on the 2**n_anc ancilla vector, which is then written into
-each column before the remaining gates run on the whole block.  The block's
-size is checked against MAX_BLOCK_BYTES before it is allocated.
+each column before the remaining gates run on the block.  Retirement is the
+mirror of that prefix at the other end of the circuit: once a gate is the
+last one to touch an ancilla (as target or control), the ancilla is
+retired, and every later gate gets it as an extra control fixed at its
+post-selected bit.  The trailing gates (the unprepare tree of an LCU
+circuit) then update only the rows that can still reach the kept slab,
+without copying or reshaping the block.  The block's size is checked
+against MAX_BLOCK_BYTES before it is allocated.
 
 Bit-identity contract: every kernel performs, on every nonzero amplitude,
 the same floating-point operations as the generic update
 u00 * a0 + u01 * a1, u10 * a0 + u11 * a1 (a term with a zero matrix entry
 only adds a signed zero).  The shared prefix gives each column the same
-operations on the same values as simulating the prefix in that column, so
-neither the layout nor the prefix changes a bit of the nonzero results.
+operations on the same values as simulating the prefix in that column.
+Retirement leaves only dead rows stale: no gate touches a retired ancilla
+again, so a row holding its other bit never feeds a row holding the kept
+bit, and every row that does reach the kept slab gets the same operations
+on the same values.  So neither the layout, the prefix nor retirement
+changes a bit of the nonzero results.
 
 cup and cap realize the unnormalized pair creation sum_k |kk> and pair
 annihilation sum_k <kk| of the underlying dagger structure.  Both take an
@@ -166,13 +176,18 @@ _KERNELS = {
 }
 
 
-def _simulate(gates, block: np.ndarray, position: dict) -> None:
+def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
     """Apply gates in order to a C-contiguous (2**n, cols) block in place;
-    `position` maps qubit ids to register positions 0..n-1."""
+    `position` maps qubit ids to register positions 0..n-1.  `retire` maps
+    a gate index to (position, state) controls that gate and every later
+    gate also get."""
     n = len(position)
-    for gate in gates:
+    retire = retire or {}
+    fixed = []
+    for index, gate in enumerate(gates):
+        fixed += retire.get(index, ())
         controls = [(position[q], state) for q, state in gate.controls]
-        lo, hi = _halves(block, n, position[gate.target], controls)
+        lo, hi = _halves(block, n, position[gate.target], controls + fixed)
         kernel = _KERNELS[gate.kind]
         if lo.size <= _CHUNK:
             kernel(lo, hi, gate)
@@ -247,10 +262,35 @@ def _ancilla_prefix_length(circuit: Circuit) -> int:
     return len(circuit.gates)
 
 
+def _retirements(circuit: Circuit, prefix: int) -> dict:
+    """Maps the index of a gate after the shared prefix to the ancillas
+    that no gate from it on touches, as (block position, post-selected bit)
+    controls: those that gate and every later gate also get.  An ancilla
+    retires right after its last gate, at index 0 if no gate after the
+    prefix touches it."""
+    position = {q: i for i, q in enumerate(circuit.ancilla_qubits)}
+    body = circuit.gates[prefix:]
+    last = {}
+    for index in range(len(body) - 1, -1, -1):
+        if len(last) == len(position):
+            break
+        gate = body[index]
+        for q in (gate.target, *gate.controls.qubits):
+            if q in position and q not in last:
+                last[q] = index
+    retire = {}
+    for q, bit in circuit.postselect:
+        retire.setdefault(last.get(q, -1) + 1, []).append((position[q], bit))
+    return retire
+
+
 def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     """Post-selected work-register rows for the work basis inputs
     `columns`: column j of the result is the circuit's output on input
-    columns[j].  The ancilla-only prefix runs once, on the ancilla register."""
+    columns[j].  The ancilla-only prefix runs once, on the ancilla register;
+    the rest runs on the block, where each ancilla is retired after its last
+    gate: later gates run only on the rows holding its post-selected bit
+    (see _retirements).  The kept slab is sliced from the unchanged layout."""
     n_work, n_anc = _check_sizes(circuit, len(columns))
     dim_work, dim_anc = 2**n_work, 2**n_anc
     prefix = _ancilla_prefix_length(circuit)
@@ -261,7 +301,8 @@ def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     count = len(columns)
     block = np.zeros((dim_anc * dim_work, count), dtype=complex)
     block.reshape(dim_anc, dim_work, count)[:, columns, np.arange(count)] = ancilla_state
-    _simulate(circuit.gates[prefix:], block, _register_positions(circuit))
+    _simulate(circuit.gates[prefix:], block, _register_positions(circuit),
+              _retirements(circuit, prefix))
     kept = _postselect_mask(circuit) * dim_work
     return block[kept : kept + dim_work].copy()
 

@@ -303,6 +303,9 @@ def test_usage_exit_codes(capsys, monkeypatch):
          "outside"),
         (["decompose", "--in", "-"], {"rows": 2**40, "cols": 2**40, "entries": []},
          "rows and cols"),
+        (["decompose", "--in", "-"],
+         {"rows": 2, "cols": 2, "entries": [[0, 1, 1.0, 0.0], [0, 1, 5.0, 0.0]]},
+         "entry (0, 1) is given more than once"),
     ]
     for argv, doc, message in malformed:
         code, out, err = run_cli(capsys, argv, stdin_text=json.dumps(doc),

@@ -9,6 +9,7 @@ matrices, and `run` against a full-register run that simulates every gate.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from cqs import statevector
 from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper
-from cqs.frobenius import FrobeniusSpec, build_eta
+from cqs.frobenius import FrobeniusSpec, build_eta, build_mu
 from cqs.statevector import (
     MAX_QUBITS,
     cap,
@@ -325,6 +326,21 @@ def oracle_block(circuit):
 _KIND_ARITY = {"ry": 1, "rz": 1, "phase": 1, "x": 0, "y": 0, "z": 0, "h": 0}
 
 
+def draw_gate(draw, targets, control_pool, required=()):
+    """A gate of any kind on a target drawn from `targets`, controlled on
+    every qubit of `required` and on a drawn subset of `control_pool`, with
+    drawn control states and angles."""
+    kind = draw(st.sampled_from(sorted(_KIND_ARITY)))
+    target = draw(st.sampled_from(targets))
+    others = [q for q in control_pool if q != target and q not in required]
+    chosen = [q for q in required if q != target]
+    chosen += draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    controls = tuple((q, draw(st.integers(0, 1))) for q in chosen)
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    params = tuple(draw(angles) for _ in range(_KIND_ARITY[kind]))
+    return Gate(kind, target, params, controls)
+
+
 @st.composite
 def random_circuits(draw):
     """Circuits of at most 6 qubits over every gate kind, with arbitrary
@@ -336,27 +352,17 @@ def random_circuits(draw):
     n_anc = draw(st.integers(0, 6 - n_work))
     ids = draw(st.permutations(range(3, 3 + 2 * (n_work + n_anc), 2)))
     work, anc = tuple(ids[:n_work]), tuple(ids[n_work:])
-    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-
-    def gate(targets, control_pool):
-        kind = draw(st.sampled_from(sorted(_KIND_ARITY)))
-        target = draw(st.sampled_from(targets))
-        others = [q for q in control_pool if q != target]
-        chosen = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
-        controls = tuple((q, draw(st.integers(0, 1))) for q in chosen)
-        params = tuple(draw(angles) for _ in range(_KIND_ARITY[kind]))
-        return Gate(kind, target, params, controls)
 
     start = draw(st.sampled_from(["ancilla prefix", "work target", "work only"]))
     everyone = work + anc
     gates = []
     if start == "ancilla prefix" and anc:
-        gates += [gate(anc, anc) for _ in range(draw(st.integers(1, 4)))]
+        gates += [draw_gate(draw, anc, anc) for _ in range(draw(st.integers(1, 4)))]
     elif start == "work target":
-        gates.append(gate(work, everyone))
+        gates.append(draw_gate(draw, work, everyone))
     else:
-        gates.append(gate(work, work))
-    gates += [gate(everyone, everyone) for _ in range(draw(st.integers(0, 8)))]
+        gates.append(draw_gate(draw, work, work))
+    gates += [draw_gate(draw, everyone, everyone) for _ in range(draw(st.integers(0, 8)))]
     postselect = tuple((q, draw(st.integers(0, 1))) for q in anc)
     return Circuit(work, anc, tuple(gates), postselect)
 
@@ -451,6 +457,78 @@ def test_shared_prefix_is_exact():
         assert np.array_equal(effective.matrix[:, j], reference)
         assert probability == effective.success_probabilities[bits]
         assert probability == float(np.sum(np.abs(reference) ** 2))
+
+
+@st.composite
+def retiring_circuits(draw):
+    """Circuits whose ancillas retire in a random order: one ancilla is used
+    only in the ancilla-only prefix, one is never used, a group of two or
+    more is last used together as controls of a work-qubit gate, and each
+    other ancilla is last used alone, as a target or as a control of a
+    work-qubit gate.  At least one ancilla is post-selected on 1."""
+    n_work = draw(st.integers(1, 2))
+    n_anc = draw(st.integers(4, 5))
+    ids = draw(st.permutations(range(2, 2 + n_work + n_anc)))
+    work, anc = tuple(ids[:n_work]), tuple(ids[n_work:])
+    prefix_only, unused, body = anc[0], anc[1], list(anc[2:])
+    prep_pool = [prefix_only] + body
+    gates = [draw_gate(draw, [prefix_only], prep_pool)]
+    gates += [draw_gate(draw, prep_pool, prep_pool) for _ in range(draw(st.integers(0, 3)))]
+    # the retirement order, cut into groups; one group of two or more
+    # retires as controls of a work-qubit gate
+    split = draw(st.integers(0, len(body) - 2))
+    sizes = [1] * split + [len(body) - split]
+    sizes = draw(st.permutations(sizes))
+    order = draw(st.permutations(body))
+    live = list(work) + body
+    for size in sizes:
+        group, order = order[:size], order[size:]
+        gates += [draw_gate(draw, live, live) for _ in range(draw(st.integers(0, 3)))]
+        targets = work if size > 1 or draw(st.booleans()) else group
+        gates.append(draw_gate(draw, targets, live, group))
+        live = [q for q in live if q not in group]
+    gates += [draw_gate(draw, work, work) for _ in range(draw(st.integers(0, 3)))]
+    bits = [draw(st.integers(0, 1)) for _ in anc]
+    bits[draw(st.integers(0, n_anc - 1))] = 1
+    return Circuit(work, anc, tuple(gates), tuple(zip(anc, bits)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(retiring_circuits())
+def test_retired_ancillas_are_exact(circuit):
+    """Restricting every gate after an ancilla's last one to the rows that
+    hold its post-selected bit changes no kept value: the block, each run
+    and each probability equal a full-register run of every gate."""
+    prefix = statevector._ancilla_prefix_length(circuit)
+    retire = statevector._retirements(circuit, prefix)
+    # the prefix-only and the unused ancilla retire before the first body gate
+    assert {0, 1} <= {pos for pos, _ in retire.get(0, ())}
+    assert any(len(group) >= 2 for index, group in retire.items() if index > 0)
+    effective = effective_operator(circuit)
+    n_work = len(circuit.work_qubits)
+    for j in range(2**n_work):
+        bits = format(j, f"0{n_work}b")
+        reference = full_register_run(circuit, basis(bits))
+        column, probability = run(circuit, bits)
+        assert np.array_equal(column, reference)
+        assert np.array_equal(effective.matrix[:, j], reference)
+        assert probability == effective.success_probabilities[bits]
+        assert probability == float(np.sum(np.abs(reference) ** 2))
+
+
+def test_effective_operator_allocates_one_block():
+    """The su3(5) mu block is simulated in place: no gate copies it, so the
+    traced peak stays within a quarter block of the block itself."""
+    circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(5)))
+    n_work, n_anc = len(circuit.work_qubits), len(circuit.ancilla_qubits)
+    block_bytes = 2 ** (n_work + n_anc) * 2**n_work * 16
+    tracemalloc.start()
+    try:
+        effective_operator(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block_bytes <= peak <= 1.25 * block_bytes
 
 
 def test_probabilities_are_raw():
