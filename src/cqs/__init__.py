@@ -32,8 +32,6 @@ from .frobenius import (
     compose_word,
 )
 from .pauli import (
-    PauliString,
-    PauliTerm,
     FactoredOperator,
     NormalizedFactor,
     pauli_expand,

@@ -133,10 +133,8 @@ def _cmd_decompose(args) -> int:
         if not args.op:
             raise _UsageError("decompose needs --op or --in")
         op = _build_operator(args)
-    terms = pauli_expand(op)
     doc = [
-        {"string": t.string.letters, "re": t.coefficient.real, "im": t.coefficient.imag}
-        for t in terms
+        {"string": letters, "re": c.real, "im": c.imag} for letters, c in pauli_expand(op).items()
     ]
     _emit_json(doc, args.out)
     return 0

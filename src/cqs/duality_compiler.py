@@ -126,7 +126,9 @@ class _Controls(tuple):
 _NO_CONTROLS = _Controls()
 
 
-@dataclass(frozen=True, eq=False)
+# slotted: a compiled circuit holds up to tens of thousands of gates, and a
+# per-gate __dict__ is one more object for the garbage collector to scan
+@dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     """One single-qubit gate, optionally controlled.
 
@@ -431,8 +433,7 @@ def compile_factor(factor: NormalizedFactor, target: int, ancilla_start: int) ->
 # Pauli coefficients of the single-qubit ket-bra |a><b|, whose flattened
 # entries are row 2a + b of the 4x4 identity
 _KETBRA_1Q = {
-    (a, b): {t.string.letters: t.coefficient
-             for t in pauli_expand(np.eye(4, dtype=complex)[2 * a + b].reshape(2, 2))}
+    (a, b): pauli_expand(np.eye(4, dtype=complex)[2 * a + b].reshape(2, 2))
     for a in (0, 1) for b in (0, 1)
 }
 
@@ -573,12 +574,12 @@ def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, Compil
     terms = pauli_expand(mat)
     if not terms:
         raise ValueError("cannot compile the zero operator")
-    weights = np.array([abs(t.coefficient) for t in terms])
+    weights = np.array([abs(c) for c in terms.values()])
     s = float(weights.sum())
     k_count = len(terms)
     m = (k_count - 1).bit_length()
     ancillas = tuple(range(n_work, n_work + m))
-    branches = [(k, t.string.letters, float(np.angle(t.coefficient))) for k, t in enumerate(terms)]
+    branches = [(k, letters, float(np.angle(c))) for k, (letters, c) in enumerate(terms.items())]
     prep, select, named = _prepare_select(weights, ancillas, branches, range(n_work))
     unprep = [gate.adjoint() for gate in reversed(prep)]
     circuit = Circuit(

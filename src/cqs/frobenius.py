@@ -343,7 +343,7 @@ def _infer_in_circles(word: Sequence[WordStep]) -> int:
     delta = 0
     for tag, _beta, pos in word:
         a_in, a_out = GENERATOR_ARITY[tag]
-        need = max(need, int(pos) + a_in - delta)
+        need = max(need, pos + a_in - delta)
         delta += a_out - a_in
     return max(need, 0)
 
@@ -356,23 +356,28 @@ def compose_word(word: Sequence[WordStep], spec: FrobeniusSpec,
     starting at `position` (the unit inserts a new circle there), tensored
     with identity on all other circles.  Steps apply first to last.  The
     empty word is the identity; if `in_circles` is omitted the minimal
-    consistent starting circle count is inferred.  A word whose widest
-    register exceeds MAX_DOCUMENT_QUBITS is rejected before any allocation.
+    consistent starting circle count is inferred.  Positions and
+    `in_circles` must be integers, as in `Gate`: a float or a boolean raises
+    TypeError rather than being truncated.  A word whose widest register
+    exceeds MAX_DOCUMENT_QUBITS is rejected before any allocation.
     """
+    steps = []
     for step in word:
         if len(step) != 3:
             raise ValueError("word steps must be (tag, beta, position) triples")
-        if step[0] not in GENERATOR_ARITY:
-            raise ValueError(f"unknown generator {step[0]!r}")
+        tag, beta, pos = step
+        if tag not in GENERATOR_ARITY:
+            raise ValueError(f"unknown generator {tag!r}")
+        steps.append((tag, beta, _index(pos)))
     b = spec.encoding.bits_per_circle
     d = 2**b
-    circles = _infer_in_circles(word) if in_circles is None else int(in_circles)
+    circles = _infer_in_circles(steps) if in_circles is None else _index(in_circles)
     if circles < 0:
         raise ValueError("in_circles must be >= 0")
     counts = [circles]  # circle count before each step, then at the end
-    for tag, _beta, pos in word:
+    for tag, _beta, pos in steps:
         a_in, a_out = GENERATOR_ARITY[tag]
-        if int(pos) < 0 or int(pos) + a_in > counts[-1]:
+        if pos < 0 or pos + a_in > counts[-1]:
             raise ValueError(
                 f"generator {tag!r} at position {pos} does not fit {counts[-1]} circles"
             )
@@ -384,8 +389,7 @@ def compose_word(word: Sequence[WordStep], spec: FrobeniusSpec,
             f"register, over the {MAX_DOCUMENT_QUBITS}-qubit limit"
         )
     acc = np.eye(d ** counts[0], dtype=complex)
-    for (tag, beta, pos), circles in zip(word, counts):
-        pos = int(pos)
+    for (tag, beta, pos), circles in zip(steps, counts):
         gen = logical_form(tag, spec, beta).matrix
         full = np.kron(
             np.kron(np.eye(d**pos, dtype=complex), gen),

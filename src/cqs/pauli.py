@@ -1,5 +1,11 @@
 """Pauli-string expansion and product-form analysis of dense operators.
 
+A Pauli sum is a plain dict mapping letter strings to complex
+coefficients, e.g. {"IX": 0.5, "ZY": -0.5j} (qubit 0 first); it is the one
+Pauli-sum type here.  `pauli_expand` returns one, `pauli_reconstruct` is
+the one routine that turns one back into a matrix, and the single-qubit
+factors of `normalize_factor` and `FactoredOperator` are one-letter sums.
+
 The expansion coefficient of a string P on n qubits is tr(P^dag M) / 2^n.
 Strings are ordered lexicographically in I < X < Y < Z per qubit, and
 coefficients below 1e-14 in magnitude are dropped.
@@ -7,8 +13,9 @@ coefficients below 1e-14 in magnitude are dropped.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -16,8 +23,6 @@ from .frobenius import DenseOperator
 
 __all__ = [
     "PAULI_LETTERS",
-    "PauliString",
-    "PauliTerm",
     "FactoredOperator",
     "NormalizedFactor",
     "pauli_expand",
@@ -38,30 +43,15 @@ PAULI_1Q = {
 DROP_TOLERANCE = 1e-14
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-qubit Paulis, e.g. 'IXZY' (qubit 0 first)."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters or any(ch not in PAULI_LETTERS for ch in self.letters):
-            raise ValueError(f"bad Pauli string {self.letters!r}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def matrix(self) -> np.ndarray:
-        out = PAULI_1Q[self.letters[0]]
-        for ch in self.letters[1:]:
-            out = np.kron(out, PAULI_1Q[ch])
-        return out
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    coefficient: complex
-    string: PauliString
+def _check_sum(terms: Mapping[str, complex], width: int) -> None:
+    """Every key of a Pauli sum is `width` letters from IXYZ and every
+    coefficient is finite, otherwise ValueError."""
+    for letters, c in terms.items():
+        if not (isinstance(letters, str) and len(letters) == width > 0
+                and all(ch in PAULI_LETTERS for ch in letters)):
+            raise ValueError(f"bad Pauli string {letters!r} for {width} qubit(s)")
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient of {letters!r} must be finite, got {c!r}")
 
 
 def _as_matrix(op: Union[DenseOperator, np.ndarray]) -> np.ndarray:
@@ -86,6 +76,9 @@ _EXPANSION_BASIS = np.stack(
 ) / 2.0
 
 
+_LETTER_ARRAY = np.array(list(PAULI_LETTERS))
+
+
 def _entry_tensor(mat: np.ndarray, n: int) -> np.ndarray:
     """Reshape an operator into a (4,)*n tensor with one combined
     (row-bit, col-bit) axis per qubit, qubit 0 first."""
@@ -94,8 +87,8 @@ def _entry_tensor(mat: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(order).reshape((4,) * n)
 
 
-def pauli_expand(op: Union[DenseOperator, np.ndarray]) -> list[PauliTerm]:
-    """Expand a square operator over Pauli strings.
+def pauli_expand(op: Union[DenseOperator, np.ndarray]) -> dict[str, complex]:
+    """Expand a square operator into a Pauli sum.
 
     Deterministic: strings come out in lexicographic I < X < Y < Z order and
     the contraction order is fixed, so equal inputs give bit-equal outputs.
@@ -114,19 +107,21 @@ def pauli_expand(op: Union[DenseOperator, np.ndarray]) -> list[PauliTerm]:
     # abs(complex) gives, while np.abs can differ from it in the last place
     keys = np.argwhere(np.hypot(coeffs.real, coeffs.imag) > DROP_TOLERANCE)
     values = coeffs[tuple(keys.T)].tolist()
-    return [
-        PauliTerm(c, PauliString("".join(PAULI_LETTERS[k] for k in key)))
-        for key, c in zip(keys.tolist(), values)
-    ]
+    # one letter per (key, qubit); each row read as one n-letter string
+    strings = np.ascontiguousarray(_LETTER_ARRAY[keys]).view(f"U{n}")[:, 0].tolist()
+    return dict(zip(strings, values))
 
 
-def pauli_reconstruct(terms: Sequence[PauliTerm], n_qubits: int) -> np.ndarray:
-    """Sum coefficient * string back into a dense matrix."""
+def pauli_reconstruct(terms: Mapping[str, complex], n_qubits: int) -> np.ndarray:
+    """Sum coefficient * string over an `n_qubits`-qubit Pauli sum into a
+    dense matrix, in the sum's order."""
+    _check_sum(terms, n_qubits)
     out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for term in terms:
-        if len(term.string) != n_qubits:
-            raise ValueError("term width does not match n_qubits")
-        out += term.coefficient * term.string.matrix()
+    for letters, c in terms.items():
+        string = PAULI_1Q[letters[0]]
+        for ch in letters[1:]:
+            string = np.kron(string, PAULI_1Q[ch])
+        out += c * string
     return out
 
 
@@ -156,10 +151,7 @@ class NormalizedFactor:
         }
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=complex)
-        for letter, c in self.coefficients().items():
-            out += c * PAULI_1Q[letter]
-        return out
+        return pauli_reconstruct(self.coefficients(), 1)
 
 
 def normalize_factor(factor: Mapping[str, complex]) -> tuple[NormalizedFactor, complex]:
@@ -168,16 +160,15 @@ def normalize_factor(factor: Mapping[str, complex]) -> tuple[NormalizedFactor, c
     Factors with one or two nonzero terms are normalized so the coefficient
     magnitudes sum to 1; factors with three or four terms so the squared
     magnitudes sum to 1.  The returned scale is the removed positive
-    constant: scale * normalized == input.
+    constant: scale * normalized == input.  A key other than one Pauli
+    letter, or a NaN or infinite coefficient, raises ValueError.
     """
+    _check_sum(factor, 1)
     items = []
     for letter in PAULI_LETTERS:
         c = complex(factor.get(letter, 0.0))
         if abs(c) > DROP_TOLERANCE:
             items.append((letter, c))
-    for letter in factor:
-        if letter not in PAULI_LETTERS:
-            raise ValueError(f"unknown Pauli letter {letter!r}")
     if not items:
         raise ValueError("factor has no nonzero coefficient")
     mags = np.array([abs(c) for _, c in items])
@@ -200,8 +191,8 @@ def normalize_factor(factor: Mapping[str, complex]) -> tuple[NormalizedFactor, c
 class FactoredOperator:
     """A claimed product form: factor_0 (x) factor_1 (x) ...
 
-    Each factor is a mapping from Pauli letters to complex coefficients with
-    at least one nonzero entry; factor k acts on qubit k.
+    Each factor is a one-qubit Pauli sum with finite coefficients, at least
+    one of them nonzero; factor k acts on qubit k.
     """
 
     factors: tuple[Mapping[str, complex], ...]
@@ -210,26 +201,18 @@ class FactoredOperator:
         if not self.factors:
             raise ValueError("need at least one factor")
         for f in self.factors:
+            _check_sum(f, 1)
             if not any(abs(complex(v)) > 0 for v in f.values()):
                 raise ValueError("every factor needs a nonzero coefficient")
-            for letter in f:
-                if letter not in PAULI_LETTERS:
-                    raise ValueError(f"unknown Pauli letter {letter!r}")
 
     @property
     def n_qubits(self) -> int:
         return len(self.factors)
 
-    def factor_matrix(self, k: int) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=complex)
-        for letter, c in self.factors[k].items():
-            out += complex(c) * PAULI_1Q[letter]
-        return out
-
     def matrix(self) -> np.ndarray:
-        out = self.factor_matrix(0)
-        for k in range(1, self.n_qubits):
-            out = np.kron(out, self.factor_matrix(k))
+        out = pauli_reconstruct(self.factors[0], 1)
+        for f in self.factors[1:]:
+            out = np.kron(out, pauli_reconstruct(f, 1))
         return out
 
 

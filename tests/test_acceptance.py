@@ -200,13 +200,10 @@ def test_criterion_7_pauli_roundtrip():
         back = pauli_reconstruct(pauli_expand(mat), n)
         assert np.max(np.abs(back - mat)) <= ROUNDTRIP_TOL, trial
 
-    def expansion(mat):
-        return {t.string.letters: t.coefficient for t in pauli_expand(np.array(mat))}
-
-    assert expansion([[1, 0], [0, 0]]) == {"I": 0.5, "Z": 0.5}
-    assert expansion([[0, 0], [0, 1]]) == {"I": 0.5, "Z": -0.5}
-    assert expansion([[0, 1], [0, 0]]) == {"X": 0.5, "Y": 0.5j}
-    assert expansion([[0, 0], [1, 0]]) == {"X": 0.5, "Y": -0.5j}
+    assert pauli_expand(np.array([[1, 0], [0, 0]])) == {"I": 0.5, "Z": 0.5}
+    assert pauli_expand(np.array([[0, 0], [0, 1]])) == {"I": 0.5, "Z": -0.5}
+    assert pauli_expand(np.array([[0, 1], [0, 0]])) == {"X": 0.5, "Y": 0.5j}
+    assert pauli_expand(np.array([[0, 0], [1, 0]])) == {"X": 0.5, "Y": -0.5j}
     print("ACCEPTANCE 7 pauli-roundtrip: PASS")
 
 

@@ -28,7 +28,7 @@ from cqs.duality_compiler import (
 )
 from cqs.duality_compiler import _pattern_controls
 from cqs.frobenius import FrobeniusSpec, PhaseConvention, build_eta, build_mu
-from cqs.pauli import PAULI_1Q, normalize_factor
+from cqs.pauli import PAULI_1Q, normalize_factor, pauli_reconstruct
 from cqs.statevector import effective_operator
 from cqs.verify import compare_up_to_scale
 
@@ -434,7 +434,7 @@ def assert_factors_match(form, brackets):
     assert form.n_qubits == len(brackets)
     for k, bracket in enumerate(brackets):
         normalized, _ = normalize_factor(bracket)
-        assert np.max(np.abs(form.factor_matrix(k) - normalized.matrix())) < 1e-12
+        assert np.max(np.abs(pauli_reconstruct(form.factors[k], 1) - normalized.matrix())) < 1e-12
 
 
 def test_paper_factored_form_mu(spec):

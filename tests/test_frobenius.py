@@ -197,6 +197,23 @@ def test_compose_word_errors(spec):
         compose_word([("mu", None, -1)], spec)
 
 
+def test_compose_word_integer_fields(spec):
+    # a float or boolean position or circle count is refused, not truncated
+    with pytest.raises(TypeError):
+        compose_word([("cylinder", None, 0.9)], spec, in_circles=1.7)
+    with pytest.raises(TypeError):
+        compose_word([("cylinder", None, 0)], spec, in_circles=1.7)
+    for pos in (0.9, 1.0, True, "0"):
+        with pytest.raises(TypeError):
+            compose_word([("cylinder", None, 0), ("cylinder", None, pos)], spec)
+    with pytest.raises(TypeError):
+        compose_word([("cylinder", None, False)], spec, in_circles=1)
+    # numpy integers are integers
+    got = compose_word([("cylinder", 0.25, np.int64(1))], spec, in_circles=np.int64(2))
+    want = compose_word([("cylinder", 0.25, 1)], spec, in_circles=2)
+    assert np.array_equal(got.matrix, want.matrix)
+
+
 def test_compose_word_width_checked_before_allocation(spec, monkeypatch):
     # four 6-qubit su3(63) circles would be a 24-qubit (4 PiB) identity
     with pytest.raises(ValueError, match="24-qubit register, over the 12-qubit limit"):
