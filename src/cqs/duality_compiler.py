@@ -11,9 +11,13 @@ k - 1 ancillas for a factor of k <= 2 terms, or by a two-ancilla
 preparation, a four-way select and Hadamard unpreparation for three or
 four terms.
 
-Both modes emit their prepare and select stages through one helper,
-`_prepare_select`.  The ancillas are prepared with one binary Ry tree,
-`prep_tree` (Grover-Rudolph, quant-ph/0208112; Mottonen et al.,
+Every compiler returns one block type, a `(Circuit, CompileReport)` pair
+built by one assembler, `_block`, which post-selects every ancilla on 0.
+`compile_factor` compiles one qubit's factor; `compile_paper` concatenates
+those blocks, whose ancillas are distinct, so the result is their tensor
+product.  Both modes emit their prepare and select stages through one
+helper, `_prepare_select`.  The ancillas are prepared with one binary Ry
+tree, `prep_tree` (Grover-Rudolph, quant-ph/0208112; Mottonen et al.,
 quant-ph/0407010).  Each node takes the angle 2 atan2(sqrt(R), sqrt(L))
 from the masses L and R of its two halves, so no ratio is clamped and
 small angles keep their relative precision.  The figure angles
@@ -57,7 +61,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "CompileReport",
-    "FactorFragment",
     "prep_tree",
     "compile_factor",
     "paper_factored_form",
@@ -208,8 +211,9 @@ def _gate_from_dict(doc: dict, shared: dict) -> Gate:
 class Circuit:
     """Gate list over a work register plus post-selected ancillas.
 
-    Register order is work qubits first (in declared order), then ancillas;
-    qubit 0 is the leftmost bit of basis-state labels.  Qubit ids and
+    Basis-state labels cover the work register only, in declared order,
+    its first qubit the leftmost bit; where the ancillas sit in the
+    simulated register is the simulator's choice.  Qubit ids and
     post-selected bits must be integers, as in `Gate`.
     """
 
@@ -249,9 +253,6 @@ class Circuit:
     @property
     def n_qubits(self) -> int:
         return len(self.work_qubits) + len(self.ancilla_qubits)
-
-    def qubit_order(self) -> tuple[int, ...]:
-        return self.work_qubits + self.ancilla_qubits
 
     def to_dict(self) -> dict:
         return {
@@ -305,6 +306,15 @@ class CompileReport:
             "nominal_scale": [self.nominal_scale.real, self.nominal_scale.imag],
             "angles": [[name, value] for name, value in self.angles],
         }
+
+
+def _block(mode: str, gates: Sequence[Gate], work: Sequence[int], ancillas: Sequence[int],
+           scale: float, term_count: int,
+           angles: Sequence[tuple[str, float]]) -> tuple[Circuit, CompileReport]:
+    """The compiled block of `gates` on the `work` qubits and `ancillas`,
+    every ancilla post-selected on 0, and its report."""
+    circuit = Circuit(work, ancillas, gates, tuple((a, 0) for a in ancillas))
+    return circuit, CompileReport(mode, len(ancillas), term_count, complex(scale), tuple(angles))
 
 
 def _pattern_controls(ancillas: Sequence[int], pattern: int) -> _Controls:
@@ -373,38 +383,19 @@ def _prepare_select(mass: Sequence[float], ancillas: Sequence[int], branches,
     return prep, select, named
 
 
-@dataclass(frozen=True)
-class FactorFragment:
-    """Circuit piece realizing one normalized single-qubit factor.
-
-    kind is 'single', 'two' or 'four'.  `nominal_scale` is the s with
-    post-selected block = factor / s (1 for single/two, 2 for the
-    Hadamard-unprepared four-way select).  `angles` are the named angles of
-    its `prep_tree`.
-    """
-
-    kind: str
-    gates: tuple[Gate, ...]
-    ancillas: tuple[int, ...]
-    postselect: tuple[tuple[int, int], ...]
-    nominal_scale: float
-    angles: tuple[tuple[str, float], ...] = ()
-
-    def angle(self, name: str) -> float:
-        """A named tree angle; 0.0 for a node that needed no gate."""
-        return dict(self.angles).get(name, 0.0)
-
-
-def compile_factor(factor: NormalizedFactor, target: int, ancilla_start: int) -> FactorFragment:
-    """Compile one normalized factor onto `target`, allocating fresh ancilla
-    ids from `ancilla_start` upward.
+def compile_factor(factor: NormalizedFactor, target: int,
+                   ancilla_start: int) -> tuple[Circuit, CompileReport]:
+    """Compile one normalized factor of k terms onto the work qubit
+    `target`, allocating fresh ancilla ids from `ancilla_start` upward.
 
     A factor of k <= 2 terms is the LCU of `compile_exact`: it selects its
     terms on k - 1 ancillas between a `prep_tree` and its adjoint, so the
     block weights are the tree's masses, the L1 magnitudes.  A three- or
     four-term factor selects on two ancillas (pattern = index in IXYZ) and
     unprepares with Hadamards, so the block weights are half the tree's
-    amplitudes, the L2 magnitudes.
+    amplitudes, the L2 magnitudes.  The block is the factor divided by its
+    nominal scale: 1 for k <= 2, 2 for k = 3 or 4.  The report's angles are
+    the tree's named angles.
     """
     k = len(factor.letters)
     if k <= 2:
@@ -419,15 +410,10 @@ def compile_factor(factor: NormalizedFactor, target: int, ancilla_start: int) ->
     branches = zip(patterns, factor.letters, factor.phases)
     prep, select, angles = _prepare_select(mass, ancillas, branches, (target,))
     if k <= 2:
-        unprep = [gate.adjoint() for gate in reversed(prep)]
-        kind, scale = ("single", "two")[k - 1], 1.0
+        unprep, scale = [gate.adjoint() for gate in reversed(prep)], 1.0
     else:
-        unprep = [Gate("h", a, ()) for a in ancillas]
-        kind, scale = "four", 2.0
-    return FactorFragment(
-        kind, tuple(prep + select + unprep), ancillas, tuple((a, 0) for a in ancillas), scale,
-        tuple(angles),
-    )
+        unprep, scale = [Gate("h", a, ()) for a in ancillas], 2.0
+    return _block("paper", prep + select + unprep, (target,), ancillas, scale, k, angles)
 
 
 # Pauli coefficients of the single-qubit ket-bra |a><b|, whose flattened
@@ -484,17 +470,18 @@ def _reported_phase(coefficient: complex, spec: FrobeniusSpec) -> float:
     return abs(principal)
 
 
-# which tree angles carry the figure names: (name, fragment index, fragment
-# kind, prep_tree angle name); the row is absent when the fragment has
-# another kind
-_MERGE_ANGLES = (("theta1", 0, "two", "prep_l0_p0"), ("theta2", 1, "two", "prep_l0_p0"),
-                 ("theta3", 2, "four", "prep_l1_p0"), ("theta4", 2, "four", "prep_l1_p1"))
-_UNIT_ANGLES = (("theta1", 0, "four", "prep_l1_p0"), ("theta2", 0, "four", "prep_l1_p1"),
-                ("theta3", 1, "four", "prep_l1_p0"), ("theta4", 1, "four", "prep_l1_p1"))
+# which tree angles carry the figure names: (name, work qubit, the term
+# counts its factor block must have, prep_tree angle name); the row is
+# absent when that block has another term count
+_TWO, _FOUR = (2,), (3, 4)
+_MERGE_ANGLES = (("theta1", 0, _TWO, "prep_l0_p0"), ("theta2", 1, _TWO, "prep_l0_p0"),
+                 ("theta3", 2, _FOUR, "prep_l1_p0"), ("theta4", 2, _FOUR, "prep_l1_p1"))
+_UNIT_ANGLES = (("theta1", 0, _FOUR, "prep_l1_p0"), ("theta2", 0, _FOUR, "prep_l1_p1"),
+                ("theta3", 1, _FOUR, "prep_l1_p0"), ("theta4", 1, _FOUR, "prep_l1_p1"))
 _ANGLE_LAYOUT = {"mu": _MERGE_ANGLES, "delta": _MERGE_ANGLES,
                  "eta": _UNIT_ANGLES, "eps": _UNIT_ANGLES}
 
-# named phase-gate angles: (name, fragment index, Pauli letter)
+# named phase-gate angles: (name, work qubit, Pauli letter)
 _PHASE_LAYOUT = {
     "mu": (("theta5", 0, "I"),),
     "delta": (),
@@ -506,52 +493,42 @@ _PHASE_LAYOUT = {
 def compile_paper(op_name: str, spec: FrobeniusSpec) -> tuple[Circuit, CompileReport]:
     """Compile the factored template form of one generator.
 
-    The post-selected block of the returned circuit equals
-    paper_factored_form(op_name, spec) divided by the reported nominal
-    scale (a factor 2 per Hadamard-unprepared four-term fragment).
+    Work qubit q carries the `compile_factor` block of the form's factor q,
+    on ancillas of its own, so the circuit is their tensor product: its
+    post-selected block equals paper_factored_form(op_name, spec) divided
+    by the product of the blocks' nominal scales (a factor 2 per
+    Hadamard-unprepared three- or four-term block), and its term count is
+    their sum.
     """
     form = paper_factored_form(op_name, spec)
     n_work = form.n_qubits
-    fragments: list[FactorFragment] = []
-    brackets: list[dict[str, complex]] = []
-    next_ancilla = n_work
     gates: list[Gate] = []
     ancillas: list[int] = []
-    postselect: list[tuple[int, int]] = []
+    reports: list[CompileReport] = []
     nominal = 1.0
     term_count = 0
     for q in range(n_work):
         normalized, _scale = normalize_factor(form.factors[q])
-        brackets.append(dict(form.factors[q]))
-        fragment = compile_factor(normalized, q, next_ancilla)
-        fragments.append(fragment)
-        gates.extend(fragment.gates)
-        ancillas.extend(fragment.ancillas)
-        postselect.extend(fragment.postselect)
-        next_ancilla += len(fragment.ancillas)
-        nominal *= fragment.nominal_scale
-        term_count += len(normalized.letters)
-    circuit = Circuit(tuple(range(n_work)), tuple(ancillas), tuple(gates), tuple(postselect))
+        circuit, report = compile_factor(normalized, q, n_work + len(ancillas))
+        gates.extend(circuit.gates)
+        ancillas.extend(circuit.ancilla_qubits)
+        reports.append(report)
+        nominal *= report.nominal_scale.real
+        term_count += report.term_count
     angles: list[tuple[str, float]] = []
     # a small table can have fewer work qubits than the figure names
-    for name, frag_idx, kind, tree_angle in _ANGLE_LAYOUT[op_name]:
-        if frag_idx < n_work and fragments[frag_idx].kind == kind:
-            angles.append((name, fragments[frag_idx].angle(tree_angle)))
-    for name, frag_idx, letter in _PHASE_LAYOUT[op_name]:
-        coefficient = brackets[frag_idx].get(letter) if frag_idx < n_work else None
+    for name, q, term_counts, tree_angle in _ANGLE_LAYOUT[op_name]:
+        if q < n_work and reports[q].term_count in term_counts:
+            # a tree node that needed no gate has angle 0
+            angles.append((name, dict(reports[q].angles).get(tree_angle, 0.0)))
+    for name, q, letter in _PHASE_LAYOUT[op_name]:
+        coefficient = form.factors[q].get(letter) if q < n_work else None
         if coefficient is not None:
             angles.append((name, _reported_phase(coefficient, spec)))
-    for q, fragment in enumerate(fragments):
-        if fragment.kind == "four":
-            angles.append((f"w_top_q{q}", fragment.angle("prep_l0_p0")))
-    report = CompileReport(
-        mode="paper",
-        ancilla_count=len(ancillas),
-        term_count=term_count,
-        nominal_scale=complex(nominal),
-        angles=tuple(angles),
-    )
-    return circuit, report
+    for q, report in enumerate(reports):
+        if report.term_count in _FOUR:
+            angles.append((f"w_top_q{q}", dict(report.angles).get("prep_l0_p0", 0.0)))
+    return _block("paper", gates, range(n_work), ancillas, nominal, term_count, angles)
 
 
 def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, CompileReport]:
@@ -582,20 +559,7 @@ def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, Compil
     branches = [(k, letters, float(np.angle(c))) for k, (letters, c) in enumerate(terms.items())]
     prep, select, named = _prepare_select(weights, ancillas, branches, range(n_work))
     unprep = [gate.adjoint() for gate in reversed(prep)]
-    circuit = Circuit(
-        tuple(range(n_work)),
-        ancillas,
-        tuple(prep + select + unprep),
-        tuple((a, 0) for a in ancillas),
-    )
-    report = CompileReport(
-        mode="exact",
-        ancilla_count=m,
-        term_count=k_count,
-        nominal_scale=complex(s),
-        angles=tuple(named),
-    )
-    return circuit, report
+    return _block("exact", prep + select + unprep, range(n_work), ancillas, s, k_count, named)
 
 
 def emit_text(circuit: Circuit) -> str:

@@ -127,22 +127,18 @@ def pauli_reconstruct(terms: Mapping[str, complex], n_qubits: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class NormalizedFactor:
-    """A single-qubit operator sum(m_k * exp(i phase_k) * sigma_k) with the
-    magnitudes m_k >= 0 normalized by the rule recorded in `rule`:
-    'l1' (magnitudes sum to 1, used for factors of at most two terms) or
-    'l2' (squared magnitudes sum to 1, used for three- and four-term
-    factors)."""
+    """A single-qubit operator sum(m_k * exp(i phase_k) * sigma_k) with
+    magnitudes m_k >= 0.  `normalize_factor` makes the magnitudes of a
+    factor of at most two terms sum to 1 (L1), and the squared magnitudes
+    of a three- or four-term factor sum to 1 (L2)."""
 
     letters: str
     magnitudes: tuple[float, ...]
     phases: tuple[float, ...]
-    rule: str
 
     def __post_init__(self):
         if len(self.letters) != len(self.magnitudes) or len(self.letters) != len(self.phases):
             raise ValueError("letters, magnitudes and phases must align")
-        if self.rule not in ("l1", "l2"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
     def coefficients(self) -> dict[str, complex]:
         return {
@@ -173,16 +169,13 @@ def normalize_factor(factor: Mapping[str, complex]) -> tuple[NormalizedFactor, c
         raise ValueError("factor has no nonzero coefficient")
     mags = np.array([abs(c) for _, c in items])
     if len(items) <= 2:
-        rule = "l1"
         scale = float(mags.sum())
     else:
-        rule = "l2"
         scale = float(np.sqrt((mags**2).sum()))
     normalized = NormalizedFactor(
         letters="".join(letter for letter, _ in items),
         magnitudes=tuple(float(m / scale) for m in mags),
         phases=tuple(float(np.angle(c)) for _, c in items),
-        rule=rule,
     )
     return normalized, complex(scale)
 

@@ -5,7 +5,8 @@ the quadratic Casimir and dimension are computed from Dynkin labels (p, q)
 and kept as exact rationals / integers so that table comparisons stay
 exact; conversion to floating point happens only when operators are built.
 Tables for other groups are loaded from JSON documents and are validated
-structurally (distinct labels, dims >= 1) but not group-theoretically.
+structurally (distinct labels, integer dims >= 1, casimirs and dims with
+finite float forms) but not group-theoretically.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ _LABEL_RE = re.compile(r"^D\((\d+),\s*(\d+)\)$")
 
 @dataclass(frozen=True)
 class IrrepLabel:
-    """SU(3) Dynkin labels (p, q), both non-negative."""
+    """SU(3) Dynkin labels (p, q), both non-negative integers (not booleans)."""
 
     p: int
     q: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.p, self.q)):
             raise TypeError("Dynkin labels must be integers")
         if self.p < 0 or self.q < 0:
             raise ValueError(f"Dynkin labels must be non-negative, got ({self.p}, {self.q})")
@@ -61,17 +62,29 @@ Label = Union[IrrepLabel, str]
 
 @dataclass(frozen=True)
 class RepEntry:
-    """One irrep: an identifying label, its Casimir eigenvalue and dimension."""
+    """One irrep: an identifying label, its Casimir eigenvalue and dimension.
+
+    The dim is an integer >= 1 and the casimir an int, float or Fraction
+    (booleans are refused); both must convert to finite floats, as the
+    operator builders convert them.  Anything else raises ValueError.
+    """
 
     label: Label
     casimir: Scalar
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
-        if isinstance(self.casimir, float) and not math.isfinite(self.casimir):
-            raise ValueError("casimir must be finite")
+        if isinstance(self.casimir, bool) or not isinstance(self.casimir, (int, float, Fraction)):
+            raise ValueError(f"casimir must be an int, float or Fraction, got {self.casimir!r}")
+        for name, value in (("casimir", self.casimir), ("dim", self.dim)):
+            try:
+                finite = math.isfinite(float(value))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must convert to a finite float")
 
 
 @dataclass(frozen=True)
@@ -163,21 +176,17 @@ def su3_truncation(count: int) -> RepTable:
     return RepTable(tuple(entries), group_name="su3")
 
 
-def _parse_casimir(value) -> Scalar:
-    if isinstance(value, bool):
-        raise ValueError(f"bad casimir value {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("casimir must be finite")
-        return value
+def _parse_casimir(value):
+    """A document's casimir: an integer or a fraction string such as "16/3"
+    becomes a Fraction; any other value goes to RepEntry's checks as is."""
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad casimir value {value!r}") from exc
-    raise ValueError(f"bad casimir value {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    return value
 
 
 def _parse_label(value) -> Label:
@@ -216,8 +225,6 @@ def load_rep_table(source: "dict | str") -> RepTable:
             dim = item["dim"]
         except KeyError as exc:
             raise ValueError(f"entry missing field {exc}") from exc
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         entries.append(RepEntry(label, casimir, dim))
     return RepTable(tuple(entries), group_name=str(doc.get("group_name", "")))
 

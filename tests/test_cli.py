@@ -240,6 +240,21 @@ def test_custom_table_file(capsys, tmp_path):
     assert entries[(0b10, 0b10)] == pytest.approx(np.exp(-3.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("casimir", 10**400), ("casimir", "1e400"), ("dim", 10**400)],
+    ids=["casimir-int", "casimir-str", "dim-int"])
+def test_table_without_float_form_exits_2(capsys, tmp_path, field, value):
+    """A casimir or dim too large for a float is refused when the table is
+    loaded, with one line and exit 2, before any operator is built."""
+    entry = {"label": "big", "casimir": 1, "dim": 2, field: value}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": [{"label": "triv", "casimir": 0, "dim": 1}, entry]}))
+    for argv in (["build", "--op", "mu"], ["verify", "--op", "eta"]):
+        code, out, err = run_cli(capsys, argv + ["--table", str(path)])
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {field} must convert to a finite float\n"
+
+
 def test_usage_exit_codes(capsys, monkeypatch):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()

@@ -167,7 +167,7 @@ def test_circuit_validation():
             Circuit((0,), (1,), (), ((1, bad),))
     circuit = Circuit((0,), (1,), (g,), ((1, 0),))
     assert circuit.n_qubits == 2
-    assert circuit.qubit_order() == (0, 1)
+    assert circuit.work_qubits + circuit.ancilla_qubits == (0, 1)
 
 
 def test_circuit_dict_roundtrip(spec):
@@ -352,62 +352,100 @@ def test_prep_tree_rejects():
             prep_tree(mass, ancillas)
 
 
-# ------------------------------------------------------------- fragments
-
-
-def fragment_block(fragment, n_work=1):
-    circuit = Circuit(
-        tuple(range(n_work)), fragment.ancillas, fragment.gates, fragment.postselect
-    )
-    return effective_operator(circuit).matrix
+# ------------------------------------------------------- factor blocks
 
 
 def test_compile_factor_single():
     normalized, _ = normalize_factor({"Y": 2j})
-    fragment = compile_factor(normalized, 0, 1)
-    assert fragment.kind == "single"
-    assert fragment.ancillas == ()
-    assert fragment.nominal_scale == 1.0
-    got = fragment_block(fragment)
+    circuit, report = compile_factor(normalized, 0, 1)
+    assert circuit.work_qubits == (0,)
+    assert circuit.ancilla_qubits == ()
+    assert report == CompileReport("paper", 0, 1, 1.0, ())
+    got = effective_operator(circuit).matrix
     assert np.max(np.abs(got - normalized.matrix())) < 1e-12
 
 
 def test_compile_factor_two_term():
     normalized, _ = normalize_factor({"I": 0.5 + W / 3, "Z": -0.5})
-    fragment = compile_factor(normalized, 0, 1)
-    assert fragment.kind == "two"
-    assert fragment.ancillas == (1,)
-    assert fragment.postselect == ((1, 0),)
-    assert fragment.nominal_scale == 1.0
+    circuit, report = compile_factor(normalized, 0, 1)
+    assert circuit.ancilla_qubits == (1,)
+    assert circuit.postselect == ((1, 0),)
     ((name, theta),) = prep_tree(normalized.magnitudes, (1,))[1]
-    assert fragment.angles == ((name, theta),)
-    first, last = fragment.gates[0], fragment.gates[-1]
+    assert report == CompileReport("paper", 1, 2, 1.0, ((name, theta),))
+    first, last = circuit.gates[0], circuit.gates[-1]
     assert (first.kind, first.target, first.params) == ("ry", 1, (theta,))
     assert (last.kind, last.target, last.params) == ("ry", 1, (-theta,))
-    got = fragment_block(fragment)
+    got = effective_operator(circuit).matrix
     assert np.max(np.abs(got - normalized.matrix())) < 1e-12
     # mu's second bracket {1.5, -0.5}: weights 3:1 give pi/3
-    fragment = compile_factor(normalize_factor({"I": 1.5, "Z": -0.5})[0], 0, 1)
-    assert fragment.angle("prep_l0_p0") == pytest.approx(math.pi / 3, abs=1e-15)
+    _, report = compile_factor(normalize_factor({"I": 1.5, "Z": -0.5})[0], 0, 1)
+    assert dict(report.angles)["prep_l0_p0"] == pytest.approx(math.pi / 3, abs=1e-15)
 
 
 def test_compile_factor_four_term():
     normalized, _ = normalize_factor({"I": 0.5, "X": 1.0, "Y": 1j, "Z": 0.5})
-    fragment = compile_factor(normalized, 0, 3)
-    assert fragment.kind == "four"
-    assert fragment.ancillas == (3, 4)
-    assert fragment.postselect == ((3, 0), (4, 0))
-    assert fragment.nominal_scale == 2.0
-    got = fragment_block(fragment)
+    circuit, report = compile_factor(normalized, 2, 3)
+    assert circuit.work_qubits == (2,)
+    assert circuit.ancilla_qubits == (3, 4)
+    assert circuit.postselect == ((3, 0), (4, 0))
+    assert (report.mode, report.ancilla_count, report.term_count) == ("paper", 2, 4)
+    assert report.nominal_scale == 2.0
+    assert [name for name, _ in report.angles] == ["prep_l0_p0", "prep_l1_p0", "prep_l1_p1"]
+    got = effective_operator(circuit).matrix
     assert np.max(np.abs(got - normalized.matrix() / 2.0)) < 1e-12
 
 
 def test_compile_factor_three_term():
     normalized, _ = normalize_factor({"I": 1.0, "X": 0.5, "Z": 0.25})
-    fragment = compile_factor(normalized, 0, 1)
-    assert fragment.kind == "four"
-    got = fragment_block(fragment)
+    circuit, report = compile_factor(normalized, 0, 1)
+    assert (report.ancilla_count, report.term_count, report.nominal_scale) == (2, 3, 2.0)
+    got = effective_operator(circuit).matrix
     assert np.max(np.abs(got - normalized.matrix() / 2.0)) < 1e-12
+
+
+_COEFFICIENTS = st.builds(
+    lambda magnitude, phase: magnitude * cmath.exp(1j * phase),
+    st.floats(1e-30, 1e3), st.floats(-math.pi, math.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from("IXYZ"), _COEFFICIENTS, min_size=1, max_size=4))
+def test_compile_factor_block_matches_factor(factor):
+    """The block of any one-qubit Pauli sum is the normalized factor over
+    its nominal scale; the dense oracle sums the Pauli matrices directly."""
+    assume(any(abs(c) > 1e-14 for c in factor.values()))
+    normalized, _ = normalize_factor(factor)
+    circuit, report = compile_factor(normalized, 0, 1)
+    assert report.nominal_scale == (1.0 if len(normalized.letters) <= 2 else 2.0)
+    want = pauli_reconstruct(normalized.coefficients(), 1) / report.nominal_scale
+    got = effective_operator(circuit).matrix
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(count=st.integers(1, 5), beta=st.floats(0.0, 2.0),
+       convention=st.sampled_from(list(PhaseConvention)),
+       op_name=st.sampled_from(["mu", "delta", "eta", "eps"]))
+def test_compile_paper_concatenates_factor_blocks(count, beta, convention, op_name):
+    """The paper circuit is its per-qubit factor blocks side by side: their
+    gates and ancillas in qubit order, the scales multiplied and the term
+    counts added."""
+    spec = FrobeniusSpec.su3(count, beta=beta, convention=convention)
+    circuit, report = compile_paper(op_name, spec)
+    form = paper_factored_form(op_name, spec)
+    gates, ancillas, scale, terms = [], [], 1.0, 0
+    for q, factor in enumerate(form.factors):
+        block, block_report = compile_factor(normalize_factor(factor)[0], q,
+                                             form.n_qubits + len(ancillas))
+        gates += [gate.to_dict() for gate in block.gates]
+        ancillas += block.ancilla_qubits
+        scale *= block_report.nominal_scale.real
+        terms += block_report.term_count
+    assert [gate.to_dict() for gate in circuit.gates] == gates
+    assert circuit.ancilla_qubits == tuple(ancillas)
+    assert circuit.postselect == tuple((a, 0) for a in ancillas)
+    assert (report.nominal_scale, report.term_count) == (scale, terms)
 
 
 # ---------------------------------------------------- template factored form
@@ -493,7 +531,7 @@ def test_compile_paper_effective_block(spec):
 
 def test_compile_paper_single_irrep():
     """su3(1) has two work qubits for mu/delta and one for eta/eps, fewer
-    than the fragments the figure's angle names point at."""
+    than the factor blocks the figure's angle names point at."""
     for convention in PhaseConvention:
         spec = FrobeniusSpec.su3(1, beta=1.0, convention=convention)
         for op_name in ("mu", "delta", "eta", "eps"):
@@ -566,15 +604,11 @@ def test_compile_exact_single_pauli():
 ])
 def test_compile_exact_matches_compile_factor(matrix, factor):
     """A one-qubit operator of one term, or of two terms of L1 weight 1,
-    compiles gate for gate as the paper-mode factor of its coefficients:
-    both emit through one prepare/select helper."""
+    compiles to the same circuit as the paper-mode factor of its
+    coefficients: both emit through one prepare/select helper."""
     circuit, _ = compile_exact(matrix)
-    fragment = compile_factor(normalize_factor(factor)[0], 0, 1)
-    assert [(g.kind, g.target, g.params, g.controls) for g in circuit.gates] == [
-        (g.kind, g.target, g.params, g.controls) for g in fragment.gates
-    ]
-    assert circuit.ancilla_qubits == fragment.ancillas
-    assert circuit.postselect == fragment.postselect
+    block, _ = compile_factor(normalize_factor(factor)[0], 0, 1)
+    assert circuit.to_dict() == block.to_dict()
 
 
 def test_compile_exact_two_terms():

@@ -166,7 +166,6 @@ def test_reconstruct_width_mismatch():
 
 def test_normalize_single_term():
     normalized, scale = normalize_factor({"Y": -2.0})
-    assert normalized.rule == "l1"
     assert normalized.letters == "Y"
     assert normalized.magnitudes == (1.0,)
     assert scale == pytest.approx(2.0)
@@ -175,7 +174,7 @@ def test_normalize_single_term():
 
 def test_normalize_two_term_l1():
     normalized, scale = normalize_factor({"I": 3.0, "Z": -1.0})
-    assert normalized.rule == "l1"
+    assert sum(normalized.magnitudes) == pytest.approx(1.0, abs=1e-15)
     assert scale == pytest.approx(4.0)
     assert normalized.magnitudes == pytest.approx((0.75, 0.25))
     # defining property: scale * normalized == input
@@ -186,7 +185,6 @@ def test_normalize_two_term_l1():
 def test_normalize_four_term_l2():
     factor = {"I": 0.5, "X": 1.0, "Y": 1j, "Z": 0.5}
     normalized, scale = normalize_factor(factor)
-    assert normalized.rule == "l2"
     assert scale == pytest.approx(math.sqrt(2.5))
     assert sum(m * m for m in normalized.magnitudes) == pytest.approx(1.0)
     want = sum(c * PAULI_1Q[k] for k, c in factor.items())
@@ -198,7 +196,7 @@ def test_normalize_template_bracket():
     w = cmath.exp(-16j / 3)
     c_ident = 0.5 + w / 3
     normalized, scale = normalize_factor({"I": c_ident, "Z": -0.5})
-    assert normalized.rule == "l1"
+    assert sum(normalized.magnitudes) == pytest.approx(1.0, abs=1e-15)
     assert scale == pytest.approx(abs(c_ident) + 0.5, abs=1e-15)
     assert scale == pytest.approx(1.2450138305634564, abs=1e-12)
     assert normalized.magnitudes[0] == pytest.approx(abs(c_ident) / scale.real, abs=1e-12)

@@ -46,8 +46,9 @@ def test_dim_printed_values():
 def test_label_validation():
     with pytest.raises(ValueError):
         IrrepLabel(-1, 0)
-    with pytest.raises(TypeError):
-        IrrepLabel(1.0, 0)
+    for bad in ((1.0, 0), (True, 0), (0, False)):
+        with pytest.raises(TypeError):
+            IrrepLabel(*bad)
 
 
 def test_label_parse_roundtrip():
@@ -107,6 +108,12 @@ def test_rep_entry_validation():
         RepEntry("R", 1.0, 0)
     with pytest.raises(ValueError):
         RepEntry("R", float("inf"), 2)
+    # booleans, non-numbers, and values with no finite float form
+    for casimir, dim in ((1, True), (True, 2), ("abc", 2), (None, 2), (10**400, 2),
+                         (Fraction(10**400, 3), 2), (1, 10**400)):
+        with pytest.raises(ValueError):
+            RepEntry("x", casimir, dim)
+    assert RepEntry("x", 2, 1).casimir == 2
 
 
 def test_rep_table_rejects_duplicates():
@@ -154,6 +161,11 @@ def test_load_accepts_floats_and_plain_labels():
         {"entries": [{"label": "a", "casimir": 0}]},
         {"entries": [{"label": "a", "casimir": 0, "dim": 0}]},
         {"entries": [{"label": "a", "casimir": 0, "dim": True}]},
+        {"entries": [{"label": "a", "casimir": True, "dim": 1}]},
+        {"entries": [{"label": "a", "casimir": [1], "dim": 1}]},
+        {"entries": [{"label": "a", "casimir": "1e400", "dim": 1}]},
+        {"entries": [{"label": "a", "casimir": 10**400, "dim": 1}]},
+        {"entries": [{"label": "a", "casimir": 0, "dim": 10**400}]},
         {"entries": [{"label": "a", "casimir": "x/y", "dim": 1}]},
         {"entries": [{"label": "", "casimir": 0, "dim": 1}]},
         {"entries": [{"label": "a", "casimir": 0, "dim": 1}, {"label": "a", "casimir": 1, "dim": 2}]},

@@ -289,7 +289,7 @@ def oracle_matrix2(kind, params):
 def oracle_unitary(circuit):
     """Dense unitary over the register (work then ancillas, big-endian):
     each gate is I + kron(|s><s| on controls, U - I on the target, I)."""
-    order = circuit.qubit_order()
+    order = circuit.work_qubits + circuit.ancilla_qubits
     dim = 2 ** len(order)
     total = np.eye(dim, dtype=complex)
     for gate in circuit.gates:
