@@ -23,6 +23,14 @@ from the masses L and R of its two halves, so no ratio is clamped and
 small angles keep their relative precision.  The figure angles
 theta1-theta4 and w_top of paper mode are named angles of these trees.
 
+Every control list of an LCU is a pattern of its ancilla register: a
+prefix of the register matched to the bits of a tree node or a leaf.
+`_pattern_table` checks the register once and builds each pattern from
+its parent by appending one of two shared (ancilla, bit) pairs, so a
+compile checks no pattern pair by pair, every pattern of one length
+shares one qubit set, and all the gates under one pattern share one
+controls object.
+
 Gates act on single targets with arbitrary (qubit, state) control lists;
 no decomposition into a restricted native set is attempted.
 """
@@ -106,22 +114,30 @@ class _Controls(tuple):
 
     Built once per distinct list and shared by every gate that uses it, so
     a long run of gates under one ancilla pattern checks the pattern once.
-    It compares and hashes as the plain tuple of its pairs.
+    The compilers check each LCU's ancilla register once and take every
+    pattern from its `_pattern_table`, whose entries are valid by
+    construction.  Qubits and states refuse booleans, as document fields
+    do.  It compares and hashes as the plain tuple of its pairs.
     """
 
     def __new__(cls, pairs=()):
-        index = operator.index
         checked, qubits = [], set()
         for q, s in pairs:
-            q, s = index(q), index(s)
+            q, s = _index(q), _index(s)
             if s not in (0, 1):
                 raise ValueError("control states must be 0 or 1")
             if q in qubits:
                 raise ValueError("control qubits must be distinct from each other and the target")
             qubits.add(q)
             checked.append((q, s))
-        self = super().__new__(cls, checked)
-        self.qubits = frozenset(qubits)
+        return cls._trusted(checked, frozenset(qubits))
+
+    @classmethod
+    def _trusted(cls, pairs, qubits: frozenset) -> "_Controls":
+        """Controls of pairs already known to be valid, whose qubits are
+        exactly `qubits`; nothing is checked."""
+        self = super().__new__(cls, pairs)
+        self.qubits = qubits
         return self
 
 
@@ -140,7 +156,8 @@ class Gate:
     `phase` kind multiplies the matched branch by exp(i * param) regardless
     of the target's state (a plain global phase when uncontrolled).  Qubit
     ids and control states must be integers (Python or numpy); a float such
-    as 1.9 raises TypeError rather than being truncated.  Controls are
+    as 1.9 raises TypeError rather than being truncated, and so does a
+    boolean control qubit or state.  Controls are
     checked once per distinct value: a list a gate receives is checked and
     stored as a shared `_Controls`, which `adjoint` and the compilers pass
     on to further gates unchecked; each gate still checks its target is not
@@ -317,11 +334,60 @@ def _block(mode: str, gates: Sequence[Gate], work: Sequence[int], ancillas: Sequ
     return circuit, CompileReport(mode, len(ancillas), term_count, complex(scale), tuple(angles))
 
 
-def _pattern_controls(ancillas: Sequence[int], pattern: int) -> _Controls:
-    """Controls that match `ancillas` to the bits of `pattern`, the first
-    ancilla holding the most significant bit."""
-    top = len(ancillas) - 1
-    return _Controls((a, (pattern >> (top - j)) & 1) for j, a in enumerate(ancillas))
+def _pattern_table(ancillas: Sequence[int], leaves: int) -> list[list[_Controls]]:
+    """The controls of every ancilla pattern an LCU on `ancillas` with
+    `leaves` leaves uses, row by row.
+
+    Entry p of row l matches ancillas[:l] to the bits of p, the first
+    ancilla most significant; row l lists the prefixes of the first
+    `leaves` leaves, ceil(leaves / 2**(m - l)) of them for m ancillas.
+    The register is checked once, as one `_Controls`; entry p of row l is
+    entry p >> 1 of row l - 1 plus one of two shared (ancilla, bit) pairs,
+    and every entry of a row shares one `qubits` set.  Row 0 is the
+    empty `_NO_CONTROLS`.
+    """
+    register = _Controls((a, 0) for a in ancillas)
+    m = len(register)
+    if leaves > 2**m:
+        raise ValueError(f"{leaves} masses do not fit {m} ancilla(s)")
+    table = [[_NO_CONTROLS]]
+    for level, (ancilla, _) in enumerate(register):
+        qubits = frozenset(q for q, _ in register[: level + 1])
+        bits = ((ancilla, 0), (ancilla, 1))
+        above = table[-1]
+        width = -(-leaves // 2 ** (m - 1 - level))  # the row's ceil division
+        table.append([_Controls._trusted(above[p >> 1] + (bits[p & 1],), qubits)
+                      for p in range(width)])
+    return table
+
+
+def _tree_gates(mass: Sequence[float], ancillas: Sequence[int],
+                table: list[list[_Controls]]) -> tuple[list[Gate], list[tuple[str, float]]]:
+    """`prep_tree` with the node controls of level l taken from row l of
+    `table`, the `_pattern_table` of `ancillas` for len(mass) leaves."""
+    m = len(ancillas)
+    leaves = [float(v) for v in mass]
+    if not all(v >= 0.0 for v in leaves):
+        raise ValueError("masses must be non-negative")
+    sums = [leaves + [0.0] * (2**m - len(leaves))]
+    while len(sums[-1]) > 1:
+        below = sums[-1]
+        sums.append([below[i] + below[i + 1] for i in range(0, len(below), 2)])
+    if not 0.0 < sums[-1][0] < math.inf:
+        raise ValueError("masses must have a positive finite sum")
+    gates: list[Gate] = []
+    named: list[tuple[str, float]] = []
+    for level in range(m):
+        halves = sums[m - 1 - level]
+        # the prefixes past the row hold no mass, so they get no gate
+        for prefix, controls in enumerate(table[level]):
+            left, right = halves[2 * prefix], halves[2 * prefix + 1]
+            if right == 0.0:
+                continue
+            theta = 2.0 * math.atan2(math.sqrt(right), math.sqrt(left))
+            gates.append(Gate("ry", ancillas[level], (theta,), controls))
+            named.append((f"prep_l{level}_p{prefix}", theta))
+    return gates, named
 
 
 def prep_tree(
@@ -336,45 +402,26 @@ def prep_tree(
     controlled on the prefix bits.  A node with R = 0 gets no gate.  Returns
     the gates and their angles named `prep_l<l>_p<p>`.
     """
-    m = len(ancillas)
-    leaves = [float(v) for v in mass]
-    if len(leaves) > 2**m:
-        raise ValueError(f"{len(leaves)} masses do not fit {m} ancilla(s)")
-    if not all(v >= 0.0 for v in leaves):
-        raise ValueError("masses must be non-negative")
-    sums = [leaves + [0.0] * (2**m - len(leaves))]
-    while len(sums[-1]) > 1:
-        below = sums[-1]
-        sums.append([below[i] + below[i + 1] for i in range(0, len(below), 2)])
-    if not 0.0 < sums[-1][0] < math.inf:
-        raise ValueError("masses must have a positive finite sum")
-    gates: list[Gate] = []
-    named: list[tuple[str, float]] = []
-    for level in range(m):
-        halves = sums[m - 1 - level]
-        for prefix in range(2**level):
-            left, right = halves[2 * prefix], halves[2 * prefix + 1]
-            if right == 0.0:
-                continue
-            theta = 2.0 * math.atan2(math.sqrt(right), math.sqrt(left))
-            controls = _pattern_controls(ancillas[:level], prefix)
-            gates.append(Gate("ry", ancillas[level], (theta,), controls))
-            named.append((f"prep_l{level}_p{prefix}", theta))
-    return gates, named
+    return _tree_gates(mass, ancillas, _pattern_table(ancillas, len(mass)))
 
 
 def _prepare_select(mass: Sequence[float], ancillas: Sequence[int], branches,
                     targets: Sequence[int]) -> tuple[list[Gate], list[Gate], list]:
     """The prepare and select stages of an LCU on `ancillas`: the gates of
     `prep_tree(mass, ancillas)`, the select gates and the tree's named
-    angles.  Under its ancilla `pattern`, each branch (pattern, letters,
-    phase) puts a nonzero phase on `targets[0]`, then each non-identity
-    letter on its target.  The caller appends the unprepare stage.
+    angles.  Under its ancilla `pattern`, a leaf index below len(mass),
+    each branch (pattern, letters, phase) puts a nonzero phase on
+    `targets[0]`, then each non-identity letter on its target.  Both
+    stages take their controls from one `_pattern_table`, so all the gates
+    of one branch share one controls object.  The caller appends the
+    unprepare stage.
     """
-    prep, named = prep_tree(mass, ancillas)
+    table = _pattern_table(ancillas, len(mass))
+    prep, named = _tree_gates(mass, ancillas, table)
+    patterns = table[-1]
     select: list[Gate] = []
     for pattern, letters, phase in branches:
-        controls = _pattern_controls(ancillas, pattern)
+        controls = patterns[pattern]
         if phase != 0.0:
             select.append(Gate("phase", targets[0], (phase,), controls))
         for target, letter in zip(targets, letters):

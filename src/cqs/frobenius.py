@@ -67,10 +67,24 @@ class PhaseConvention(Enum):
 
 
 def boltzmann_weight(casimir, beta: float, convention: PhaseConvention) -> complex:
+    """The area weight of an irrep of casimir C2: exp(-beta * C2) under the
+    euclidean convention, exp(-i * beta * C2) under the paper one.  A weight
+    whose exponent leaves the float range raises ValueError naming beta and
+    C2; it is never returned as inf."""
     c2 = float(casimir)
-    if convention is PhaseConvention.EUCLIDEAN:
-        return complex(math.exp(-beta * c2))
-    return cmath.exp(-1j * beta * c2)
+    try:
+        if convention is PhaseConvention.EUCLIDEAN:
+            weight = complex(math.exp(-beta * c2))
+        else:
+            weight = cmath.exp(-1j * beta * c2)
+        if cmath.isfinite(weight):
+            return weight
+    except (OverflowError, ValueError):  # exp of a too large or an infinite exponent
+        pass
+    raise ValueError(
+        f"the {convention.value} area weight at beta {beta!r} and casimir "
+        f"{c2!r} leaves the float range"
+    )
 
 
 @dataclass(frozen=True)
@@ -264,11 +278,17 @@ def generator_terms(tag: str, spec: FrobeniusSpec, beta: Optional[float] = None,
     enc = spec.encoding
     for entry in spec.table:
         irrep = enc.bits(entry.label)
-        w = boltzmann_weight(entry.casimir, beta, spec.convention)
+        try:
+            weight = rule.weight(boltzmann_weight(entry.casimir, beta, spec.convention), entry.dim)
+        except ValueError as exc:
+            raise ValueError(f"irrep {entry.label}: {exc}") from None
+        if not cmath.isfinite(weight):
+            raise ValueError(f"irrep {entry.label}: the {tag} coefficient at beta {beta!r} "
+                             "leaves the float range")
         yield (
             out.replace("v", enc.vacuum).replace("e", irrep),
             inp.replace("v", enc.vacuum).replace("e", irrep),
-            rule.weight(w, entry.dim),
+            weight,
         )
 
 

@@ -8,18 +8,23 @@ success probability.  Probabilities are reported raw, never clipped: one
 above 1 + 1e-12, or NaN, raises ValueError.
 
 Gate application follows the strided-view layout of Haener & Steiger
-(arXiv:1704.01127).  A C-contiguous (2**n, cols) amplitude block is reshaped
-so that every control and the target get a length-2 axis of their own, each
-run of untouched qubits between them is merged into one axis, and the
-trailing run also absorbs the column axis.  Fixing each control axis at its
-required state and the target axis at 0 and 1 gives two basic-indexing
-views, `lo` and `hi`, of exactly the matched rows; no index arrays, masks or
-gathered copies are made.  Each gate kind has its own kernel on the two
-views: x swaps them, z negates `hi`, y swaps them and multiplies by -i / +i,
-phase scales both, ry is a real rotation on float64 views of the halves,
-and rz and h take the generic update with `Gate.matrix2()`.  Halves larger
-than _CHUNK amplitudes are updated slice by slice so that each slice and its
-temporaries stay in cache.
+(arXiv:1704.01127).  Gates are applied in runs: a run is a maximal stretch of
+consecutive gates that share one controls object and that no ancilla
+retirement (below) splits, such as the select gates of one LCU term,
+which the compilers give one shared control list.  Each run reshapes the
+C-contiguous (2**n, cols) amplitude block once, so that every control of
+the run, every retired ancilla and every distinct target of the run get
+a length-2 axis of their own, each stretch of untouched qubits between
+them is merged into one axis, and the trailing stretch also absorbs the
+column axis.  Fixing each control axis at its required state gives one
+basic-indexing view of exactly the matched rows; a gate of the run then
+fixes its own target axis at 0 and 1 to get two views, `lo` and `hi`.
+No index arrays, masks or gathered copies are made.  Each gate kind has
+its own kernel on the two views: x swaps them, z negates `hi`, y swaps
+them and multiplies by -i / +i, phase scales both, ry is a real rotation
+on float64 views of the halves, and rz and h take the generic update with
+`Gate.matrix2()`.  Halves larger than _CHUNK amplitudes are updated slice
+by slice so that each slice and its temporaries stay in cache.
 
 The block puts the ancillas on its leading (most significant) axes and the
 work register after them.  A select gate controlled on every ancilla then
@@ -48,8 +53,13 @@ operations on the same values as simulating the prefix in that column.
 Retirement leaves only dead rows stale: no gate touches a retired ancilla
 again, so a row holding its other bit never feeds a row holding the kept
 bit, and every row that does reach the kept slab gets the same operations
-on the same values.  So neither the layout, the prefix nor retirement
-changes a bit of the nonzero results.
+on the same values.  A run's shared view changes no operation either: a
+gate's `lo` and `hi` in it hold exactly the amplitude pairs its own
+one-gate view would hold, matched by the same controls and retired
+ancillas, with the other targets of the run as extra axes that the
+elementwise kernels treat like any other, and the gates still run one
+after another in circuit order.  So neither the layout, the runs, the
+prefix nor retirement changes a bit of the nonzero results.
 
 cup and cap realize the unnormalized pair creation sum_k |kk> and pair
 annihilation sum_k <kk| of the underlying dagger structure.  Both take an
@@ -89,29 +99,38 @@ PROBABILITY_SLACK = 1e-12
 _CHUNK = 1 << 12
 
 
-def _halves(block: np.ndarray, n: int, target: int, controls: list) -> tuple:
-    """Views (lo, hi) of the rows of a C-contiguous (2**n, cols) block where
-    the target holds 0 / 1 and every (position, state) control matches."""
+# the index pairs that select the 0 and 1 halves of axis k of a view
+_AXIS_HALVES = [((slice(None),) * k + (0,), (slice(None),) * k + (1,))
+                for k in range(2 * MAX_QUBITS + 2)]
+
+
+def _run_view(block: np.ndarray, n: int, targets: set, fixed: list) -> tuple:
+    """A view of the rows of a C-contiguous (2**n, cols) block where every
+    (position, state) of `fixed` matches, with a length-2 axis of its own
+    for each target position, and a map from each target to the index
+    pair that selects its (lo, hi) halves in that view."""
+    entries = fixed + [(t, -1) for t in targets]
+    entries.sort()
     shape = []
     index = []
-    target_axis = 0
+    halves = {}
+    free = 0  # the axes of the view so far
     last = -1
-    for pos, state in sorted([*controls, (target, -1)]):
+    for pos, state in entries:
         if pos - last > 1:
             shape.append(1 << (pos - last - 1))
             index.append(slice(None))
+            free += 1
         if state < 0:
-            target_axis = len(index)
+            halves[pos] = _AXIS_HALVES[free]
+            free += 1
+            state = slice(None)
         shape.append(2)
         index.append(state)
         last = pos
     shape.append(block.shape[1] << (n - 1 - last))
     index.append(slice(None))
-    view = block.reshape(shape)
-    index[target_axis] = 0
-    lo = view[tuple(index)]
-    index[target_axis] = 1
-    return lo, view[tuple(index)]
+    return block.reshape(shape)[tuple(index)], halves
 
 
 # Complex products are formed as `u * a` into a fresh array, the form of the
@@ -180,21 +199,33 @@ def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
     """Apply gates in order to a C-contiguous (2**n, cols) block in place;
     `position` maps qubit ids to register positions 0..n-1.  `retire` maps
     a gate index to (position, state) controls that gate and every later
-    gate also get."""
+    gate also get.  Each run of consecutive gates that share one controls
+    object, and that no `retire` index splits, shares one view of the
+    block (see _run_view)."""
     n = len(position)
     retire = retire or {}
     fixed = []
-    for index, gate in enumerate(gates):
-        fixed += retire.get(index, ())
-        controls = [(position[q], state) for q, state in gate.controls]
-        lo, hi = _halves(block, n, position[gate.target], controls + fixed)
-        kernel = _KERNELS[gate.kind]
-        if lo.size <= _CHUNK:
-            kernel(lo, hi, gate)
-            continue
-        step = max(1, _CHUNK * lo.shape[0] // lo.size)
-        for start in range(0, lo.shape[0], step):
-            kernel(lo[start : start + step], hi[start : start + step], gate)
+    start = 0
+    while start < len(gates):
+        fixed += retire.get(start, ())
+        controls = gates[start].controls
+        stop = start + 1
+        while stop < len(gates) and gates[stop].controls is controls and stop not in retire:
+            stop += 1
+        run = gates[start:stop]
+        pinned = [(position[q], state) for q, state in controls] + fixed
+        view, halves = _run_view(block, n, {position[g.target] for g in run}, pinned)
+        for gate in run:
+            lo_index, hi_index = halves[position[gate.target]]
+            lo, hi = view[lo_index], view[hi_index]
+            kernel = _KERNELS[gate.kind]
+            if lo.size <= _CHUNK:
+                kernel(lo, hi, gate)
+                continue
+            step = max(1, _CHUNK * lo.shape[0] // lo.size)
+            for first in range(0, lo.shape[0], step):
+                kernel(lo[first : first + step], hi[first : first + step], gate)
+        start = stop
 
 
 def _check_sizes(circuit: Circuit, columns: int) -> tuple[int, int]:

@@ -255,6 +255,43 @@ def test_table_without_float_form_exits_2(capsys, tmp_path, field, value):
         assert err == f"error: {field} must convert to a finite float\n"
 
 
+@pytest.mark.parametrize("casimir, beta, convention, message", [
+    (-1e308, "1", "euclidean",
+     "error: irrep big: the euclidean area weight at beta 1.0 and casimir -1e+308 "
+     "leaves the float range\n"),
+    (-1e308, "10", "euclidean",
+     "error: irrep big: the euclidean area weight at beta 10.0 and casimir -1e+308 "
+     "leaves the float range\n"),
+    (1e308, "10", "paper",
+     "error: irrep big: the paper_literal area weight at beta 10.0 and casimir 1e+308 "
+     "leaves the float range\n"),
+], ids=["euclidean-overflow", "euclidean-inf", "paper-inf"])
+def test_weight_out_of_float_range_exits_2(capsys, tmp_path, casimir, beta, convention, message):
+    """An area weight whose exponent leaves the float range is refused with
+    one line naming the irrep and beta: no traceback, no Infinity on
+    stdout."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": [{"label": "triv", "casimir": 0, "dim": 1},
+                                            {"label": "big", "casimir": casimir, "dim": 2}]}))
+    code, out, err = run_cli(capsys, ["build", "--op", "cylinder", "--table", str(path),
+                                      "--beta", beta, "--convention", convention])
+    assert (code, out, err) == (2, "", message)
+
+
+def test_coefficient_out_of_float_range_exits_2(capsys, tmp_path):
+    """A finite area weight that the generator's dim factor takes past the
+    float range is refused too."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": [{"label": "triv", "casimir": 0, "dim": 1},
+                                            {"label": "big", "casimir": -709, "dim": 10**6}]}))
+    argv = ["build", "--table", str(path), "--convention", "euclidean"]
+    code, out, err = run_cli(capsys, argv + ["--op", "eta"])
+    assert (code, out) == (2, "")
+    assert err == "error: irrep big: the eta coefficient at beta 1.0 leaves the float range\n"
+    code, out, _ = run_cli(capsys, argv + ["--op", "cylinder"])  # the weight alone fits
+    assert code == 0 and "Infinity" not in out
+
+
 def test_usage_exit_codes(capsys, monkeypatch):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()

@@ -26,7 +26,7 @@ from cqs.duality_compiler import (
     paper_factored_form,
     prep_tree,
 )
-from cqs.duality_compiler import _pattern_controls
+from cqs.duality_compiler import _NO_CONTROLS, _Controls, _pattern_table
 from cqs.frobenius import FrobeniusSpec, PhaseConvention, build_eta, build_mu
 from cqs.pauli import PAULI_1Q, normalize_factor, pauli_reconstruct
 from cqs.statevector import effective_operator
@@ -115,7 +115,7 @@ def test_gate_dict_roundtrip():
 
 
 def test_checked_controls_are_shared():
-    shared = _pattern_controls((1, 2), 2)  # ancilla 1 on 1, ancilla 2 on 0
+    shared = _pattern_table((1, 2), 4)[2][2]  # ancilla 1 on 1, ancilla 2 on 0
     gate = Gate("ry", 0, (0.5,), shared)
     assert gate.controls is shared
     assert Gate("x", 3, (), shared).controls is shared
@@ -126,7 +126,7 @@ def test_checked_controls_are_shared():
         Gate("x", 2, (), shared)  # a reused value still checks the target
     with pytest.raises(ValueError, match="undeclared qubit 5"):
         Circuit((0, 1), (), (Gate("x", 0, (), ((1, 1), (5, 1), (6, 0))),), ())
-    late = _pattern_controls((5, 6), 1)
+    late = _pattern_table((5, 6), 4)[2][1]
     with pytest.raises(ValueError, match="undeclared qubit 5"):
         Circuit((0, 1, 6), (), (Gate("x", 0, (), late), Gate("z", 1, (), late)), ())
     with pytest.raises(ValueError, match="undeclared qubit 3"):
@@ -136,7 +136,45 @@ def test_checked_controls_are_shared():
     assert plain.to_dict() == {
         "kind": "x", "params": [], "target": 1, "controls": [{"q": 0, "state": 1}]
     }
-    assert Gate("x", 1, (), _pattern_controls((0,), 1)).to_dict() == plain.to_dict()
+    assert Gate("x", 1, (), _pattern_table((0,), 2)[1][1]).to_dict() == plain.to_dict()
+
+
+_INTEGER_TYPES = st.sampled_from([int, np.int64, np.int32, np.int16])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pattern_table_entries_are_checked_controls(data):
+    """Each entry of a register's pattern table equals the checked
+    `_Controls` of its (ancilla, bit) pairs, first ancilla most
+    significant, with plain int qubits and states; each row shares one
+    `qubits` set and lists the prefixes of the first `leaves` leaves."""
+    ids = data.draw(st.lists(st.integers(0, 30000), max_size=6, unique=True))
+    kinds = data.draw(st.lists(_INTEGER_TYPES, min_size=len(ids), max_size=len(ids)))
+    m = len(ids)
+    leaves = data.draw(st.integers(0, 2**m))
+    table = _pattern_table(tuple(kind(q) for kind, q in zip(kinds, ids)), leaves)
+    assert len(table) == m + 1
+    assert table[0] == [_NO_CONTROLS] and table[0][0] is _NO_CONTROLS
+    for level, row in enumerate(table[1:], start=1):
+        assert len(row) == -(-leaves // 2 ** (m - level))
+        assert len({id(entry.qubits) for entry in row}) <= 1
+        for pattern, entry in enumerate(row):
+            pairs = [(ids[j], (pattern >> (level - 1 - j)) & 1) for j in range(level)]
+            checked = _Controls(pairs)
+            assert type(entry) is _Controls
+            assert entry == checked and hash(entry) == hash(checked)
+            assert entry.qubits == checked.qubits == set(ids[:level])
+            assert all(type(q) is int and type(s) is int for q, s in entry)
+    for bad, error in (((3, 3), ValueError), ((1, 4, np.int64(1)), ValueError),
+                       ((1, True), TypeError), ((False,), TypeError),
+                       ((1, 2.0), TypeError), ((np.float64(1),), TypeError)):
+        with pytest.raises(error):
+            _pattern_table(bad, 2)
+        with pytest.raises(error):
+            prep_tree((1.0, 1.0), bad)
+        with pytest.raises(error):
+            _Controls((q, 0) for q in bad)
 
 
 # -------------------------------------------------------------- circuits
@@ -675,6 +713,22 @@ def test_compile_exact_shares_controls():
     assert len({id(gate.controls) for gate in back.gates}) == len(
         {gate.controls for gate in back.gates}) <= distinct
     assert [gate.controls for gate in back.gates] == [gate.controls for gate in circuit.gates]
+
+
+def test_compile_exact_takes_patterns_from_one_table():
+    """Every control list of the su3(7) mu circuit comes from one pattern
+    table: one shared qubit set per row, at most ancillas + 1 of them, and
+    one controls object per distinct list, so the select gates of one term
+    share theirs."""
+    circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(7)))
+    n_anc = len(circuit.ancilla_qubits)
+    assert len({id(gate.controls.qubits) for gate in circuit.gates}) <= n_anc + 1
+    shared: dict = {}
+    for gate in circuit.gates:
+        assert shared.setdefault(gate.controls, gate.controls) is gate.controls
+    select = [gate for gate in circuit.gates if len(gate.controls) == n_anc
+              and gate.target in circuit.work_qubits]
+    assert len({id(gate.controls) for gate in select}) == len({gate.controls for gate in select})
 
 
 @pytest.mark.parametrize("count,gates,ancillas", [(3, 266, 6), (7, 3054, 9), (15, 30910, 12)])

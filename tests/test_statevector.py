@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cqs import statevector
 from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper
+from cqs.duality_compiler import _Controls
 from cqs.frobenius import FrobeniusSpec, build_eta, build_mu
 from cqs.statevector import (
     MAX_QUBITS,
@@ -514,6 +515,69 @@ def test_retired_ancillas_are_exact(circuit):
         assert np.array_equal(effective.matrix[:, j], reference)
         assert probability == effective.success_probabilities[bits]
         assert probability == float(np.sum(np.abs(reference) ** 2))
+
+
+def draw_run(draw, qubits, control_pool, first_targets=()):
+    """A run of gates that share one `_Controls` object: controls on a drawn
+    subset of `control_pool`, then a gate on each of `first_targets` and
+    0-3 more on drawn targets outside the controls, repeats allowed."""
+    chosen = draw(st.lists(st.sampled_from(control_pool), unique=True)) if control_pool else []
+    controls = _Controls((q, draw(st.integers(0, 1))) for q in chosen)
+    free = [q for q in qubits if q not in controls.qubits]
+    targets = list(first_targets)
+    targets += draw(st.lists(st.sampled_from(free), min_size=0 if targets else 1, max_size=3))
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    gates = []
+    for target in targets:
+        kind = draw(st.sampled_from(sorted(_KIND_ARITY)))
+        params = tuple(draw(angles) for _ in range(_KIND_ARITY[kind]))
+        gates.append(Gate(kind, target, params, controls))
+    return gates
+
+
+@st.composite
+def shared_control_circuits(draw):
+    """Circuits cut into runs of gates that share one controls object.  The
+    last run targets a work qubit, one ancilla, then the work qubit again,
+    and no later gate touches that ancilla, so its retirement falls inside
+    the run, after the ancilla-only prefix."""
+    n_work = draw(st.integers(1, 3))
+    n_anc = draw(st.integers(1, 6 - n_work))
+    ids = draw(st.permutations(range(2, 2 + n_work + n_anc)))
+    work, anc = tuple(ids[:n_work]), tuple(ids[n_work:])
+    everyone = work + anc
+    gates = []
+    for _ in range(draw(st.integers(0, 4))):
+        gates += draw_run(draw, everyone, everyone[:-1] if len(everyone) > 1 else ())
+    last, free_work = anc[0], work[0]
+    pool = [q for q in everyone if q not in (last, free_work)]
+    gates += draw_run(draw, [q for q in everyone if q != last], pool,
+                      (free_work, last, free_work))
+    postselect = tuple((q, draw(st.integers(0, 1))) for q in anc)
+    return Circuit(work, anc, tuple(gates), postselect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_control_circuits())
+def test_runs_change_no_bit(circuit):
+    """Sharing one view among the gates of a run changes no bit: the block
+    equals, byte for byte, that of the circuit whose every gate holds a
+    fresh copy of its controls, so that each run is one gate long, and it
+    matches the dense-kron oracle."""
+    prefix = statevector._ancilla_prefix_length(circuit)
+    body = circuit.gates[prefix:]
+    retire = statevector._retirements(circuit, prefix)
+    assert any(0 < r < len(body) and body[r].controls is body[r - 1].controls for r in retire)
+    fresh = Circuit(circuit.work_qubits, circuit.ancilla_qubits,
+                    tuple(Gate(g.kind, g.target, g.params, _Controls(g.controls))
+                          for g in circuit.gates), circuit.postselect)
+    gates = fresh.gates
+    assert all(a.controls is not b.controls for a, b in zip(gates, gates[1:]))
+    effective = effective_operator(circuit)
+    one_gate = effective_operator(fresh)
+    assert effective.matrix.tobytes() == one_gate.matrix.tobytes()
+    assert effective.success_probabilities == one_gate.success_probabilities
+    assert np.max(np.abs(effective.matrix - oracle_block(circuit))) <= 1e-12
 
 
 def test_effective_operator_allocates_one_block():
