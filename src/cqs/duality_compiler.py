@@ -281,9 +281,10 @@ class Circuit:
 
     @staticmethod
     def from_dict(doc: dict) -> "Circuit":
-        """Parse a circuit document; any malformed one raises ValueError
-        (or KeyError for a missing field).  Integer fields refuse JSON
-        booleans and every qubit's role must be `work` or `ancilla`."""
+        """Parse a circuit document; any malformed one raises ValueError,
+        a missing field included, which the message names.  Integer fields
+        refuse JSON booleans and every qubit's role must be `work` or
+        `ancilla`."""
         if not isinstance(doc, dict):
             raise ValueError("a circuit document must be a JSON object")
         try:
@@ -298,6 +299,8 @@ class Circuit:
             post = tuple((_index(p["q"]), _index(p["bit"]))
                          for p in _objects(doc["postselect"], "postselect"))
             return Circuit(tuple(roles["work"]), tuple(roles["ancilla"]), gates, post)
+        except KeyError as exc:
+            raise ValueError(f"malformed circuit: missing field {exc}") from exc
         except (TypeError, OverflowError) as exc:
             # a field of the wrong JSON type, such as a list where a number goes
             raise ValueError(f"malformed circuit: {exc}") from exc

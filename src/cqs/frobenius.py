@@ -184,14 +184,14 @@ class DenseOperator:
 
     @staticmethod
     def from_dict(doc: dict) -> "DenseOperator":
-        """Parse an operator document; any malformed one raises ValueError
-        (or KeyError for a missing field)."""
+        """Parse an operator document; any malformed one raises ValueError,
+        a missing field included, which the message names."""
         if not isinstance(doc, dict):
             raise ValueError("an operator document must be a JSON object")
-        entries = doc["entries"]
-        if not isinstance(entries, list):
-            raise ValueError("'entries' must be a list")
         try:
+            entries = doc["entries"]
+            if not isinstance(entries, list):
+                raise ValueError("'entries' must be a list")
             rows, cols = _index(doc["rows"]), _index(doc["cols"])
             limit = 2**MAX_DOCUMENT_QUBITS
             if not (0 <= rows <= limit and 0 <= cols <= limit):
@@ -214,6 +214,8 @@ class DenseOperator:
                     raise ValueError(f"entry ({r}, {c}) is given more than once")
                 seen.add((r, c))
                 mat[r, c] = value
+        except KeyError as exc:
+            raise ValueError(f"malformed operator: missing field {exc}") from exc
         except (TypeError, OverflowError) as exc:
             # a field of the wrong JSON type, such as a list where a number goes
             raise ValueError(f"malformed operator: {exc}") from exc

@@ -20,11 +20,26 @@ column axis.  Fixing each control axis at its required state gives one
 basic-indexing view of exactly the matched rows; a gate of the run then
 fixes its own target axis at 0 and 1 to get two views, `lo` and `hi`.
 No index arrays, masks or gathered copies are made.  Each gate kind has
-its own kernel on the two views: x swaps them, z negates `hi`, y swaps
-them and multiplies by -i / +i, phase scales both, ry is a real rotation
-on float64 views of the halves, and rz and h take the generic update with
-`Gate.matrix2()`.  Halves larger than _CHUNK amplitudes are updated slice
-by slice so that each slice and its temporaries stay in cache.
+its own kernel on the two views: x swaps them, z negates the float64 view
+of `hi`, y swaps them and multiplies by -i / +i, phase scales both, ry is
+a real rotation on float64 views of the halves, and rz and h take the
+generic update with `Gate.matrix2()`.  Halves larger than _CHUNK
+amplitudes are updated slice by slice so that each slice and its
+temporaries stay in cache.
+
+Ry gates run in levels instead of runs.  A level is a stretch of
+consecutive ry gates on one target under one control qubit set, each
+under a distinct pattern of it, with no retirement inside: one level of
+an LCU's binary Ry tree, a uniformly controlled rotation (Mottonen et al.,
+quant-ph/0407010).  When the control set sits on consecutive register
+positions, as it does in every compiled LCU, the level takes one view
+with those positions merged into one pattern axis, and each slice of
+consecutive pattern values, of about _CHUNK amplitudes, is one rotation
+with per-pattern cos and sin arrays that broadcast over the slice; a
+pattern with no gate splits the slice.  A lone ry, or a level whose
+control set is not consecutive, runs as a level of one gate with its
+controls fixed.  Levels are found from the gate list alone, so parsed
+circuits get them too.
 
 The block puts the ancillas on its leading (most significant) axes and the
 work register after them.  A select gate controlled on every ancilla then
@@ -42,8 +57,10 @@ last one to touch an ancilla (as target or control), the ancilla is
 retired, and every later gate gets it as an extra control fixed at its
 post-selected bit.  The trailing gates (the unprepare tree of an LCU
 circuit) then update only the rows that can still reach the kept slab,
-without copying or reshaping the block.  The block's size is checked
-against MAX_BLOCK_BYTES before it is allocated.
+without copying or reshaping the block.  A level whose target retires
+right after it writes only the half of its rows that holds the
+post-selected bit, and leaves the other half stale.  The block's size is
+checked against MAX_BLOCK_BYTES before it is allocated.
 
 Bit-identity contract: every kernel performs, on every nonzero amplitude,
 the same floating-point operations as the generic update
@@ -58,8 +75,15 @@ gate's `lo` and `hi` in it hold exactly the amplitude pairs its own
 one-gate view would hold, matched by the same controls and retired
 ancillas, with the other targets of the run as extra axes that the
 elementwise kernels treat like any other, and the gates still run one
-after another in circuit order.  So neither the layout, the runs, the
-prefix nor retirement changes a bit of the nonzero results.
+after another in circuit order.  A level's gates touch disjoint rows, one
+pattern each, and none of them reads a row another writes, so one pass
+equals running them in order; each amplitude gets the rotation's own
+operations with its gate's cos and sin, element by element.  The kept
+half of a retiring level gets exactly the operations the full rotation
+gives it, and the stale half holds the retired bit that no later gate
+and no kept row reads.  So neither the layout, the runs, the levels, the
+kept-half writes, the prefix nor retirement changes a bit of the nonzero
+results.
 
 cup and cap realize the unnormalized pair creation sum_k |kk> and pair
 annihilation sum_k <kk| of the underlying dagger structure.  Both take an
@@ -104,16 +128,23 @@ _AXIS_HALVES = [((slice(None),) * k + (0,), (slice(None),) * k + (1,))
                 for k in range(2 * MAX_QUBITS + 2)]
 
 
-def _run_view(block: np.ndarray, n: int, targets: set, fixed: list) -> tuple:
+def _run_view(block: np.ndarray, n: int, targets: set, fixed: list,
+              pattern: tuple = ()) -> tuple:
     """A view of the rows of a C-contiguous (2**n, cols) block where every
     (position, state) of `fixed` matches, with a length-2 axis of its own
     for each target position, and a map from each target to the index
-    pair that selects its (lo, hi) halves in that view."""
+    pair that selects its (lo, hi) halves in that view.  A `pattern`
+    (first, width) merges positions first .. first + width - 1 into one
+    axis of length 2**width, indexed by their bits read big-endian; its
+    axis in the view is returned third (None without a pattern)."""
     entries = fixed + [(t, -1) for t in targets]
+    if pattern:
+        entries.append((pattern[0], -2))
     entries.sort()
     shape = []
     index = []
     halves = {}
+    pattern_axis = None
     free = 0  # the axes of the view so far
     last = -1
     for pos, state in entries:
@@ -121,16 +152,23 @@ def _run_view(block: np.ndarray, n: int, targets: set, fixed: list) -> tuple:
             shape.append(1 << (pos - last - 1))
             index.append(slice(None))
             free += 1
+        last = pos
+        if state == -2:
+            pattern_axis = free
+            free += 1
+            shape.append(1 << pattern[1])
+            index.append(slice(None))
+            last += pattern[1] - 1
+            continue
         if state < 0:
             halves[pos] = _AXIS_HALVES[free]
             free += 1
             state = slice(None)
         shape.append(2)
         index.append(state)
-        last = pos
     shape.append(block.shape[1] << (n - 1 - last))
     index.append(slice(None))
-    return block.reshape(shape)[tuple(index)], halves
+    return block.reshape(shape)[tuple(index)], halves, pattern_axis
 
 
 # Complex products are formed as `u * a` into a fresh array, the form of the
@@ -152,6 +190,8 @@ def _swap_times_i(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
 
 
 def _negate_hi(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+    # flips the sign bits of both parts, as the complex negative does
+    hi = hi.view(np.float64)
     np.negative(hi, out=hi)
 
 
@@ -161,12 +201,21 @@ def _scale(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
     hi[...] = u[1, 1] * hi
 
 
-def _rotate_y(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
-    # matrix2() is [[c, -s], [s, c]] with zero imaginary parts, so the
-    # complex products of the generic update reduce to these real ones
-    half = gate.params[0] / 2
-    c, s = math.cos(half), math.sin(half)
+def _rotate_y(lo: np.ndarray, hi: np.ndarray, c, s, keep=None) -> None:
+    """Ry on the halves: matrix2() is [[c, -s], [s, c]] with zero imaginary
+    parts, so the complex products of the generic update reduce to these
+    real ones.  c and s are floats, or arrays that broadcast over the
+    halves along a level's pattern axis.  With `keep` 0 or 1 only that
+    half is written, with the operations the full update gives it."""
     a0, a1 = lo.view(np.float64), hi.view(np.float64)
+    if keep == 0:
+        a0 *= c
+        a0 -= s * a1
+        return
+    if keep == 1:
+        a1 *= c
+        a1 += s * a0
+        return
     a0_copy = a0.copy()
     a0 *= c
     a0 -= s * a1
@@ -189,42 +238,138 @@ _KERNELS = {
     "y": _swap_times_i,
     "z": _negate_hi,
     "phase": _scale,
-    "ry": _rotate_y,
     "rz": _matrix_update,
     "h": _matrix_update,
 }
+
+
+def _in_slices(kernel, lo: np.ndarray, hi: np.ndarray, *args) -> None:
+    """kernel(lo, hi, *args), on slices of about _CHUNK amplitudes along
+    the first axis when the halves are larger."""
+    if lo.size <= _CHUNK:
+        kernel(lo, hi, *args)
+        return
+    step = max(1, _CHUNK * lo.shape[0] // lo.size)
+    for first in range(0, lo.shape[0], step):
+        kernel(lo[first : first + step], hi[first : first + step], *args)
+
+
+def _level_patterns(gates, start: int, position: dict, retire: dict) -> tuple[list, list]:
+    """The pattern values of the level of ry gates that starts at
+    gates[start], and the sorted positions of its control set.
+
+    A level is a stretch of consecutive ry gates on one target under one
+    control qubit set, each under a distinct pattern of it, with no
+    `retire` index inside: one level of an Ry tree, a uniformly controlled
+    rotation.  A pattern's value reads the control states as a big-endian
+    number, in position order.  Only a set on consecutive positions makes
+    a level of more than one gate, since only such a set merges into one
+    axis of the block."""
+    first = gates[start]
+    target, qubits = first.target, first.controls.qubits
+    spots = sorted(position[q] for q in qubits)
+    if not spots or spots[-1] - spots[0] != len(spots) - 1:
+        return [0], spots
+    shift = {q: spots[-1] - position[q] for q in qubits}
+    values, seen = [], set()
+    for index in range(start, len(gates)):
+        gate = gates[index]
+        controls = gate.controls
+        if (gate.kind != "ry" or gate.target != target or (values and index in retire)
+                or (controls.qubits is not qubits and controls.qubits != qubits)):
+            break
+        value = 0
+        for q, state in controls:
+            value |= state << shift[q]
+        if value in seen:
+            break
+        seen.add(value)
+        values.append(value)
+    return values, spots
+
+
+def _rotate_level(gates, start: int, block: np.ndarray, position: dict, fixed: list,
+                  retire: dict) -> int:
+    """Apply the level of ry gates that starts at gates[start] (see
+    _level_patterns), with the rows of `fixed` pinned, and return the index
+    after it.  The level takes one view with its control set merged into
+    one pattern axis, and each slice of consecutive pattern values, of up
+    to about _CHUNK amplitudes, is one `_rotate_y` call with per-pattern cos
+    and sin arrays.  A level of one gate, or one whose single pattern
+    already exceeds _CHUNK amplitudes, runs gate by gate with each gate's
+    controls fixed.  When the `retire` index after the level retires its
+    target, only the half holding the post-selected bit is written."""
+    values, spots = _level_patterns(gates, start, position, retire)
+    stop = start + len(values)
+    spot = position[gates[start].target]
+    keep = next((bit for pos, bit in retire.get(stop, ()) if pos == spot), None)
+    n = len(position)
+    # patterns per slice; the shifted size is one pattern's share of a half
+    step = _CHUNK // (block.size >> (len(fixed) + len(spots) + 1))
+    if len(values) == 1 or step == 0:
+        for gate in gates[start:stop]:
+            half = gate.params[0] / 2
+            pinned = [(position[q], state) for q, state in gate.controls] + fixed
+            view, halves, _ = _run_view(block, n, {spot}, pinned)
+            lo_index, hi_index = halves[spot]
+            _in_slices(_rotate_y, view[lo_index], view[hi_index],
+                       math.cos(half), math.sin(half), keep)
+        return stop
+    view, halves, axis = _run_view(block, n, {spot}, fixed, (spots[0], len(spots)))
+    lo_index, hi_index = halves[spot]
+    lo, hi = view[lo_index], view[hi_index]
+    if len(lo_index) - 1 < axis:
+        axis -= 1  # the target axis before it is gone from the halves
+    order = sorted(range(len(values)), key=values.__getitem__)
+    values = [values[i] for i in order]
+    half_angles = [gates[start + i].params[0] / 2 for i in order]
+    shape = (-1,) + (1,) * (lo.ndim - 1 - axis)
+    cos = np.array(list(map(math.cos, half_angles))).reshape(shape)
+    sin = np.array(list(map(math.sin, half_angles))).reshape(shape)
+    lead = (slice(None),) * axis
+    begin = 0
+    for end in range(1, len(values) + 1):
+        if end < len(values) and end - begin < step and values[end] == values[end - 1] + 1:
+            continue
+        rows = lead + (slice(values[begin], values[end - 1] + 1),)
+        _rotate_y(lo[rows], hi[rows], cos[begin:end], sin[begin:end], keep)
+        begin = end
+    return stop
 
 
 def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
     """Apply gates in order to a C-contiguous (2**n, cols) block in place;
     `position` maps qubit ids to register positions 0..n-1.  `retire` maps
     a gate index to (position, state) controls that gate and every later
-    gate also get.  Each run of consecutive gates that share one controls
-    object, and that no `retire` index splits, shares one view of the
-    block (see _run_view)."""
+    gate also get.  Each level of ry gates (see _level_patterns) runs as
+    one pass over one view of the block, in slices of about _CHUNK
+    amplitudes, and a level right before its target's retirement writes
+    only the half that holds the post-selected bit (see _rotate_level).
+    Each run of other consecutive gates that share one controls object,
+    and that no `retire` index splits, shares one view of the block (see
+    _run_view).  Neither changes a bit of the kept rows: a level's gates
+    touch disjoint rows and none reads a row another writes, and a kept
+    half gets the operations the full rotation gives it."""
     n = len(position)
     retire = retire or {}
     fixed = []
     start = 0
     while start < len(gates):
         fixed += retire.get(start, ())
+        if gates[start].kind == "ry":
+            start = _rotate_level(gates, start, block, position, fixed, retire)
+            continue
         controls = gates[start].controls
         stop = start + 1
-        while stop < len(gates) and gates[stop].controls is controls and stop not in retire:
+        while (stop < len(gates) and gates[stop].controls is controls
+               and gates[stop].kind != "ry" and stop not in retire):
             stop += 1
         run = gates[start:stop]
         pinned = [(position[q], state) for q, state in controls] + fixed
-        view, halves = _run_view(block, n, {position[g.target] for g in run}, pinned)
+        view, halves, _ = _run_view(block, n, {position[g.target] for g in run}, pinned)
         for gate in run:
             lo_index, hi_index = halves[position[gate.target]]
-            lo, hi = view[lo_index], view[hi_index]
-            kernel = _KERNELS[gate.kind]
-            if lo.size <= _CHUNK:
-                kernel(lo, hi, gate)
-                continue
-            step = max(1, _CHUNK * lo.shape[0] // lo.size)
-            for first in range(0, lo.shape[0], step):
-                kernel(lo[first : first + step], hi[first : first + step], gate)
+            _in_slices(_KERNELS[gate.kind], view[lo_index], view[hi_index], gate)
         start = stop
 
 

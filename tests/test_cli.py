@@ -366,6 +366,33 @@ def test_usage_exit_codes(capsys, monkeypatch):
         assert message in err and err.count("\n") == 1, err
 
 
+def test_missing_field_is_named(capsys, monkeypatch):
+    """A document without a required field exits 2 with one line that
+    names the field, not a bare KeyError."""
+    work, ancilla = {"id": 0, "role": "work"}, {"id": 1, "role": "ancilla"}
+    gate = {"kind": "x", "target": 0, "params": [], "controls": [{"q": 1, "state": 0}]}
+    circuit = {"qubits": [work, ancilla], "gates": [gate], "postselect": [{"q": 1, "bit": 0}]}
+    no_kind = {key: value for key, value in gate.items() if key != "kind"}
+    no_state = dict(gate, controls=[{"q": 1}])
+    cases = [
+        ({"gates": [], "postselect": []}, "qubits"),
+        (dict(circuit, gates=[no_kind]), "kind"),
+        (dict(circuit, qubits=[{"id": 0}, ancilla]), "role"),
+        (dict(circuit, gates=[no_state]), "state"),
+    ]
+    for doc, field in cases:
+        for argv in (["simulate", "--in", "0"], ["emit"]):
+            code, out, err = run_cli(capsys, argv, stdin_text=json.dumps(doc),
+                                     monkeypatch=monkeypatch)
+            assert (code, out) == (2, ""), (argv, doc)
+            assert err == f"error: malformed circuit: missing field '{field}'\n", err
+    code, out, err = run_cli(capsys, ["decompose", "--in", "-"],
+                             stdin_text=json.dumps({"rows": 2, "cols": 2}),
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed operator: missing field 'entries'\n", err
+
+
 def _run_quietly(argv, stdin_text):
     """cli.main with stdin, stdout and stderr swapped for strings (hypothesis
     tests cannot take function-scoped fixtures)."""

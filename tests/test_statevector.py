@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqs import statevector
-from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper
+from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper, prep_tree
 from cqs.duality_compiler import _Controls
 from cqs.frobenius import FrobeniusSpec, build_eta, build_mu
 from cqs.statevector import (
@@ -57,14 +57,20 @@ def basis(bits):
 
 def full_register_run(circuit, vector):
     """Post-selected work vector from simulating every gate on the whole
-    register, `vector` on the work qubits and |0> on the ancillas: the
-    reference that the shared ancilla prefix of `run` must match bit for bit."""
+    register, each through its own `_simulate` call, so that no run, level,
+    prefix or retirement is shared: `vector` on the work qubits (or one
+    work vector per column of a matrix) and |0> on the ancillas.  The
+    reference that `run` and `effective_operator` must match bit for bit."""
     dim_work = 2 ** len(circuit.work_qubits)
-    block = np.zeros((2 ** len(circuit.ancilla_qubits) * dim_work, 1), dtype=complex)
-    block[:dim_work, 0] = vector
-    statevector._simulate(circuit.gates, block, statevector._register_positions(circuit))
+    vectors = np.asarray(vector, dtype=complex).reshape(dim_work, -1)
+    block = np.zeros((2 ** len(circuit.ancilla_qubits) * dim_work, vectors.shape[1]),
+                     dtype=complex)
+    block[:dim_work] = vectors
+    position = statevector._register_positions(circuit)
+    for gate in circuit.gates:
+        statevector._simulate((gate,), block, position)
     kept = statevector._postselect_mask(circuit) * dim_work
-    return block[kept : kept + dim_work, 0]
+    return block[kept : kept + dim_work].reshape(np.shape(vector))
 
 
 def test_statevector_validation():
@@ -557,27 +563,150 @@ def shared_control_circuits(draw):
     return Circuit(work, anc, tuple(gates), postselect)
 
 
+def gate_by_gate(function, *args):
+    """function(*args) with every `_simulate` call split into one call per
+    gate, each pinning the ancillas retired before it: the shared prefix
+    and retirement stay, and no run or level is shared."""
+    simulate = statevector._simulate
+
+    def one_at_a_time(gates, block, position, retire=None):
+        fixed = []
+        for index, gate in enumerate(gates):
+            fixed += (retire or {}).get(index, ())
+            simulate((gate,), block, position, {0: fixed})
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_simulate", one_at_a_time)
+        return function(*args)
+
+
 @settings(max_examples=150, deadline=None)
 @given(shared_control_circuits())
 def test_runs_change_no_bit(circuit):
     """Sharing one view among the gates of a run changes no bit: the block
-    equals, byte for byte, that of the circuit whose every gate holds a
-    fresh copy of its controls, so that each run is one gate long, and it
-    matches the dense-kron oracle."""
+    equals, byte for byte, the one from applying each gate through its own
+    `_simulate` call under the same prefix and retirements, and it matches
+    the dense-kron oracle."""
     prefix = statevector._ancilla_prefix_length(circuit)
     body = circuit.gates[prefix:]
     retire = statevector._retirements(circuit, prefix)
     assert any(0 < r < len(body) and body[r].controls is body[r - 1].controls for r in retire)
-    fresh = Circuit(circuit.work_qubits, circuit.ancilla_qubits,
-                    tuple(Gate(g.kind, g.target, g.params, _Controls(g.controls))
-                          for g in circuit.gates), circuit.postselect)
-    gates = fresh.gates
-    assert all(a.controls is not b.controls for a, b in zip(gates, gates[1:]))
     effective = effective_operator(circuit)
-    one_gate = effective_operator(fresh)
+    one_gate = gate_by_gate(effective_operator, circuit)
     assert effective.matrix.tobytes() == one_gate.matrix.tobytes()
     assert effective.success_probabilities == one_gate.success_probabilities
     assert np.max(np.abs(effective.matrix - oracle_block(circuit))) <= 1e-12
+
+
+_MASSES = st.sampled_from([0.0, 0.0, 1.0]) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def tree_level_circuits(draw):
+    """Ry trees around a select stage, as the compilers emit them, and in
+    layouts they never emit:
+
+    - a `prep_tree` on m ancillas, in the ancilla-only prefix or after a
+      work gate on the whole block; its masses hold zeros, so some
+      patterns have no gate;
+    - gates on work targets controlled on the ancillas, then ry gates on a
+      work target or on the spare ancilla under drawn patterns of the
+      tree's first two ancillas, repeats allowed;
+    - the tree's adjoint, whose levels list their patterns in reverse
+      order and each end at their target's retirement;
+    - gates on the work qubits and sometimes the spare.  When they skip
+      it, the spare retires right after its ry gates, so a repeated
+      pattern must end a level whose kept half alone is written.
+
+    The tree's ancillas sit on consecutive positions, in ascending or
+    descending order after the spare if there is one, or on every other
+    position, so that no control set of two or more is consecutive.
+    Every ancilla is post-selected on a drawn bit, at least one on 1."""
+    n_work = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 3))
+    layout = draw(st.sampled_from(["ascending", "descending", "spread"]))
+    n_spare = 1 if layout == "spread" else draw(st.integers(0, 1))
+    n_anc = 2 * m - 1 if layout == "spread" else m + n_spare
+    ids = draw(st.permutations(range(10, 10 + n_work + n_anc)))
+    work, anc = tuple(ids[:n_work]), tuple(ids[n_work:])
+    if layout == "spread":
+        tree, spare = anc[::2], anc[1:2]
+    else:
+        tree, spare = anc[n_spare:], anc[:n_spare]
+        tree = tree if layout == "ascending" else tree[::-1]
+    mass = draw(st.lists(_MASSES, min_size=2, max_size=2**m))
+    mass[draw(st.integers(0, len(mass) - 1))] = 1.0
+    prep, _ = prep_tree(mass, tree)
+    gates = [Gate("h", work[0])] if draw(st.booleans()) else []
+    gates += prep
+    gates += [draw_gate(draw, work, anc) for _ in range(draw(st.integers(1, 4)))]
+    target = draw(st.sampled_from(work[-1:] + spare))
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    for pattern in draw(st.lists(st.integers(0, 3), max_size=6)):
+        controls = ((tree[0], pattern >> 1), (tree[1], pattern & 1))
+        gates.append(Gate("ry", target, (draw(angles),), controls))
+    gates += [gate.adjoint() for gate in reversed(prep)]
+    rest = work + (spare if draw(st.booleans()) else ())
+    gates += [draw_gate(draw, rest, rest) for _ in range(draw(st.integers(0, 2)))]
+    bits = [draw(st.integers(0, 1)) for _ in anc]
+    bits[draw(st.integers(0, n_anc - 1))] = 1
+    return Circuit(work, anc, tuple(gates), tuple(zip(anc, bits)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_level_circuits(), st.sampled_from([1, 3, 8, 1 << 12]), st.data())
+def test_levels_change_no_bit(circuit, chunk, data):
+    """Applying each Ry-tree level in one pass, in slices of about `chunk`
+    amplitudes, and writing only the kept half of a level whose target
+    retires, changes no bit: `effective_operator` and `run` equal, byte for
+    byte, a full-register run that applies each gate through its own
+    `_simulate` call, and they match the dense-kron oracle."""
+    n_work = len(circuit.work_qubits)
+    reference = full_register_run(circuit, np.eye(2**n_work))
+    j = data.draw(st.integers(0, 2**n_work - 1))
+    bits = format(j, f"0{n_work}b")
+    saved = statevector._CHUNK
+    statevector._CHUNK = chunk
+    try:
+        effective = effective_operator(circuit)
+        column, probability = run(circuit, bits)
+    finally:
+        statevector._CHUNK = saved
+    assert effective.matrix.tobytes() == reference.tobytes()
+    assert column.tobytes() == reference[:, j].tobytes()
+    assert probability == float(np.sum(np.abs(reference[:, j]) ** 2))
+    assert np.max(np.abs(effective.matrix - oracle_block(circuit))) <= 1e-12
+
+
+def test_prep_tree_levels_run_in_one_pass_each(monkeypatch):
+    """The ancilla-only prefix of the su3(7) mu exact circuit, 447 ry gates
+    in the 9 levels of its tree, makes at most one `_rotate_y` call per
+    level, with the values of one call per gate; so does the same circuit
+    parsed from its document, whose gates share no `qubits` set."""
+    circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(7)))
+    prefix = statevector._ancilla_prefix_length(circuit)
+    assert prefix == 447 and {g.kind for g in circuit.gates[:prefix]} == {"ry"}
+    assert len(circuit.ancilla_qubits) == 9
+    position = {q: i for i, q in enumerate(circuit.ancilla_qubits)}
+    reference = np.zeros((2**9, 1), dtype=complex)
+    reference[0, 0] = 1.0
+    for gate in circuit.gates[:prefix]:
+        statevector._simulate((gate,), reference, position)
+    calls = []
+    rotate = statevector._rotate_y
+
+    def counting(*args):
+        calls.append(args)
+        rotate(*args)
+
+    monkeypatch.setattr(statevector, "_rotate_y", counting)
+    for gates in (circuit.gates, Circuit.from_dict(circuit.to_dict()).gates):
+        calls.clear()
+        state = np.zeros_like(reference)
+        state[0, 0] = 1.0
+        statevector._simulate(gates[:prefix], state, position)
+        assert 0 < len(calls) <= 9
+        assert state.tobytes() == reference.tobytes()
 
 
 def test_effective_operator_allocates_one_block():
