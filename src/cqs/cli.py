@@ -20,11 +20,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .duality_compiler import Circuit, compile_exact, compile_paper, emit_text, paper_factored_form
+from .duality_compiler import (
+    Circuit,
+    GATE_KINDS,
+    CompileReport,
+    compile_exact,
+    compile_paper,
+    emit_text,
+    paper_factored_form,
+)
 from .frobenius import BUILDERS as _BUILDERS
 from .frobenius import DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
 from .pauli import pauli_expand
@@ -60,6 +69,45 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _emit_json(doc, out: Optional[str]) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
+# the JSON text of each gate kind
+_KIND_JSON = {kind: json.dumps(kind) for kind in GATE_KINDS}
+
+
+def _circuit_json(circuit: Circuit, report: Optional[CompileReport] = None) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)` of the circuit document,
+    `circuit.to_dict()` with `report.to_dict()` as its "report" key when a
+    report is given, written gate by gate.
+
+    With `indent` set, `json.dumps` runs CPython's pure-Python encoder, far
+    too slow for the tens of thousands of gates of a compiled circuit.  So
+    the gates are written here: the text of each distinct controls object
+    is made once, keyed by its identity (the circuit keeps every one
+    alive), and each gate is one f-string.  Every other key still goes
+    through `json.dumps`.
+    """
+    doc = replace(circuit, gates=()).to_dict()
+    del doc["gates"]
+    if report is not None:
+        doc["report"] = report.to_dict()
+    # "gates" sorts before every other key, so its text opens the object
+    rest = json.dumps(doc, indent=2, sort_keys=True)
+    controls_text: dict[int, str] = {}
+    gates = []
+    for gate in circuit.gates:
+        controls = gate.controls
+        text = controls_text.get(id(controls))
+        if text is None:
+            pairs = ",\n".join(['        {\n          "q": %d,\n          "state": %d\n        }'
+                                % pair for pair in controls])
+            text = controls_text[id(controls)] = f"[\n{pairs}\n      ]" if controls else "[]"
+        params = ("[\n        " + ",\n        ".join(map(repr, gate.params)) + "\n      ]"
+                  if gate.params else "[]")
+        gates.append(f'    {{\n      "controls": {text},\n      "kind": {_KIND_JSON[gate.kind]},\n'
+                     f'      "params": {params},\n      "target": {gate.target}\n    }}')
+    head = '"gates": [\n' + ",\n".join(gates) + "\n  ]" if gates else '"gates": []'
+    return "{\n  " + head + "," + rest[1:]
 
 
 def _read_source(path: str) -> str:
@@ -154,9 +202,7 @@ def _compile(args, spec: FrobeniusSpec):
 
 def _cmd_compile(args) -> int:
     circuit, report, _target, _name = _compile(args, _spec_from_args(args))
-    doc = circuit.to_dict()
-    doc["report"] = report.to_dict()
-    _emit_json(doc, args.out)
+    _emit(_circuit_json(circuit, report) + "\n", args.out)
     return 0
 
 

@@ -41,6 +41,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -103,7 +104,7 @@ def _finite(value) -> float:
 
 def _objects(items, key: str) -> list:
     """A document field that must be a list of JSON objects."""
-    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+    if not isinstance(items, list) or not all(map(isinstance, items, repeat(dict))):
         raise ValueError(f"{key!r} must be a list of objects")
     return items
 
@@ -123,7 +124,10 @@ class _Controls(tuple):
     def __new__(cls, pairs=()):
         checked, qubits = [], set()
         for q, s in pairs:
-            q, s = _index(q), _index(s)
+            if q.__class__ is not int:  # a bool is no int here: _index refuses it
+                q = _index(q)
+            if s.__class__ is not int:
+                s = _index(s)
             if s not in (0, 1):
                 raise ValueError("control states must be 0 or 1")
             if q in qubits:
@@ -147,7 +151,7 @@ _NO_CONTROLS = _Controls()
 
 # slotted: a compiled circuit holds up to tens of thousands of gates, and a
 # per-gate __dict__ is one more object for the garbage collector to scan
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Gate:
     """One single-qubit gate, optionally controlled.
 
@@ -157,11 +161,17 @@ class Gate:
     of the target's state (a plain global phase when uncontrolled).  Qubit
     ids and control states must be integers (Python or numpy); a float such
     as 1.9 raises TypeError rather than being truncated, and so does a
-    boolean control qubit or state.  Controls are
-    checked once per distinct value: a list a gate receives is checked and
-    stored as a shared `_Controls`, which `adjoint` and the compilers pass
-    on to further gates unchecked; each gate still checks its target is not
-    among them.
+    boolean control qubit or state.  Parameters must be finite real
+    numbers; strings, bytes and booleans raise TypeError.
+
+    The constructor is written out, not generated: it makes every check in
+    one pass and sets each field once, since compiled circuits build tens
+    of thousands of gates.  A parameter tuple of one plain finite float,
+    as the compilers give, is kept as it is; any other parameters go
+    through the full check.  Controls are checked once per distinct value:
+    a list a gate receives is checked and stored as a shared `_Controls`,
+    which `adjoint` and the compilers pass on to further gates unchecked;
+    each gate still checks its target is not among them.
     """
 
     kind: str
@@ -169,18 +179,27 @@ class Gate:
     params: tuple[float, ...] = ()
     controls: tuple[tuple[int, int], ...] = _NO_CONTROLS
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.params or type(self.params) is not tuple:  # () needs no checks
-            object.__setattr__(self, "params", tuple(_finite(p) for p in self.params))
-        if len(self.params) != GATE_KINDS[self.kind]:
-            raise ValueError(f"{self.kind} takes {GATE_KINDS[self.kind]} parameter(s)")
-        object.__setattr__(self, "target", operator.index(self.target))
-        if type(self.controls) is not _Controls:
-            object.__setattr__(self, "controls", _Controls(self.controls) or _NO_CONTROLS)
-        if self.target in self.controls.qubits:
+    def __init__(self, kind: str, target: int, params: tuple[float, ...] = (),
+                 controls: tuple[tuple[int, int], ...] = _NO_CONTROLS):
+        arity = GATE_KINDS.get(kind)
+        if arity is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if params or params.__class__ is not tuple:  # () needs no checks
+            if not (params.__class__ is tuple and len(params) == 1
+                    and params[0].__class__ is float and -math.inf < params[0] < math.inf):
+                params = tuple([_finite(p) for p in params])
+        if len(params) != arity:
+            raise ValueError(f"{kind} takes {arity} parameter(s)")
+        if target.__class__ is not int:
+            target = operator.index(target)
+        if controls.__class__ is not _Controls:
+            controls = _Controls(controls) or _NO_CONTROLS
+        if target in controls.qubits:
             raise ValueError("control qubits must be distinct from each other and the target")
+        _set_kind(self, kind)
+        _set_target(self, target)
+        _set_params(self, params)
+        _set_controls(self, controls)
 
     def matrix2(self) -> np.ndarray:
         """The 2x2 matrix applied to the target on matched branches."""
@@ -211,17 +230,50 @@ class Gate:
         }
 
 
+# the slot setters of Gate's fields, which its __init__ calls directly
+# instead of going through the frozen __setattr__
+_set_kind, _set_target, _set_params, _set_controls = (
+    getattr(Gate, name).__set__ for name in ("kind", "target", "params", "controls"))
+
+
+def _controls_from_dict(items: list, shared: dict) -> _Controls:
+    """The checked controls of a gate document's `controls` objects.
+
+    A list met before in the same circuit document is taken from `shared`
+    before anything is checked, so all its gates share one object.  The
+    lookup key holds the type of every field next to its value: True == 1
+    == 1.0 with equal hashes, so a key of values alone would let a refused
+    boolean or float list through after an equal integer one.  A list
+    whose key cannot be made (a missing field, an unhashable value) is
+    one the full check refuses, with the error it always raised.
+    """
+    try:
+        fields = []  # flat, so a stored key is one object for the collector
+        for c in items:
+            q, s = c["q"], c["state"]
+            fields += (q.__class__, q, s.__class__, s)
+        key = tuple(fields)
+        controls = shared.get(key)
+    except (KeyError, TypeError):
+        key = controls = None
+    if controls is None:
+        controls = _Controls((_index(c["q"]), _index(c["state"])) for c in items)
+        if key is not None:
+            shared[key] = controls
+    return controls
+
+
 def _gate_from_dict(doc: dict, shared: dict) -> Gate:
     """Parse a gate document, taking its checked controls from `shared`
-    when an equal value is there already, so the gates of one circuit
-    document share their control lists as compiled circuits do."""
+    when the same list is there already (`_controls_from_dict`), so the
+    gates of one circuit document share their control lists as compiled
+    circuits do."""
     params = doc.get("params", [])
     if not isinstance(params, list):
         raise ValueError("gate 'params' must be a list")
-    items = _objects(doc.get("controls", []), "controls")
-    controls = _Controls((_index(c["q"]), _index(c["state"])) for c in items)
+    controls = _controls_from_dict(_objects(doc.get("controls", []), "controls"), shared)
     target = _index(doc["target"])
-    return Gate(doc["kind"], target, tuple(params), shared.setdefault(controls, controls))
+    return Gate(doc["kind"], target, tuple(params), controls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +284,11 @@ class Circuit:
     its first qubit the leftmost bit; where the ancillas sit in the
     simulated register is the simulator's choice.  Qubit ids and
     post-selected bits must be integers, as in `Gate`.
+
+    Every gate's target and controls must be declared qubits.  A control
+    qubit set is checked once per distinct object, keyed by its identity
+    (its gates keep it alive), since compiled gates share one set per
+    pattern length; every target is still checked on its own.
     """
 
     work_qubits: tuple[int, ...]
@@ -260,9 +317,17 @@ class Circuit:
                 raise ValueError("postselect bits must be 0 or 1")
         if len({q for q, _ in self.postselect}) != len(self.postselect):
             raise ValueError("duplicate postselect entries")
+        # ids of the control qubit sets already found declared; every set is
+        # kept alive by its gates, and the compilers share one set among many
+        declared_sets = set()
         for gate in self.gates:
-            if gate.target in known and known.issuperset(gate.controls.qubits):
-                continue
+            qubits = gate.controls.qubits
+            if gate.target in known:
+                if id(qubits) in declared_sets:
+                    continue
+                if known.issuperset(qubits):
+                    declared_sets.add(id(qubits))
+                    continue
             for q in (gate.target, *(q for q, _ in gate.controls)):
                 if q not in known:
                     raise ValueError(f"gate references undeclared qubit {q}")
@@ -606,7 +671,8 @@ def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, Compil
     k_count = len(terms)
     m = (k_count - 1).bit_length()
     ancillas = tuple(range(n_work, n_work + m))
-    branches = [(k, letters, float(np.angle(c))) for k, (letters, c) in enumerate(terms.items())]
+    phases = np.angle(np.fromiter(terms.values(), complex, k_count)).tolist()
+    branches = zip(range(k_count), terms, phases)
     prep, select, named = _prepare_select(weights, ancillas, branches, range(n_work))
     unprep = [gate.adjoint() for gate in reversed(prep)]
     return _block("exact", prep + select + unprep, range(n_work), ancillas, s, k_count, named)
@@ -620,25 +686,33 @@ def emit_text(circuit: Circuit) -> str:
     adds a `c` prefix and a control on state 0 is written with a leading
     `!`, then `postselect <q> -> <bit>;` lines.  Floats use shortest
     round-trip repr, so equal circuits emit byte-equal text.
+
+    The control prefix and operands are rendered once per controls object,
+    keyed by its identity (the circuit keeps every one alive), from
+    operand strings made once per (qubit, state) pair, so gates that share
+    one control list, as compiled gates do, cost one lookup each.
     """
     names = {q: f"q{i}" for i, q in enumerate(circuit.work_qubits)}
     names.update((q, f"a{i}") for i, q in enumerate(circuit.ancilla_qubits))
     lines = ["work " + ", ".join(names[q] for q in circuit.work_qubits) + ";"]
     if circuit.ancilla_qubits:
         lines.append("ancilla " + ", ".join(names[q] for q in circuit.ancilla_qubits) + ";")
-    # (name prefix, control operands) per distinct controls value
-    rendered: dict[tuple[tuple[int, int], ...], tuple[str, str]] = {}
+    operand = {(q, state): ("" if state else "!") + name + ", "
+               for q, name in names.items() for state in (0, 1)}
+    # id(controls) -> (name prefix, control operands)
+    rendered: dict[int, tuple[str, str]] = {}
     for gate in circuit.gates:
         controls = gate.controls
-        text = rendered.get(controls)
+        text = rendered.get(id(controls))
         if text is None:
-            operands = "".join(("" if state else "!") + names[q] + ", " for q, state in controls)
-            text = rendered[controls] = ("c" * len(controls), operands)
+            text = rendered[id(controls)] = (
+                "c" * len(controls), "".join([operand[pair] for pair in controls]))
         prefix, operands = text
-        name = prefix + gate.kind
         if gate.params:
-            name += "(" + ",".join(repr(p) for p in gate.params) + ")"
-        lines.append(f"{name} {operands}{names[gate.target]};")
+            params = ",".join(map(repr, gate.params))
+            lines.append(f"{prefix}{gate.kind}({params}) {operands}{names[gate.target]};")
+        else:
+            lines.append(f"{prefix}{gate.kind} {operands}{names[gate.target]};")
     for q, bit in circuit.postselect:
         lines.append(f"postselect {names[q]} -> {bit};")
     return "\n".join(lines) + "\n"

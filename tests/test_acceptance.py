@@ -258,12 +258,18 @@ PINNED_STDOUT_SHA256 = {
         "15905f6fc79e91e244b3ab6e58cbe15e203de7cdc90961046bd946aa8716f41d",
     "compile --op mu --mode paper --truncate 15 | emit":
         "35fd5ac7cd71d3496613e1a5dded687a604c86eaded62bb41ef4bd08cbe3179b",
+    # the largest exact circuit, 30910 gates: the JSON writer, the document
+    # loader and emit_text on every kind of shared control list
+    "compile --op mu --truncate 15":
+        "9ab5977801c46f5b8647649fe9255c072f10e5f290726eff16c516ec0e90318c",
+    "compile --op mu --truncate 15 | emit":
+        "db5ccd118fe28d593f2261460d2e4bd397a4999afd6a76024aea73f6ad00ec46",
 }
 
 
 def test_stdout_bytes_are_pinned(capsys, monkeypatch):
-    """Byte stability: the bundles, a simulated block and a large circuit
-    with its emit text hash as recorded."""
+    """Byte stability: the bundles, a simulated block and large circuits
+    with their emit text hash as recorded."""
     got = {}
     for command in PINNED_STDOUT_SHA256:
         stdin_text = ""

@@ -16,8 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqs import cli
-from cqs.duality_compiler import compile_paper, paper_factored_form
-from cqs.frobenius import FrobeniusSpec, build_mu
+from cqs.duality_compiler import (
+    GATE_KINDS,
+    Circuit,
+    CompileReport,
+    Gate,
+    compile_exact,
+    compile_paper,
+    paper_factored_form,
+)
+from cqs.frobenius import BUILDERS, FrobeniusSpec, PhaseConvention, build_mu
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -515,3 +523,57 @@ def test_json_output_is_stable(capsys):
     code, second, _ = run_cli(capsys, ["build", "--op", "eta"])
     assert first == second
     assert first.endswith("\n")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _small_circuits(draw):
+    """A circuit of up to 8 random gates on up to 3 work qubits and 3
+    ancillas, some gates sharing the controls object of an earlier one."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+    n_work = draw(st.integers(1, len(ids)))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        target = draw(st.sampled_from(ids))
+        params = tuple(draw(st.lists(_FINITE, min_size=GATE_KINDS[kind],
+                                     max_size=GATE_KINDS[kind])))
+        earlier = [g.controls for g in gates if target not in g.controls.qubits]
+        if earlier and draw(st.booleans()):
+            controls = draw(st.sampled_from(earlier))
+        else:
+            qubits = draw(st.lists(st.sampled_from(ids), unique=True))
+            controls = [(q, draw(st.integers(0, 1))) for q in qubits if q != target]
+        gates.append(Gate(kind, target, params, controls))
+    ancillas = ids[n_work:]
+    kept = draw(st.lists(st.sampled_from(ancillas), unique=True)) if ancillas else []
+    post = [(q, draw(st.integers(0, 1))) for q in kept]
+    return Circuit(tuple(ids[:n_work]), tuple(ancillas), tuple(gates), tuple(post))
+
+
+@st.composite
+def _compiled_circuits(draw):
+    spec = FrobeniusSpec.su3(draw(st.integers(1, 3)), beta=draw(st.floats(0.0, 2.0)),
+                             convention=draw(st.sampled_from(list(PhaseConvention))))
+    if draw(st.booleans()):
+        return compile_exact(BUILDERS[draw(st.sampled_from(sorted(BUILDERS)))](spec))[0]
+    return compile_paper(draw(st.sampled_from(["mu", "delta", "eta", "eps"])), spec)[0]
+
+
+_REPORTS = st.none() | st.builds(
+    CompileReport, st.sampled_from(["exact", "paper"]), st.integers(0, 12), st.integers(1, 99),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.lists(st.tuples(st.text(max_size=8), _FINITE), max_size=4).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_circuits() | _compiled_circuits(), _REPORTS)
+def test_circuit_json_matches_json_dumps(circuit, report):
+    """The gate-by-gate writer of `cqs compile` gives the bytes of
+    json.dumps(doc, indent=2, sort_keys=True), with and without a report."""
+    doc = circuit.to_dict()
+    if report is not None:
+        doc["report"] = report.to_dict()
+    assert cli._circuit_json(circuit, report) == json.dumps(doc, indent=2, sort_keys=True)

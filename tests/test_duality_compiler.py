@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cqs.duality_compiler import (
+    GATE_KINDS,
     Circuit,
     CompileReport,
     Gate,
@@ -139,6 +140,105 @@ def test_checked_controls_are_shared():
     assert Gate("x", 1, (), _pattern_table((0,), 2)[1][1]).to_dict() == plain.to_dict()
 
 
+# what the constructor takes, as drawn: every refused value is here with
+# the error type and message test_gate_validation documents
+_PARAMETERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-3, 3),
+    st.floats(-4.0, 4.0).map(np.float64),
+    st.booleans(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]),
+)
+_QUBITS = st.one_of(st.integers(0, 3), st.integers(0, 3).map(np.int64),
+                    st.integers(0, 3).map(np.uint8), st.booleans(),
+                    st.integers(0, 3).map(float), st.floats(0.0, 3.0).map(np.float64))
+_STATES = st.one_of(st.integers(0, 2), st.integers(0, 2).map(np.int8), st.booleans(),
+                    st.sampled_from([0.0, 1.0]))
+
+
+def _expected_index(value, refuse_bool=True):
+    """The integer `value` is taken as, or the (error, message) refusing it."""
+    if refuse_bool and isinstance(value, bool):
+        return TypeError, "expected an integer"
+    if isinstance(value, float):
+        return TypeError, "cannot be interpreted as an integer"
+    return int(value)
+
+
+def _expected_gate(kind, target, params, controls):
+    """(target, params, pairs) of the gate the constructor must build, or
+    the (error, message) it must raise: the checks of the documented
+    order, written out independently of the constructor."""
+    if kind not in GATE_KINDS:
+        return ValueError, "unknown gate kind"
+    values = []
+    for p in params:
+        if isinstance(p, (str, bytes, bool)):
+            return TypeError, "real number"
+        if not math.isfinite(float(p)):
+            return ValueError, "must be finite"
+        values.append(float(p))
+    if len(values) != GATE_KINDS[kind]:
+        return ValueError, "parameter"
+    target = _expected_index(target, refuse_bool=False)  # operator.index reads True as 1
+    if type(target) is tuple:
+        return target
+    pairs = []
+    for q, s in controls:
+        q, s = _expected_index(q), _expected_index(s)
+        for checked in (q, s):
+            if type(checked) is tuple:
+                return checked
+        if s not in (0, 1):
+            return ValueError, "0 or 1"
+        if q in [p for p, _ in pairs]:
+            return ValueError, "distinct"
+        pairs.append((q, s))
+    if target in [p for p, _ in pairs]:
+        return ValueError, "distinct"
+    return target, tuple(values), tuple(pairs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_gate_constructor_accepts_and_refuses(data):
+    """`Gate` accepts exactly what the documented checks accept, whatever
+    the types of its arguments: an accepted gate has an int target, a
+    tuple of plain floats and `_Controls` controls; a refused one raises
+    the documented TypeError or ValueError."""
+    kind = data.draw(st.sampled_from(sorted(GATE_KINDS) + ["swap"]))
+    arity = GATE_KINDS.get(kind, 1)
+    params = data.draw(st.lists(_PARAMETERS, min_size=max(arity - 1, 0), max_size=arity + 1))
+    params = tuple(params) if data.draw(st.booleans()) else params
+    target = data.draw(_QUBITS)
+    container = data.draw(st.sampled_from(["list", "tuple", "_Controls"]))
+    if container == "_Controls":
+        qubits = data.draw(st.lists(st.integers(0, 3), max_size=3, unique=True))
+        pairs = [(q, data.draw(st.integers(0, 1))) for q in qubits]
+        controls = _Controls(pairs)
+    else:
+        pairs = data.draw(st.lists(st.tuples(_QUBITS, _STATES), max_size=3))
+        controls = pairs if container == "list" else tuple(pairs)
+    expected = _expected_gate(kind, target, params, pairs)
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error, match=message):
+            Gate(kind, target, params, controls)
+        return
+    gate = Gate(kind, target, params, controls)
+    target, values, checked = expected
+    assert gate.kind == kind and type(gate.target) is int and gate.target == target
+    assert type(gate.params) is tuple and all(type(p) is float for p in gate.params)
+    assert gate.params == values
+    assert type(gate.controls) is _Controls and gate.controls == checked
+    assert all(type(q) is int and type(s) is int for q, s in gate.controls)
+    assert gate.controls.qubits == {q for q, _ in checked}
+    if container == "_Controls":
+        assert gate.controls is controls
+
+
 _INTEGER_TYPES = st.sampled_from([int, np.int64, np.int32, np.int16])
 
 
@@ -208,6 +308,22 @@ def test_circuit_validation():
     assert circuit.work_qubits + circuit.ancilla_qubits == (0, 1)
 
 
+def test_circuit_checks_every_target_under_a_checked_control_set():
+    """A control qubit set found declared once is not checked again, but
+    every gate's target still is."""
+    shared = _pattern_table((1, 2), 4)[2][1]
+    first, later = Gate("x", 0, (), shared), Gate("z", 5, (), shared)
+    assert first.controls.qubits is later.controls.qubits
+    with pytest.raises(ValueError, match="undeclared qubit 5"):
+        Circuit((0,), (1, 2), (first, later), ())
+    with pytest.raises(ValueError, match="undeclared qubit 5"):
+        Circuit((0,), (1, 2), (first, Gate("ry", 0, (0.5,), shared), later), ())
+    # a set met undeclared first is still refused on its later gates
+    with pytest.raises(ValueError, match="undeclared qubit 2"):
+        Circuit((0, 5), (1,), (Gate("x", 5), first, later), ())
+    assert len(Circuit((0, 5), (1, 2), (first, later, first), ()).gates) == 3
+
+
 def test_circuit_dict_roundtrip(spec):
     circuit, _ = compile_paper("eta", spec)
     back = Circuit.from_dict(circuit.to_dict())
@@ -249,6 +365,36 @@ def test_circuit_from_dict_rejects_malformed(spec):
     ):
         with pytest.raises(ValueError, match=message):
             Circuit.from_dict(bad)
+
+
+def test_from_dict_checks_each_repeated_control_list():
+    """A control list met before in the document is looked up before it is
+    checked, and the lookup keeps booleans and floats apart from equal
+    integers: True == 1 == 1.0 with equal hashes."""
+    def doc(*control_lists):
+        gates = [{"kind": "x", "target": 0, "params": [], "controls": controls}
+                 for controls in control_lists]
+        return {"qubits": [{"id": q, "role": "work"} for q in range(3)],
+                "gates": gates, "postselect": []}
+    good = [{"q": 1, "state": 1}, {"q": 2, "state": 0}]
+    for field, bad in (("state", True), ("q", True), ("state", 1.0), ("q", 1.0)):
+        refused = [dict(good[0], **{field: bad}), good[1]]
+        for order in ((good, refused), (refused, good), (good, good, refused)):
+            with pytest.raises(ValueError, match="malformed circuit"):
+                Circuit.from_dict(doc(*order))
+    with pytest.raises(ValueError, match="control states must be 0 or 1"):
+        Circuit.from_dict(doc(good, [{"q": 1, "state": 2}, good[1]]))
+    with pytest.raises(ValueError, match="missing field 'state'"):
+        Circuit.from_dict(doc(good, [{"q": 1}, good[1]]))
+    with pytest.raises(ValueError, match="malformed circuit"):
+        Circuit.from_dict(doc(good, [{"q": [1], "state": 1}, good[1]]))
+    with pytest.raises(ValueError, match="distinct"):
+        Circuit.from_dict(doc(good, [{"q": 0, "state": 1}]))  # a control on the target
+    circuit = Circuit.from_dict(doc(good, [], list(good), good, [dict(good[1]), dict(good[0])]))
+    first, empty, second, third, swapped = (g.controls for g in circuit.gates)
+    assert first is second is third and first == ((1, 1), (2, 0))
+    assert swapped == ((2, 0), (1, 1)) and swapped is not first and empty == ()
+    assert all(type(v) is int for g in circuit.gates for pair in g.controls for v in pair)
 
 
 # ---------------------------------------------------------------- angles
@@ -770,6 +916,26 @@ def test_emit_text_golden():
         "postselect a0 -> 0;\n"
     )
     assert emit_text(circuit) == expected
+
+
+def test_emit_text_shared_and_copied_controls_agree():
+    """The text does not depend on whether gates share one controls
+    object or each hold an equal copy of it."""
+    for circuit in (compile_exact(build_mu(FrobeniusSpec.su3(3, beta=0.37)))[0],
+                    compile_paper("eta", FrobeniusSpec.su3(3))[0]):
+        copied = Circuit(circuit.work_qubits, circuit.ancilla_qubits,
+                         tuple(Gate(g.kind, g.target, g.params, list(g.controls))
+                               for g in circuit.gates), circuit.postselect)
+        assert len({id(g.controls) for g in copied.gates if g.controls}) == sum(
+            1 for g in copied.gates if g.controls)
+        assert emit_text(copied) == emit_text(circuit)
+    shared = _Controls(((1, 0), (2, 1)))
+    gates = (Gate("ry", 0, (0.25,), shared), Gate("x", 0, (), shared),
+             Gate("ry", 0, (-0.25,), shared))
+    copies = tuple(Gate(g.kind, g.target, g.params, ((1, 0), (2, 1))) for g in gates)
+    texts = [emit_text(Circuit((0,), (1, 2), gs, ((1, 0), (2, 1)))) for gs in (gates, copies)]
+    assert texts[0] == texts[1]
+    assert "ccry(0.25) !a0, a1, q0;\nccx !a0, a1, q0;\nccry(-0.25) !a0, a1, q0;\n" in texts[0]
 
 
 def test_emit_text_deterministic(spec):
