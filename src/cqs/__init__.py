@@ -54,8 +54,6 @@ from .statevector import (
     EffectiveOperator,
     run,
     effective_operator,
-    cup,
-    cap,
 )
 from .verify import (
     VerificationError,

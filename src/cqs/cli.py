@@ -61,8 +61,11 @@ class _UsageError(Exception):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out and out != "-":
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

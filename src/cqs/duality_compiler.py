@@ -18,10 +18,12 @@ those blocks, whose ancillas are distinct, so the result is their tensor
 product.  Both modes emit their prepare and select stages through one
 helper, `_prepare_select`.  The ancillas are prepared with one binary Ry
 tree, `prep_tree` (Grover-Rudolph, quant-ph/0208112; Mottonen et al.,
-quant-ph/0407010).  Each node takes the angle 2 atan2(sqrt(R), sqrt(L))
-from the masses L and R of its two halves, so no ratio is clamped and
-small angles keep their relative precision.  The figure angles
-theta1-theta4 and w_top of paper mode are named angles of these trees.
+quant-ph/0407010).  Each node sums the masses L and R of its two halves
+with `math.fsum` and takes the angle 2 atan(sqrt(R / L)) when R <= L,
+else pi - 2 atan(sqrt(L / R)): a correctly rounded sum, one ratio of at
+most 1, a root and an arctangent, so no ratio is clamped and small
+angles keep their relative precision.  The figure angles theta1-theta4
+and w_top of paper mode are named angles of these trees.
 
 Every control list of an LCU is a pattern of its ancilla register: a
 prefix of the register matched to the bits of a tree node or a leaf.
@@ -40,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence, Union
@@ -429,6 +432,16 @@ def _pattern_table(ancillas: Sequence[int], leaves: int) -> list[list[_Controls]
     return table
 
 
+def _atan_root(small: float, big: float) -> float:
+    """atan(sqrt(small / big)) for 0 <= small <= big, big > 0; a ratio
+    below the normal float range takes the two roots apart instead, so it
+    keeps its relative precision."""
+    ratio = small / big
+    if ratio < sys.float_info.min:
+        return math.atan(math.sqrt(small) / math.sqrt(big))
+    return math.atan(math.sqrt(ratio))
+
+
 def _tree_gates(mass: Sequence[float], ancillas: Sequence[int],
                 table: list[list[_Controls]]) -> tuple[list[Gate], list[tuple[str, float]]]:
     """`prep_tree` with the node controls of level l taken from row l of
@@ -437,22 +450,28 @@ def _tree_gates(mass: Sequence[float], ancillas: Sequence[int],
     leaves = [float(v) for v in mass]
     if not all(v >= 0.0 for v in leaves):
         raise ValueError("masses must be non-negative")
-    sums = [leaves + [0.0] * (2**m - len(leaves))]
-    while len(sums[-1]) > 1:
-        below = sums[-1]
-        sums.append([below[i] + below[i + 1] for i in range(0, len(below), 2)])
-    if not 0.0 < sums[-1][0] < math.inf:
+    try:
+        total = math.fsum(leaves)
+    except OverflowError:  # fsum raises where a float sum would give inf
+        total = math.inf
+    if not 0.0 < total < math.inf:
         raise ValueError("masses must have a positive finite sum")
     gates: list[Gate] = []
     named: list[tuple[str, float]] = []
     for level in range(m):
-        halves = sums[m - 1 - level]
-        # the prefixes past the row hold no mass, so they get no gate
+        half = 2 ** (m - 1 - level)
+        # the prefixes past the row hold no mass, so they get no gate; a
+        # slice past the last leaf is the zero padding and sums to 0
         for prefix, controls in enumerate(table[level]):
-            left, right = halves[2 * prefix], halves[2 * prefix + 1]
+            middle = (2 * prefix + 1) * half
+            right = math.fsum(leaves[middle : middle + half])
             if right == 0.0:
                 continue
-            theta = 2.0 * math.atan2(math.sqrt(right), math.sqrt(left))
+            left = math.fsum(leaves[middle - half : middle])
+            if right <= left:
+                theta = 2.0 * _atan_root(right, left)
+            else:
+                theta = math.pi - 2.0 * _atan_root(left, right)
             gates.append(Gate("ry", ancillas[level], (theta,), controls))
             named.append((f"prep_l{level}_p{prefix}", theta))
     return gates, named
@@ -465,10 +484,11 @@ def prep_tree(
 
     Leaf k is the ancilla pattern k (first ancilla most significant); the
     mass is padded with zeros to 2**len(ancillas) leaves.  The node at level
-    l with prefix p splits its mass between its halves L and R (pairwise sums
-    of the leaf masses) with Ry(2 atan2(sqrt(R), sqrt(L))) on ancilla l,
-    controlled on the prefix bits.  A node with R = 0 gets no gate.  Returns
-    the gates and their angles named `prep_l<l>_p<p>`.
+    l with prefix p splits its mass between its halves L and R, each the
+    correctly rounded `math.fsum` of its leaf masses, with Ry(theta) on
+    ancilla l, controlled on the prefix bits: theta = 2 atan(sqrt(R / L))
+    when R <= L, else pi - 2 atan(sqrt(L / R)).  A node with R = 0 gets no
+    gate.  Returns the gates and their angles named `prep_l<l>_p<p>`.
     """
     return _tree_gates(mass, ancillas, _pattern_table(ancillas, len(mass)))
 
@@ -539,17 +559,13 @@ _KETBRA_1Q = {
 }
 
 
-def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
-    """The per-qubit factored (product) approximation of one generator.
-
-    Built by the template tidy-up rule: write the operator as one rank-1
-    ket-bra term per irrep, fold each term's scalar weight into its first
-    qubit's single-qubit piece, sum the pieces per qubit independently, then
-    normalize every resulting bracket (L1 for one/two-term brackets, L2 for
-    three/four-term ones); the bracket scales are dropped.  The sum of
-    rank-1 terms is generally not a product, so this form differs from the
-    true operator by a quantifiable residual.
-    """
+def _paper_factors(op_name: str, spec: FrobeniusSpec) -> tuple[NormalizedFactor, ...]:
+    """The normalized factor of each work qubit, by the template tidy-up
+    rule: write the operator as one rank-1 ket-bra term per irrep, fold
+    each term's scalar weight into its first qubit's single-qubit piece,
+    sum the pieces per qubit independently, then normalize every resulting
+    bracket once (L1 for one/two-term brackets, L2 for three/four-term
+    ones); the bracket scales are dropped."""
     if op_name not in _ANGLE_LAYOUT:
         raise ValueError("paper mode covers mu, delta, eta and eps")
     n_qubits = spec.encoding.bits_per_circle * max(GENERATOR_ARITY[op_name])
@@ -560,11 +576,16 @@ def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
             factor = weight if q == 0 else 1.0
             for letter, c in piece.items():
                 brackets[q][letter] = brackets[q].get(letter, 0.0) + factor * c
-    factors = []
-    for bracket in brackets:
-        normalized, _scale = normalize_factor(bracket)
-        factors.append(normalized.coefficients())
-    return FactoredOperator(tuple(factors))
+    return tuple(normalize_factor(bracket)[0] for bracket in brackets)
+
+
+def paper_factored_form(op_name: str, spec: FrobeniusSpec) -> FactoredOperator:
+    """The per-qubit factored (product) approximation of one generator:
+    the coefficients of the normalized factors that `compile_paper`
+    compiles.  The sum of rank-1 terms is generally not a product, so this
+    form differs from the true operator by a quantifiable residual.
+    """
+    return FactoredOperator(tuple(f.coefficients() for f in _paper_factors(op_name, spec)))
 
 
 def _reported_phase(coefficient: complex, spec: FrobeniusSpec) -> float:
@@ -608,23 +629,22 @@ _PHASE_LAYOUT = {
 def compile_paper(op_name: str, spec: FrobeniusSpec) -> tuple[Circuit, CompileReport]:
     """Compile the factored template form of one generator.
 
-    Work qubit q carries the `compile_factor` block of the form's factor q,
+    Work qubit q carries the `compile_factor` block of normalized factor q,
     on ancillas of its own, so the circuit is their tensor product: its
-    post-selected block equals paper_factored_form(op_name, spec) divided
-    by the product of the blocks' nominal scales (a factor 2 per
-    Hadamard-unprepared three- or four-term block), and its term count is
-    their sum.
+    post-selected block equals paper_factored_form(op_name, spec), built
+    from the same factors, divided by the product of the blocks' nominal
+    scales (a factor 2 per Hadamard-unprepared three- or four-term block),
+    and its term count is their sum.
     """
-    form = paper_factored_form(op_name, spec)
-    n_work = form.n_qubits
+    factors = _paper_factors(op_name, spec)
+    n_work = len(factors)
     gates: list[Gate] = []
     ancillas: list[int] = []
     reports: list[CompileReport] = []
     nominal = 1.0
     term_count = 0
-    for q in range(n_work):
-        normalized, _scale = normalize_factor(form.factors[q])
-        circuit, report = compile_factor(normalized, q, n_work + len(ancillas))
+    for q, factor in enumerate(factors):
+        circuit, report = compile_factor(factor, q, n_work + len(ancillas))
         gates.extend(circuit.gates)
         ancillas.extend(circuit.ancilla_qubits)
         reports.append(report)
@@ -637,7 +657,7 @@ def compile_paper(op_name: str, spec: FrobeniusSpec) -> tuple[Circuit, CompileRe
             # a tree node that needed no gate has angle 0
             angles.append((name, dict(reports[q].angles).get(tree_angle, 0.0)))
     for name, q, letter in _PHASE_LAYOUT[op_name]:
-        coefficient = form.factors[q].get(letter) if q < n_work else None
+        coefficient = factors[q].coefficients().get(letter) if q < n_work else None
         if coefficient is not None:
             angles.append((name, _reported_phase(coefficient, spec)))
     for q, report in enumerate(reports):

@@ -84,14 +84,6 @@ gives it, and the stale half holds the retired bit that no later gate
 and no kept row reads.  So neither the layout, the runs, the levels, the
 kept-half writes, the prefix nor retirement changes a bit of the nonzero
 results.
-
-cup and cap realize the unnormalized pair creation sum_k |kk> and pair
-annihilation sum_k <kk| of the underlying dagger structure.  Both take an
-amplitude vector (any array-like of length 2**n, n <= MAX_QUBITS, qubit 0
-the leftmost bit) and return a new complex ndarray: cup writes a normalized
-Bell pair onto two fresh qubits and returns the bookkept sqrt(2) scale, cap
-consumes two qubits and returns the reduced vector with its projection
-weight.
 """
 
 from __future__ import annotations
@@ -110,8 +102,6 @@ __all__ = [
     "EffectiveOperator",
     "run",
     "effective_operator",
-    "cup",
-    "cap",
 ]
 
 MAX_QUBITS = 24
@@ -508,58 +498,3 @@ def effective_operator(circuit: Circuit) -> EffectiveOperator:
         probabilities[bits] = _checked_probability(matrix[:, j], bits)
     return EffectiveOperator(matrix, probabilities)
 
-
-def _amplitude_tensor(amplitudes) -> tuple[np.ndarray, int]:
-    """A length-2**n amplitude vector as a complex (2,)*n tensor, and n."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    size = amps.size
-    if amps.ndim != 1 or size == 0 or size & (size - 1):
-        raise ValueError("amplitudes must be a vector of length 2**n")
-    n = size.bit_length() - 1
-    if n > MAX_QUBITS:
-        raise ValueError(f"amplitude vector exceeds {MAX_QUBITS} qubits")
-    return amps.reshape((2,) * n), n
-
-
-def _pair_index(n: int, q1: int, q2: int, bit: int) -> tuple:
-    """Index into a (2,)*n amplitude tensor fixing qubits q1 and q2 to `bit`."""
-    if q1 == q2 or not (0 <= q1 < n and 0 <= q2 < n):
-        raise ValueError("cup/cap need two distinct in-range qubits")
-    index = [slice(None)] * n
-    index[q1] = index[q2] = bit
-    return tuple(index)
-
-
-def cup(amplitudes, q1: int, q2: int) -> tuple[np.ndarray, float]:
-    """Write a Bell pair (|00> + |11>) / sqrt(2) onto two fresh |0> qubits.
-
-    Returns (new amplitudes, sqrt(2)): the scale by which the unnormalized
-    pair creation sum_k |kk> exceeds the stored normalized pair.
-    """
-    amps, n = _amplitude_tensor(amplitudes)
-    zeros = _pair_index(n, q1, q2, 0)
-    occupied = np.abs(amps)
-    occupied[zeros] = 0.0
-    if np.max(occupied, initial=0.0) > 1e-12:
-        raise ValueError("cup targets must be fresh |0> qubits")
-    out = np.zeros_like(amps)
-    out[zeros] = amps[zeros] / math.sqrt(2)
-    out[_pair_index(n, q1, q2, 1)] = amps[zeros] / math.sqrt(2)
-    return out.reshape(-1), math.sqrt(2)
-
-
-def cap(amplitudes, q1: int, q2: int) -> tuple[np.ndarray, float]:
-    """Project two qubits onto the normalized pair (<00| + <11|) / sqrt(2)
-    and drop them from the register.
-
-    Returns (reduced amplitudes, projection weight); the weight is the
-    success probability for a normalized input.
-    """
-    amps, n = _amplitude_tensor(amplitudes)
-    # the remaining axes keep their order, so the flattened branch is the
-    # reduced register's amplitude vector
-    branch = (
-        (amps[_pair_index(n, q1, q2, 0)] + amps[_pair_index(n, q1, q2, 1)]) / math.sqrt(2)
-    ).reshape(-1)
-    weight = float(np.sum(np.abs(branch) ** 2))
-    return branch, weight

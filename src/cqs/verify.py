@@ -117,10 +117,8 @@ def axiom_suite(spec: FrobeniusSpec,
     for i in range(d):
         for j in range(d):
             swap[i * d + j, j * d + i] = 1.0
-    sector = np.zeros((d, d), dtype=complex)
-    for entry in spec.table:
-        idx = int(spec.encoding.bits(entry.label), 2)
-        sector[idx, idx] = 1.0
+    # the cylinder at zero area is the projector onto the irrep sector
+    sector = gen("cylinder", 0.0)
 
     mu = gen("mu")
     delta = gen("delta")

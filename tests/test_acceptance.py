@@ -243,27 +243,27 @@ def test_criterion_9_reproduction_determinism(tmp_path, capsys):
 # them.  The su3(7) mu circuit is the 3054-gate path with 9-control gates.
 PINNED_STDOUT_SHA256 = {
     "reproduce-paper --convention paper":
-        "0183a36c2722d1dd5be37c673220d5fa2f2036f3f8351e3c04bd0d2588888f94",
+        "5a658f64ecba6fbe82e93a852c41eeaa51d86f0d8e96c32b5551b63225d5ffbf",
     "reproduce-paper --convention euclidean":
-        "219fe1fc59ef8779da127e52c96db05dc369bd91c73726afe7cbef83be262901",
+        "7d1c6eed56192424dbbeab4c2c214b19988616ca50f52aa61380167982ca2be8",
     "compile --op eta --mode exact | simulate --effective":
-        "bfcc46815dd9498d897cc7032e761301ef980e933743952915674a04534882dc",
+        "010308d10da490a80a374cfd17bf67dfb7f23288405c41b4aaa0bd80e2875f63",
     "compile --op mu --truncate 7":
-        "a609ca4c0fdfe6da7b154ccaf61ad559f3a06ad718cf30b7dca0adf793e496ea",
+        "bd4c2b0edf8a58d8716e2f04b0fab34378ce1023f7f6401f408a3763d5baacd8",
     "compile --op mu --truncate 7 | emit":
-        "e3cb0537080fd5114cac4a29ef1bbf74acb7489c5b0dfd4bf9fee50e25889587",
+        "c4b7da864057a7e0af64a308a8ecc46fe3d11a3638575262f31495bb657a9cbc",
     "compile --op mu --truncate 7 | simulate --in 111111":
         "1727f5d7898649b652898d844168fcb0b96affcd4d25430fa9a122a4f6a655fd",
     "compile --op eta --mode paper --truncate 7 | simulate --in 000":
-        "15905f6fc79e91e244b3ab6e58cbe15e203de7cdc90961046bd946aa8716f41d",
+        "66d9fd3d1c9b0d22ad6e8d054a76bfbf8858b16ea909d514e47e99816f1305ba",
     "compile --op mu --mode paper --truncate 15 | emit":
-        "35fd5ac7cd71d3496613e1a5dded687a604c86eaded62bb41ef4bd08cbe3179b",
+        "ca941ddd5079895794c9859b309616a8bba9fbe89eac12cb6aa583960b5bd925",
     # the largest exact circuit, 30910 gates: the JSON writer, the document
     # loader and emit_text on every kind of shared control list
     "compile --op mu --truncate 15":
-        "9ab5977801c46f5b8647649fe9255c072f10e5f290726eff16c516ec0e90318c",
+        "1207d4f87ba68970a7ee66ceb4651185b345b82d443fbb53e385cd6af8c3407a",
     "compile --op mu --truncate 15 | emit":
-        "db5ccd118fe28d593f2261460d2e4bd397a4999afd6a76024aea73f6ad00ec46",
+        "30f574dc6c05e227a714e6aabde4a4895be680a102f044c1f6525612da4cf6fc",
 }
 
 

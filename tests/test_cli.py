@@ -300,6 +300,21 @@ def test_coefficient_out_of_float_range_exits_2(capsys, tmp_path):
     assert code == 0 and "Infinity" not in out
 
 
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    """An output path that cannot be written is a usage error: exit 2 and
+    one error line, not a traceback or the verification-failure code."""
+    missing = tmp_path / "missing"
+    for argv, path in (
+        (["irreps", "--truncate", "3", "--out"], missing / "x.json"),
+        (["verify", "--op", "eta", "--mode", "paper", "--report"], missing / "r.json"),
+    ):
+        code, out, err = run_cli(capsys, argv + [str(path)])
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert not missing.exists()
+
+
 def test_usage_exit_codes(capsys, monkeypatch):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()

@@ -12,7 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqs.duality_compiler import (
@@ -27,7 +27,7 @@ from cqs.duality_compiler import (
     paper_factored_form,
     prep_tree,
 )
-from cqs.duality_compiler import _NO_CONTROLS, _Controls, _pattern_table
+from cqs.duality_compiler import _NO_CONTROLS, _Controls, _paper_factors, _pattern_table
 from cqs.frobenius import FrobeniusSpec, PhaseConvention, build_eta, build_mu
 from cqs.pauli import PAULI_1Q, normalize_factor, pauli_reconstruct
 from cqs.statevector import effective_operator
@@ -438,6 +438,13 @@ def test_prep_tree_prepares_sqrt_mass(mass):
 
 @settings(max_examples=100, deadline=None)
 @given(_MASSES)
+# two draws past the bound (2.15 and 2.42 ulp) when the half masses are
+# pairwise float sums and each angle an atan2 of two roots
+@example([0.0, 0.0, 0.0, 0.0, 10.0**1.875, 0.01, 0.0, 10.0**1.1015625, 0.001])
+@example([0.0, 2.2844270454044154e-11, 0.0, 0.0, 0.0, 6.026256317168401e-26, 0.0,
+          1.0275075377687722e-12, 1.0, 1.0, 1.0, 2.2844270454044154e-11,
+          8.90759110614594e-06, 0.0, 1.0, 100.0, 0.0, 1.0, 0.0, 0.0,
+          3.1945491654530446e-16, 0.0])
 def test_prep_tree_angles_within_2_ulp(mass):
     """Each angle against 2 atan2(sqrt R, sqrt L) with exact half masses,
     evaluated in mpmath at 200 bits."""
@@ -472,6 +479,11 @@ def test_prep_tree_keeps_small_angles():
     ((name, theta),) = prep_tree((1.0, 1e-18), (0,))[1]
     assert name == "prep_l0_p0"
     assert theta == pytest.approx(2e-9, rel=1e-15)
+    # a mass ratio below the normal float range keeps its precision too
+    for small, big in ((1e-300, 1e10), (1e-200, 1e200)):
+        ((_, theta),) = prep_tree((big, small), (0,))[1]
+        assert theta == pytest.approx(2 * math.sqrt(small) / math.sqrt(big), rel=1e-15, abs=0)
+        assert prep_tree((small, big), (0,))[1] == [("prep_l0_p0", math.pi)]
 
 
 def test_prep_tree_four_leaves():
@@ -614,14 +626,16 @@ def test_compile_factor_block_matches_factor(factor):
 def test_compile_paper_concatenates_factor_blocks(count, beta, convention, op_name):
     """The paper circuit is its per-qubit factor blocks side by side: their
     gates and ancillas in qubit order, the scales multiplied and the term
-    counts added."""
+    counts added.  The blocks compile the very factors whose coefficients
+    the factored form reports, each normalized once."""
     spec = FrobeniusSpec.su3(count, beta=beta, convention=convention)
     circuit, report = compile_paper(op_name, spec)
+    factors = _paper_factors(op_name, spec)
     form = paper_factored_form(op_name, spec)
+    assert form.factors == tuple(factor.coefficients() for factor in factors)
     gates, ancillas, scale, terms = [], [], 1.0, 0
-    for q, factor in enumerate(form.factors):
-        block, block_report = compile_factor(normalize_factor(factor)[0], q,
-                                             form.n_qubits + len(ancillas))
+    for q, factor in enumerate(factors):
+        block, block_report = compile_factor(factor, q, len(factors) + len(ancillas))
         gates += [gate.to_dict() for gate in block.gates]
         ancillas += block.ancilla_qubits
         scale *= block_report.nominal_scale.real

@@ -1,4 +1,4 @@
-"""Statevector engine: gate application, post-selected runs, cup and cap.
+"""Statevector engine: gate application and post-selected runs.
 
 Single gates, as the effective operator of a one-gate circuit, are checked
 against a brute-force oracle that walks every basis state and applies the
@@ -20,13 +20,7 @@ from cqs import statevector
 from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper, prep_tree
 from cqs.duality_compiler import _Controls
 from cqs.frobenius import FrobeniusSpec, build_eta, build_mu
-from cqs.statevector import (
-    MAX_QUBITS,
-    cap,
-    cup,
-    effective_operator,
-    run,
-)
+from cqs.statevector import MAX_QUBITS, effective_operator, run
 
 
 def dense_gate_oracle(gate, n):
@@ -71,29 +65,6 @@ def full_register_run(circuit, vector):
         statevector._simulate((gate,), block, position)
     kept = statevector._postselect_mask(circuit) * dim_work
     return block[kept : kept + dim_work].reshape(np.shape(vector))
-
-
-def test_statevector_validation():
-    """cup and cap take a vector of length 2**n, n <= MAX_QUBITS."""
-    for op in (cup, cap):
-        for bad in (np.zeros(3), np.zeros(6), np.zeros(0), np.zeros((2, 2)), 1.0):
-            with pytest.raises(ValueError, match="length 2"):
-                op(bad, 0, 1)
-        # beyond the qubit budget; a broadcast view allocates nothing
-        too_long = np.broadcast_to(np.complex128(0), (2 ** (MAX_QUBITS + 1),))
-        with pytest.raises(ValueError, match=f"exceeds {MAX_QUBITS} qubits"):
-            op(too_long, 0, 1)
-    # array-likes of any numeric dtype are accepted
-    out, _ = cup([1, 0, 0, 0], 0, 1)
-    assert out.dtype == complex and out.shape == (4,)
-    reduced, weight = cap(np.array([1.0, 0.0, 0.0, 1.0]), 0, 1)
-    assert reduced.dtype == complex and reduced.shape == (1,)
-    assert weight == pytest.approx(2.0)
-    # the input vector is never written
-    vec = basis("100")
-    cup(vec, 1, 2)
-    cap(vec, 0, 2)
-    assert np.array_equal(vec, basis("100"))
 
 
 def test_single_gate_against_oracle():
@@ -197,81 +168,6 @@ def test_qubit_budget():
                        ((30, 0), (31, 0)))
     with pytest.raises(ValueError):
         run(too_many, "0" * (MAX_QUBITS - 1))
-
-
-def test_cup_writes_bell_pair():
-    state, scale = cup(basis("100"), 1, 2)
-    assert scale == pytest.approx(math.sqrt(2))
-    want = np.zeros(8, dtype=complex)
-    want[0b100] = 1 / math.sqrt(2)
-    want[0b111] = 1 / math.sqrt(2)
-    assert np.allclose(state, want)
-    # pair qubits given out of order and apart
-    state, _ = cup(basis("0100"), 3, 0)
-    assert np.flatnonzero(state).tolist() == [0b0100, 0b1101]
-
-
-def test_cup_requires_fresh_qubits():
-    with pytest.raises(ValueError, match="fresh"):
-        cup(basis("01"), 0, 1)
-    with pytest.raises(ValueError, match="distinct"):
-        cup(basis("00"), 0, 0)
-    with pytest.raises(ValueError, match="in-range"):
-        cup(basis("00"), 0, 5)
-
-
-def test_cap_projection_weight():
-    rng = np.random.default_rng(29)
-    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-    vec /= np.linalg.norm(vec)
-    reduced, weight = cap(vec, 0, 2)
-    # direct projection: qubit 1 survives; (q0, q2) projected on the pair
-    want = np.zeros(2, dtype=complex)
-    for q1_bit in range(2):
-        want[q1_bit] = (vec[int(f"0{q1_bit}0", 2)] + vec[int(f"1{q1_bit}1", 2)]) / math.sqrt(2)
-    assert np.allclose(reduced, want)
-    assert weight == pytest.approx(float(np.sum(np.abs(want) ** 2)))
-
-
-def test_cap_every_pair_against_bit_oracle():
-    rng = np.random.default_rng(37)
-    for n in range(2, 6):
-        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        for q1 in range(n):
-            for q2 in range(n):
-                if q1 == q2:
-                    continue
-                keep = [q for q in range(n) if q not in (q1, q2)]
-                want = np.zeros(2 ** len(keep), dtype=complex)
-                for idx in range(2**n):
-                    bits = format(idx, f"0{n}b")
-                    if bits[q1] == bits[q2]:
-                        reduced_idx = int("".join(bits[q] for q in keep) or "0", 2)
-                        want[reduced_idx] += vec[idx] / math.sqrt(2)
-                reduced, weight = cap(vec, q1, q2)
-                assert reduced.shape == (2 ** (n - 2),)
-                assert np.allclose(reduced, want, atol=1e-14)
-                assert weight == pytest.approx(float(np.sum(np.abs(want) ** 2)))
-
-
-def test_snake_identity():
-    # bend a wire: cup on fresh (1, 2), then cap on (0, 1) moves the state
-    # to qubit 2 at half amplitude (the two normalized halves of the pair)
-    rng = np.random.default_rng(31)
-    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    psi /= np.linalg.norm(psi)
-    start = np.kron(psi, [1, 0, 0, 0]).astype(complex)
-    bent, cup_scale = cup(start, 1, 2)
-    final, weight = cap(bent, 0, 1)
-    assert np.allclose(final, psi / 2)
-    assert cup_scale * math.sqrt(2) == pytest.approx(2.0)  # undoes the 1/2
-    assert weight == pytest.approx(0.25)
-
-
-def test_cap_orthogonal_branch():
-    reduced, weight = cap(basis("01"), 0, 1)
-    assert weight == 0.0
-    assert reduced.shape == (1,)
 
 
 def oracle_matrix2(kind, params):
