@@ -160,8 +160,6 @@ def _add_table_args(parser, with_beta: bool = True) -> None:
 
 def _build_operator(args) -> DenseOperator:
     spec = _spec_from_args(args)
-    if args.op not in _BUILDERS:
-        raise _UsageError(f"unknown operator {args.op!r}")
     if getattr(args, "logical", False):
         return logical_form(args.op, spec)
     return _BUILDERS[args.op](spec)
@@ -192,19 +190,20 @@ def _cmd_decompose(args) -> int:
 
 
 def _compile(args, spec: FrobeniusSpec):
-    """(circuit, report, dense target, target name) of --op in --mode;
-    paper_factored_form rejects the tags paper mode does not cover."""
+    """(circuit, report, target) of --op in --mode: the dense generator in
+    exact mode, the FactoredOperator in paper mode, left unexpanded (only
+    verify builds its 2^n x 2^n product).  paper_factored_form rejects the
+    tags paper mode does not cover."""
     if args.mode == "paper":
         circuit, report = compile_paper(args.op, spec)
-        target = paper_factored_form(args.op, spec).matrix()
-        return circuit, report, target, f"{args.op}_factored_form"
-    target_op = _BUILDERS[args.op](spec)
-    circuit, report = compile_exact(target_op)
-    return circuit, report, target_op.matrix, args.op
+        return circuit, report, paper_factored_form(args.op, spec)
+    target = _BUILDERS[args.op](spec)
+    circuit, report = compile_exact(target)
+    return circuit, report, target
 
 
 def _cmd_compile(args) -> int:
-    circuit, report, _target, _name = _compile(args, _spec_from_args(args))
+    circuit, report, _target = _compile(args, _spec_from_args(args))
     _emit(_circuit_json(circuit, report) + "\n", args.out)
     return 0
 
@@ -236,7 +235,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    circuit, _report, target, target_name = _compile(args, spec)
+    circuit, _report, target = _compile(args, spec)
+    target_name = args.op
+    if args.mode == "paper":
+        target, target_name = target.matrix(), f"{args.op}_factored_form"
     report = verify_compiled(circuit, target, target_name, args.mode, axiom_suite(spec))
     _emit_json(report.to_dict(), args.report)
     if report.relative_residual > RESIDUAL_TOLERANCE:

@@ -19,7 +19,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .frobenius import DenseOperator
+from .frobenius import MAX_DOCUMENT_QUBITS, DenseOperator
 
 __all__ = [
     "PAULI_LETTERS",
@@ -203,17 +203,24 @@ class FactoredOperator:
         return len(self.factors)
 
     def matrix(self) -> np.ndarray:
+        """The 2^n x 2^n product; wider than MAX_DOCUMENT_QUBITS is refused
+        before any allocation."""
+        if self.n_qubits > MAX_DOCUMENT_QUBITS:
+            raise ValueError(f"a product of {self.n_qubits} one-qubit factors is a "
+                             f"{self.n_qubits}-qubit matrix, over the "
+                             f"{MAX_DOCUMENT_QUBITS}-qubit limit")
         out = pauli_reconstruct(self.factors[0], 1)
         for f in self.factors[1:]:
             out = np.kron(out, pauli_reconstruct(f, 1))
         return out
 
 
-def factorization_residual(claimed: FactoredOperator,
+def factorization_residual(claimed: Union[FactoredOperator, np.ndarray],
                            exact: Union[DenseOperator, np.ndarray]) -> float:
-    """Relative Frobenius distance || expand(claimed) - exact || / || exact ||."""
+    """Relative Frobenius distance || expand(claimed) - exact || / || exact ||;
+    `claimed` may also be the already expanded matrix."""
     target = _as_matrix(exact)
-    got = claimed.matrix()
+    got = claimed.matrix() if isinstance(claimed, FactoredOperator) else _as_matrix(claimed)
     if got.shape != target.shape:
         raise ValueError(f"shape mismatch {got.shape} vs {target.shape}")
     denom = float(np.linalg.norm(target))

@@ -4,7 +4,9 @@ suite, and the end-to-end reference reproduction bundle.
 All comparisons are against dense matrices; nothing here samples.  The
 axiom suite exercises the algebra identities on logical forms, where the
 identity morphism is the projector onto the encoded irrep sector, and
-works for any diagonal (label, casimir, dim) table, not only SU(3).
+works for any diagonal (label, casimir, dim) table, not only SU(3).  Each
+identity is one contraction of circle axes of those forms read as tensors,
+with no identity padding; its widest array has d^4 <= 2^24 entries.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .duality_compiler import Circuit, compile_exact, compile_paper, paper_factored_form
 from .frobenius import BUILDERS as _BUILDERS
-from .frobenius import DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
+from .frobenius import GENERATOR_ARITY, DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
 from .pauli import _as_matrix, factorization_residual
 from .statevector import effective_operator
 
@@ -95,6 +97,12 @@ def _maxabs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
+def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    # optimize=True hands each pairwise contraction to BLAS (tensordot); the
+    # plain einsum loop is several times slower from 4-bit circles up
+    return np.einsum(subscripts, *operands, optimize=True)
+
+
 def axiom_suite(spec: FrobeniusSpec,
                 overrides: Optional[Mapping[str, DenseOperator]] = None) -> list[tuple[str, float]]:
     """Max-entry deviations of the commutative-Frobenius identities.
@@ -102,76 +110,60 @@ def axiom_suite(spec: FrobeniusSpec,
     Identities are checked on logical forms; generators may be overridden
     (keyed by tag) to exercise the suite against corrupted data.  Every
     deviation is ~1e-16 for correctly built generators, for any table.
+
+    Each identity is one contraction of circle axes: a logical form is read
+    as a tensor with one length-d axis per circle (d = 2^bits per circle),
+    outputs first and the first circle most significant, so mu is
+    mu[o, a, b] and delta is delta[a, b, i].  The widest array is a
+    four-circle side of associativity, coassociativity or the Frobenius
+    relation, d^4 entries; logical forms refuse registers over the 12-qubit
+    MAX_DOCUMENT_QUBITS, so d <= 64 and no array exceeds 2^24 entries
+    (256 MiB).
     """
     overrides = dict(overrides or {})
+    d = 2**spec.encoding.bits_per_circle
 
     def gen(tag: str, beta: Optional[float] = None) -> np.ndarray:
         if beta is None and tag in overrides:
-            return overrides[tag].matrix
-        return logical_form(tag, spec, beta).matrix
+            matrix = overrides[tag].matrix
+        else:
+            matrix = logical_form(tag, spec, beta).matrix
+        a_in, a_out = GENERATOR_ARITY[tag]
+        return matrix.reshape((d,) * (a_out + a_in))
 
-    b = spec.encoding.bits_per_circle
-    d = 2**b
-    eye = np.eye(d, dtype=complex)
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
     # the cylinder at zero area is the projector onto the irrep sector
     sector = gen("cylinder", 0.0)
-
-    mu = gen("mu")
-    delta = gen("delta")
-    eta = gen("eta")
-    eps = gen("eps")
+    mu, delta, eps = gen("mu"), gen("delta"), gen("eps")
     beta = spec.beta
     beta_extra = 0.5 * beta + 0.25  # a generic second area
-
-    results = []
-    results.append(("commutativity", _maxabs(mu @ swap - mu)))
-    results.append(("cocommutativity", _maxabs(swap @ delta - delta)))
-    results.append(
-        ("associativity", _maxabs(mu @ np.kron(mu, eye) - mu @ np.kron(eye, mu)))
-    )
-    results.append(
-        ("coassociativity", _maxabs(np.kron(delta, eye) @ delta - np.kron(eye, delta) @ delta))
-    )
-    left = np.kron(eye, mu) @ np.kron(delta, eye)
-    middle = delta @ mu
-    right = np.kron(mu, eye) @ np.kron(eye, delta)
-    results.append(
-        ("frobenius_relation", max(_maxabs(left - middle), _maxabs(right - middle)))
-    )
-    results.append(
-        (
-            "counit_law",
-            max(
-                _maxabs(np.kron(eps, eye) @ delta - sector),
-                _maxabs(np.kron(eye, eps) @ delta - sector),
-            ),
-        )
-    )
     eta_extra = gen("eta", beta_extra)
     tube = gen("cylinder", beta + beta_extra)
-    results.append(
-        (
-            "unit_with_area",
-            max(
-                _maxabs(mu @ np.kron(eta_extra, eye) - tube),
-                _maxabs(mu @ np.kron(eye, eta_extra) - tube),
-            ),
-        )
-    )
-    beta1 = 0.3 * beta + 0.2
-    beta2 = 0.7 * beta + 0.05
+    beta1, beta2 = 0.3 * beta + 0.2, 0.7 * beta + 0.05
     glued = gen("cylinder", beta1) @ gen("cylinder", beta2)
     whole = gen("cylinder", beta1 + beta2)
-    sphere_direct = gen("eps") @ gen("eta", beta1 + beta2)
-    sphere_tubed = gen("eps") @ gen("cylinder", beta2) @ gen("eta", beta1)
-    results.append(
-        ("area_additivity", max(_maxabs(glued - whole), _maxabs(sphere_direct - sphere_tubed)))
-    )
-    return results
+    sphere_direct = eps @ gen("eta", beta1 + beta2)
+    sphere_tubed = eps @ gen("cylinder", beta2) @ gen("eta", beta1)
+    middle = _contract("abm,mxy->abxy", delta, mu)
+    # each side is a d^4 array: hold one at a time beside `middle`, and free
+    # `middle` before the other four-circle identities
+    frobenius = max(_maxabs(_contract("aqx,bqy->abxy", delta, mu) - middle),
+                    _maxabs(_contract("axp,pby->abxy", mu, delta) - middle))
+    del middle
+    return [
+        ("commutativity", _maxabs(mu.swapaxes(1, 2) - mu)),
+        ("cocommutativity", _maxabs(delta.swapaxes(0, 1) - delta)),
+        ("associativity",
+         _maxabs(_contract("omc,mab->oabc", mu, mu) - _contract("oam,mbc->oabc", mu, mu))),
+        ("coassociativity", _maxabs(_contract("abm,mci->abci", delta, delta)
+                                    - _contract("bcm,ami->abci", delta, delta))),
+        ("frobenius_relation", frobenius),
+        ("counit_law", max(_maxabs(_contract("m,moi->oi", eps, delta) - sector),
+                           _maxabs(_contract("m,omi->oi", eps, delta) - sector))),
+        ("unit_with_area", max(_maxabs(_contract("omc,m->oc", mu, eta_extra) - tube),
+                               _maxabs(_contract("ocm,m->oc", mu, eta_extra) - tube))),
+        ("area_additivity",
+         max(_maxabs(glued - whole), _maxabs(sphere_direct - sphere_tubed))),
+    ]
 
 
 def verify_compiled(circuit: Circuit, target, target_name: str, mode: str,
@@ -269,17 +261,15 @@ def reproduce_paper(convention: PhaseConvention = PhaseConvention.PAPER_LITERAL)
             raise VerificationError(
                 f"exact-residual:{op_name}", f"residual {exact.relative_residual:.3e}"
             )
-        form = paper_factored_form(op_name, spec)
+        form = paper_factored_form(op_name, spec).matrix()
         paper_circuit, paper_report = compile_paper(op_name, spec)
-        paper = verify_compiled(
-            paper_circuit, form.matrix(), f"{op_name}_factored_form", "paper", axioms
-        )
+        paper = verify_compiled(paper_circuit, form, f"{op_name}_factored_form", "paper", axioms)
         if paper.relative_residual > RESIDUAL_TOLERANCE:
             raise VerificationError(
                 f"paper-residual:{op_name}", f"residual {paper.relative_residual:.3e}"
             )
         raw = factorization_residual(form, target)
-        up_to_scale, _ = compare_up_to_scale(form.matrix(), target.matrix)
+        up_to_scale, _ = compare_up_to_scale(form, target.matrix)
         bundle["paper_form_residuals"][op_name] = {
             "raw": raw,
             "up_to_scale": up_to_scale,

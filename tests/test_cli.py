@@ -184,6 +184,32 @@ def test_verify_cylinder(capsys):
     assert "paper mode" in err and err.count("\n") == 1
 
 
+def test_compile_builds_no_target(capsys, monkeypatch):
+    """compile emits the circuit without expanding the paper form, which at
+    --truncate 255 would be a 2^16 x 2^16 product."""
+    from cqs.pauli import FactoredOperator
+
+    def refuse(self):
+        raise AssertionError("compile expanded the factored form")
+
+    monkeypatch.setattr(FactoredOperator, "matrix", refuse)
+    code, out, err = run_cli(capsys, ["compile", "--op", "mu", "--mode", "paper",
+                                      "--truncate", "7"])
+    assert (code, err) == (0, "")
+    assert Circuit.from_dict(json.loads(out)).gates
+
+
+def test_verify_paper_form_over_width_exits_2(capsys, monkeypatch):
+    from cqs import pauli
+
+    # su3(7) paper mu is a product of six one-qubit factors
+    monkeypatch.setattr(pauli, "MAX_DOCUMENT_QUBITS", 5)
+    code, out, err = run_cli(capsys, ["verify", "--op", "mu", "--mode", "paper",
+                                      "--truncate", "7"])
+    assert (code, out) == (2, "")
+    assert "over the 5-qubit limit" in err and err.count("\n") == 1
+
+
 def test_verify_eta_paper_small_rotation(capsys):
     """The first eta bracket at su3(9..15), euclidean, beta 1 needs an Ry of
     about 1e-9 rad; without it the residual was 2.6e-10 to 5.2e-10 (exit 1)."""

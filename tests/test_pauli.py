@@ -256,6 +256,24 @@ def test_factored_operator_validation():
         FactoredOperator(({"XY": 1.0},))
 
 
+def test_factored_operator_matrix_width_is_checked_first(monkeypatch):
+    from cqs import pauli
+
+    claimed = FactoredOperator(({"X": 1.0},) * 3)
+    # the limit is inclusive
+    monkeypatch.setattr(pauli, "MAX_DOCUMENT_QUBITS", 3)
+    assert claimed.matrix().shape == (8, 8)
+    monkeypatch.setattr(pauli, "MAX_DOCUMENT_QUBITS", 2)
+    with pytest.raises(ValueError, match="3-qubit matrix, over the 2-qubit limit"):
+        claimed.matrix()
+
+
+def test_residual_takes_the_expanded_matrix():
+    claimed = FactoredOperator(({"I": 1.5, "X": 0.75}, {"Z": 2.0}))
+    exact = np.kron(PAULI_1Q["X"], PAULI_1Q["Z"])
+    assert factorization_residual(claimed.matrix(), exact) == factorization_residual(claimed, exact)
+
+
 def test_residual_zero_for_true_product():
     claimed = FactoredOperator(({"I": 1.5, "X": 0.75}, {"Z": 2.0}))
     assert factorization_residual(claimed, claimed.matrix()) < 1e-15

@@ -117,6 +117,87 @@ def test_axiom_suite_detects_corruption():
     assert results["frobenius_relation"] > 1e-3
 
 
+def _kron_axiom_suite(spec, overrides):
+    """The identities as the logical forms padded with identities: each
+    side a product of np.kron chains, and the swap a d^2 x d^2 permutation
+    matrix.  An oracle for axiom_suite's contraction of circle axes."""
+
+    def gen(tag, beta=None):
+        if beta is None and tag in overrides:
+            return overrides[tag].matrix
+        return logical_form(tag, spec, beta).matrix
+
+    d = 2**spec.encoding.bits_per_circle
+    eye = np.eye(d, dtype=complex)
+    swap = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    sector = gen("cylinder", 0.0)
+    mu, delta, eps = gen("mu"), gen("delta"), gen("eps")
+    beta = spec.beta
+    beta_extra = 0.5 * beta + 0.25
+    eta_extra = gen("eta", beta_extra)
+    tube = gen("cylinder", beta + beta_extra)
+    beta1, beta2 = 0.3 * beta + 0.2, 0.7 * beta + 0.05
+    pairs = {
+        "commutativity": [(mu @ swap, mu)],
+        "cocommutativity": [(swap @ delta, delta)],
+        "associativity": [(mu @ np.kron(mu, eye), mu @ np.kron(eye, mu))],
+        "coassociativity": [(np.kron(delta, eye) @ delta, np.kron(eye, delta) @ delta)],
+        "frobenius_relation": [(np.kron(eye, mu) @ np.kron(delta, eye), delta @ mu),
+                               (np.kron(mu, eye) @ np.kron(eye, delta), delta @ mu)],
+        "counit_law": [(np.kron(eps, eye) @ delta, sector), (np.kron(eye, eps) @ delta, sector)],
+        "unit_with_area": [(mu @ np.kron(eta_extra, eye), tube),
+                           (mu @ np.kron(eye, eta_extra), tube)],
+        "area_additivity": [
+            (gen("cylinder", beta1) @ gen("cylinder", beta2), gen("cylinder", beta1 + beta2)),
+            (eps @ gen("eta", beta1 + beta2), eps @ gen("cylinder", beta2) @ gen("eta", beta1)),
+        ],
+    }
+    return [(name, max(float(np.max(np.abs(x - y))) for x, y in sides))
+            for name, sides in pairs.items()]
+
+
+@pytest.mark.parametrize("truncation, bits", [(1, 1), (3, 2), (7, 3)])
+@pytest.mark.parametrize("convention", list(PhaseConvention))
+def test_axiom_suite_matches_kron_oracle(truncation, bits, convention):
+    # random complex generators are no algebra, so no identity that uses mu,
+    # delta or eps cancels and each deviation is an O(1) number both
+    # formulations must agree on; area additivity applies eps to both sides
+    # of a cylinder gluing, so it stays at rounding level
+    spec = FrobeniusSpec.su3(truncation, beta=0.6, convention=convention)
+    assert spec.encoding.bits_per_circle == bits
+    d = 2**bits
+    rng = np.random.default_rng(100 * truncation + bits)
+    shapes = {"mu": (d, d * d), "delta": (d * d, d), "eps": (1, d)}
+    overrides = {tag: DenseOperator(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                 for tag, shape in shapes.items()}
+    got = axiom_suite(spec, overrides)
+    want = _kron_axiom_suite(spec, overrides)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, value), (_, reference) in zip(got, want):
+        if name == "area_additivity":
+            assert max(value, reference) <= AXIOM_TOLERANCE
+            continue
+        assert reference > 1e-3, name
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0), name
+
+
+def test_axiom_suite_five_bit_circles():
+    for convention in PhaseConvention:
+        spec = FrobeniusSpec.su3(16, beta=1.0, convention=convention)
+        assert spec.encoding.bits_per_circle == 5
+        results = dict(axiom_suite(spec))
+        # the sphere half of area additivity is an absolute difference of two
+        # amplitudes as large as sum d_R^2 = 4900; under the literal
+        # convention it is 2.7e-12, rounding relative to that size
+        sphere_scale = sum(entry.dim**2 for entry in spec.table)
+        assert results.pop("area_additivity") <= AXIOM_TOLERANCE * sphere_scale
+        for name, deviation in results.items():
+            assert deviation <= AXIOM_TOLERANCE, (convention, name, deviation)
+
+
 def test_verify_compiled_report():
     spec = FrobeniusSpec.su3(3, beta=1.0)
     target = build_mu(spec)
