@@ -59,8 +59,27 @@ post-selected bit.  The trailing gates (the unprepare tree of an LCU
 circuit) then update only the rows that can still reach the kept slab,
 without copying or reshaping the block.  A level whose target retires
 right after it writes only the half of its rows that holds the
-post-selected bit, and leaves the other half stale.  The block's size is
-checked against MAX_BLOCK_BYTES before it is allocated.
+post-selected bit, and leaves the other half stale.  The whole block's
+size is checked against MAX_BLOCK_BYTES before anything is allocated,
+also when it runs in windows, which allocate less.
+
+Windows: cache blocking along the ancillas, after Haener & Steiger.  In an
+LCU circuit every select gate, and every unprepare level of the later
+("low") half of the ancillas, is controlled on each of the first
+ceil(n_anc / 2) ("top") ancillas, the block's most significant axes, so it
+touches the rows of one window: one pattern of the top ancillas.  A block
+of more than _WINDOW amplitudes then runs in two phases after the prefix.
+Each window in turn zeroes one buffer of the low ancillas and the work
+register, writes its slice of the prefix state into it, runs its own gates
+in circuit order with the top controls skipped (the window fixes them),
+and copies the rows where the low ancillas hold their post-selected bits
+into a top block of the top ancillas and the work register.  The remaining
+gates, which touch no low ancilla, then run on the top block, and the kept
+slab is sliced from it.  The buffer and the top block together hold
+2**-floor(n_anc / 2) + 2**-ceil(n_anc / 2) of the block.  A circuit that
+does not fit this plan, such as a paper-mode circuit, or a smaller block,
+runs as one window of the whole block, with no top ancilla (see
+_window_plan).
 
 Bit-identity contract: every kernel performs, on every nonzero amplitude,
 the same floating-point operations as the generic update
@@ -81,14 +100,21 @@ equals running them in order; each amplitude gets the rotation's own
 operations with its gate's cos and sin, element by element.  The kept
 half of a retiring level gets exactly the operations the full rotation
 gives it, and the stale half holds the retired bit that no later gate
-and no kept row reads.  So neither the layout, the runs, the levels, the
-kept-half writes, the prefix nor retirement changes a bit of the nonzero
-results.
+and no kept row reads.  A gate of the window phase touches the rows of
+one window only, so grouping those gates by window, each group still in
+circuit order, gives every row the same operations in the same order;
+the gates of a level split across windows keep the level contract in
+each.  Once the low ancillas have retired, every later gate on the
+whole block touches only rows where they hold their post-selected bits,
+which are the rows the top block holds.  So neither the layout, the
+runs, the levels, the kept-half writes, the prefix, retirement nor the
+windows changes a bit of the nonzero results.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +131,16 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
-# largest amplitude block (complex128, rows x columns) a simulation allocates
+# largest amplitude block (complex128, rows x columns) a simulation may
+# need: the whole block, also when it runs in smaller windows
 MAX_BLOCK_BYTES = 1 << 30
 PROBABILITY_SLACK = 1e-12
 # gates whose halves exceed this many amplitudes run in slices of about this
 # size, so a slice and its temporaries stay in cache
 _CHUNK = 1 << 12
+# blocks larger than this many amplitudes run one ancilla window at a time
+# (see _window_plan), so each window's buffer stays near cache size
+_WINDOW = 1 << 16
 
 
 # the index pairs that select the 0 and 1 halves of axis k of a view
@@ -244,6 +274,12 @@ def _in_slices(kernel, lo: np.ndarray, hi: np.ndarray, *args) -> None:
         kernel(lo[first : first + step], hi[first : first + step], *args)
 
 
+def _pins(controls, position: dict) -> list:
+    """The (position, state) pairs of the (qubit, state) `controls` on
+    qubits of `position`; the caller fixes the others (see _simulate)."""
+    return [(position[q], state) for q, state in controls if q in position]
+
+
 def _level_patterns(gates, start: int, position: dict, retire: dict) -> tuple[list, list]:
     """The pattern values of the level of ry gates that starts at
     gates[start], and the sorted positions of its control set.
@@ -251,16 +287,16 @@ def _level_patterns(gates, start: int, position: dict, retire: dict) -> tuple[li
     A level is a stretch of consecutive ry gates on one target under one
     control qubit set, each under a distinct pattern of it, with no
     `retire` index inside: one level of an Ry tree, a uniformly controlled
-    rotation.  A pattern's value reads the control states as a big-endian
-    number, in position order.  Only a set on consecutive positions makes
-    a level of more than one gate, since only such a set merges into one
-    axis of the block."""
+    rotation.  A pattern's value reads the control states on qubits of
+    `position` as a big-endian number, in position order.  Only a set on
+    consecutive positions makes a level of more than one gate, since only
+    such a set merges into one axis of the block."""
     first = gates[start]
     target, qubits = first.target, first.controls.qubits
-    spots = sorted(position[q] for q in qubits)
+    spots = sorted(position[q] for q in qubits if q in position)
     if not spots or spots[-1] - spots[0] != len(spots) - 1:
         return [0], spots
-    shift = {q: spots[-1] - position[q] for q in qubits}
+    shift = {q: spots[-1] - position[q] for q in qubits if q in position}
     values, seen = [], set()
     for index in range(start, len(gates)):
         gate = gates[index]
@@ -270,7 +306,8 @@ def _level_patterns(gates, start: int, position: dict, retire: dict) -> tuple[li
             break
         value = 0
         for q, state in controls:
-            value |= state << shift[q]
+            if q in shift:
+                value |= state << shift[q]
         if value in seen:
             break
         seen.add(value)
@@ -291,15 +328,16 @@ def _rotate_level(gates, start: int, block: np.ndarray, position: dict, fixed: l
     target, only the half holding the post-selected bit is written."""
     values, spots = _level_patterns(gates, start, position, retire)
     stop = start + len(values)
-    spot = position[gates[start].target]
-    keep = next((bit for pos, bit in retire.get(stop, ()) if pos == spot), None)
+    target = gates[start].target
+    spot = position[target]
+    keep = next((bit for q, bit in retire.get(stop, ()) if q == target), None)
     n = len(position)
     # patterns per slice; the shifted size is one pattern's share of a half
     step = _CHUNK // (block.size >> (len(fixed) + len(spots) + 1))
     if len(values) == 1 or step == 0:
         for gate in gates[start:stop]:
             half = gate.params[0] / 2
-            pinned = [(position[q], state) for q, state in gate.controls] + fixed
+            pinned = _pins(gate.controls, position) + fixed
             view, halves, _ = _run_view(block, n, {spot}, pinned)
             lo_index, hi_index = halves[spot]
             _in_slices(_rotate_y, view[lo_index], view[hi_index],
@@ -330,11 +368,14 @@ def _rotate_level(gates, start: int, block: np.ndarray, position: dict, fixed: l
 def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
     """Apply gates in order to a C-contiguous (2**n, cols) block in place;
     `position` maps qubit ids to register positions 0..n-1.  `retire` maps
-    a gate index to (position, state) controls that gate and every later
-    gate also get.  Each level of ry gates (see _level_patterns) runs as
-    one pass over one view of the block, in slices of about _CHUNK
-    amplitudes, and a level right before its target's retirement writes
-    only the half that holds the post-selected bit (see _rotate_level).
+    a gate index to (qubit, state) controls that gate and every later
+    gate also get.  A control on a qubit outside `position` is skipped:
+    the caller has fixed that qubit, as a window fixes its top ancillas
+    (see _window_plan).  Each level of ry gates (see _level_patterns)
+    runs as one pass over one view of the block, in slices of about
+    _CHUNK amplitudes, and a level right before its target's retirement
+    writes only the half that holds the post-selected bit (see
+    _rotate_level).
     Each run of other consecutive gates that share one controls object,
     and that no `retire` index splits, shares one view of the block (see
     _run_view).  Neither changes a bit of the kept rows: a level's gates
@@ -345,7 +386,7 @@ def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
     fixed = []
     start = 0
     while start < len(gates):
-        fixed += retire.get(start, ())
+        fixed += _pins(retire.get(start, ()), position)
         if gates[start].kind == "ry":
             start = _rotate_level(gates, start, block, position, fixed, retire)
             continue
@@ -355,7 +396,7 @@ def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
                and gates[stop].kind != "ry" and stop not in retire):
             stop += 1
         run = gates[start:stop]
-        pinned = [(position[q], state) for q, state in controls] + fixed
+        pinned = _pins(controls, position) + fixed
         view, halves, _ = _run_view(block, n, {position[g.target] for g in run}, pinned)
         for gate in run:
             lo_index, hi_index = halves[position[gate.target]]
@@ -399,12 +440,6 @@ def _checked_probability(vector: np.ndarray, label: str) -> float:
     return probability
 
 
-def _register_positions(circuit: Circuit) -> dict:
-    """Block positions: ancillas first, so a gate controlled on every
-    ancilla touches one contiguous run of rows."""
-    return {q: i for i, q in enumerate(circuit.ancilla_qubits + circuit.work_qubits)}
-
-
 @dataclass(frozen=True, eq=False)
 class EffectiveOperator:
     """The post-selected block of a circuit on its work register, with the
@@ -430,24 +465,80 @@ def _ancilla_prefix_length(circuit: Circuit) -> int:
 
 def _retirements(circuit: Circuit, prefix: int) -> dict:
     """Maps the index of a gate after the shared prefix to the ancillas
-    that no gate from it on touches, as (block position, post-selected bit)
+    that no gate from it on touches, as (ancilla, post-selected bit)
     controls: those that gate and every later gate also get.  An ancilla
     retires right after its last gate, at index 0 if no gate after the
     prefix touches it."""
-    position = {q: i for i, q in enumerate(circuit.ancilla_qubits)}
+    ancillas = set(circuit.ancilla_qubits)
     body = circuit.gates[prefix:]
     last = {}
     for index in range(len(body) - 1, -1, -1):
-        if len(last) == len(position):
+        if len(last) == len(ancillas):
             break
         gate = body[index]
         for q in (gate.target, *gate.controls.qubits):
-            if q in position and q not in last:
+            if q in ancillas and q not in last:
                 last[q] = index
     retire = {}
     for q, bit in circuit.postselect:
-        retire.setdefault(last.get(q, -1) + 1, []).append((position[q], bit))
+        retire.setdefault(last.get(q, -1) + 1, []).append((q, bit))
     return retire
+
+
+def _sub_retirements(retire: dict, indices) -> dict:
+    """`retire` for the gates at the ascending `indices`: an ancilla that
+    retires at index r retires before the first of them at or after r."""
+    sub = {}
+    for index, pairs in retire.items():
+        sub.setdefault(bisect_left(indices, index), []).extend(pairs)
+    return sub
+
+
+def _window_plan(circuit: Circuit, body, retire: dict, columns: int) -> tuple[int, int, list]:
+    """(top, split, windows): how `_postselected` runs the gates `body`
+    after the prefix, whose retirements are `retire`, on `columns`
+    columns.
+
+    The first `top` ancillas pick a window, one of their 2**top patterns.
+    body[:split] runs window by window: window w runs, in circuit order,
+    the gates whose controls on the top ancillas spell w, and windows[w]
+    holds those gates with their `_sub_retirements`.  body[split:] runs
+    on the rows where the other, low, ancillas hold their post-selected
+    bits.  That needs every gate of body[:split] to be controlled on every
+    top ancilla, so that it targets none of them and touches the rows of
+    one window, and body[split:] to touch no low ancilla; then no top
+    ancilla retires before the split either, since each gate before it
+    touches every top ancilla.  In an LCU circuit body[:split] is the
+    select stage and the unprepare levels of the low ancillas.  Windows
+    pay only on blocks of more than _WINDOW amplitudes with three or more
+    ancillas, and top is then ceil(n_anc / 2); otherwise top is 0: one
+    window of the whole body, with split = len(body)."""
+    ancillas = circuit.ancilla_qubits
+    whole = (0, len(body), [(body, retire)])
+    if len(ancillas) < 3 or columns << circuit.n_qubits <= _WINDOW:
+        return whole
+    top = (len(ancillas) + 1) // 2
+    top_qubits, low_qubits = frozenset(ancillas[:top]), frozenset(ancillas[top:])
+    shift = {q: top - 1 - i for i, q in enumerate(ancillas[:top])}
+    windows = [([], []) for _ in range(2**top)]
+    window_of = {}  # the window of each controls object, keyed by identity
+    split = 0
+    for gate in body:
+        controls = gate.controls
+        window = window_of.get(id(controls))
+        if window is None:
+            if not top_qubits <= controls.qubits:
+                break
+            window = window_of[id(controls)] = sum(
+                state << shift[q] for q, state in controls if q in shift)
+        gates, indices = windows[window]
+        gates.append(gate)
+        indices.append(split)
+        split += 1
+    for gate in body[split:]:
+        if gate.target in low_qubits or not low_qubits.isdisjoint(gate.controls.qubits):
+            return whole
+    return top, split, [(gates, _sub_retirements(retire, indices)) for gates, indices in windows]
 
 
 def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
@@ -456,21 +547,41 @@ def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     columns[j].  The ancilla-only prefix runs once, on the ancilla register;
     the rest runs on the block, where each ancilla is retired after its last
     gate: later gates run only on the rows holding its post-selected bit
-    (see _retirements).  The kept slab is sliced from the unchanged layout."""
+    (see _retirements).  The block runs in two phases (see _window_plan):
+    each window reuses one buffer of the low ancillas and the work register
+    and leaves the rows of its low ancillas' post-selected bits in a top
+    block of the top ancillas and the work register, where the remaining
+    gates run.  The kept slab is sliced from the top block."""
     n_work, n_anc = _check_sizes(circuit, len(columns))
-    dim_work, dim_anc = 2**n_work, 2**n_anc
+    dim_work, count = 2**n_work, len(columns)
     prefix = _ancilla_prefix_length(circuit)
-    ancilla_state = np.zeros((dim_anc, 1), dtype=complex)
+    ancilla_state = np.zeros((2**n_anc, 1), dtype=complex)
     ancilla_state[0, 0] = 1.0
-    ancilla_position = {q: i for i, q in enumerate(circuit.ancilla_qubits)}
-    _simulate(circuit.gates[:prefix], ancilla_state, ancilla_position)
-    count = len(columns)
-    block = np.zeros((dim_anc * dim_work, count), dtype=complex)
-    block.reshape(dim_anc, dim_work, count)[:, columns, np.arange(count)] = ancilla_state
-    _simulate(circuit.gates[prefix:], block, _register_positions(circuit),
-              _retirements(circuit, prefix))
-    kept = _postselect_mask(circuit) * dim_work
-    return block[kept : kept + dim_work].copy()
+    ancillas, work = circuit.ancilla_qubits, circuit.work_qubits
+    _simulate(circuit.gates[:prefix], ancilla_state, {q: i for i, q in enumerate(ancillas)})
+    body = circuit.gates[prefix:]
+    retire = _retirements(circuit, prefix)
+    top, split, windows = _window_plan(circuit, body, retire, count)
+    dim_low = 2 ** (n_anc - top)
+    window_position = {q: i for i, q in enumerate(ancillas[top:] + work)}
+    top_position = {q: i for i, q in enumerate(ancillas[:top] + work)}
+    mask = _postselect_mask(circuit)
+    kept_low = mask % dim_low * dim_work
+    buffer = np.zeros((dim_low * dim_work, count), dtype=complex)
+    top_block = np.empty((len(windows) * dim_work, count), dtype=complex)
+    entries = (slice(None), columns, np.arange(count))
+    for window, (gates, window_retire) in enumerate(windows):
+        if window:
+            buffer.fill(0)  # np.zeros gave the first window fresh zero pages
+        rows = ancilla_state[window * dim_low : (window + 1) * dim_low]
+        buffer.reshape(dim_low, dim_work, count)[entries] = rows
+        _simulate(gates, buffer, window_position, window_retire)
+        top_block[window * dim_work : (window + 1) * dim_work] = (
+            buffer[kept_low : kept_low + dim_work])
+    _simulate(body[split:], top_block, top_position,
+              _sub_retirements(retire, range(split, len(body))))
+    kept = mask // dim_low * dim_work
+    return top_block[kept : kept + dim_work]
 
 
 def run(circuit: Circuit, input_bits: str) -> tuple[np.ndarray, float]:

@@ -108,8 +108,12 @@ def axiom_suite(spec: FrobeniusSpec,
     """Max-entry deviations of the commutative-Frobenius identities.
 
     Identities are checked on logical forms; generators may be overridden
-    (keyed by tag) to exercise the suite against corrupted data.  Every
-    deviation is ~1e-16 for correctly built generators, for any table.
+    (keyed by tag) to exercise the suite against corrupted data.  For
+    correctly built generators every deviation is near rounding, but each
+    is an absolute difference: `area_additivity` compares sphere amplitudes
+    of size up to sum_R d_R^2, so under the literal convention at beta = 1
+    it reads 2.79e-12 at su3(12) and 8.52e-11 at su3(31), above
+    AXIOM_TOLERANCE.
 
     Each identity is one contraction of circle axes: a logical form is read
     as a tensor with one length-d axis per circle (d = 2^bits per circle),

@@ -252,6 +252,10 @@ PINNED_STDOUT_SHA256 = {
         "bd4c2b0edf8a58d8716e2f04b0fab34378ce1023f7f6401f408a3763d5baacd8",
     "compile --op mu --truncate 7 | emit":
         "c4b7da864057a7e0af64a308a8ecc46fe3d11a3638575262f31495bb657a9cbc",
+    # the su3(7) mu block, 2**15 rows x 64 columns, runs one ancilla window
+    # at a time
+    "compile --op mu --truncate 7 | simulate --effective":
+        "9b7d3312419d8bcc391cdd696fb7ff479a646380274e29d19d29f6abce77729d",
     "compile --op mu --truncate 7 | simulate --in 111111":
         "1727f5d7898649b652898d844168fcb0b96affcd4d25430fa9a122a4f6a655fd",
     "compile --op eta --mode paper --truncate 7 | simulate --in 000":

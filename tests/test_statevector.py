@@ -17,9 +17,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqs import statevector
-from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper, prep_tree
+from cqs.duality_compiler import (
+    Circuit,
+    Gate,
+    compile_exact,
+    compile_paper,
+    paper_factored_form,
+    prep_tree,
+)
 from cqs.duality_compiler import _Controls
-from cqs.frobenius import FrobeniusSpec, build_eta, build_mu
+from cqs.encoding import default_encoding
+from cqs.frobenius import (
+    FrobeniusSpec,
+    PhaseConvention,
+    build_cylinder,
+    build_delta,
+    build_epsilon,
+    build_eta,
+    build_mu,
+)
+from cqs.reptheory import RepEntry, RepTable
 from cqs.statevector import MAX_QUBITS, effective_operator, run
 
 
@@ -60,7 +77,7 @@ def full_register_run(circuit, vector):
     block = np.zeros((2 ** len(circuit.ancilla_qubits) * dim_work, vectors.shape[1]),
                      dtype=complex)
     block[:dim_work] = vectors
-    position = statevector._register_positions(circuit)
+    position = {q: i for i, q in enumerate(circuit.ancilla_qubits + circuit.work_qubits)}
     for gate in circuit.gates:
         statevector._simulate((gate,), block, position)
     kept = statevector._postselect_mask(circuit) * dim_work
@@ -405,7 +422,7 @@ def test_retired_ancillas_are_exact(circuit):
     prefix = statevector._ancilla_prefix_length(circuit)
     retire = statevector._retirements(circuit, prefix)
     # the prefix-only and the unused ancilla retire before the first body gate
-    assert {0, 1} <= {pos for pos, _ in retire.get(0, ())}
+    assert set(circuit.ancilla_qubits[:2]) <= {q for q, _ in retire.get(0, ())}
     assert any(len(group) >= 2 for index, group in retire.items() if index > 0)
     effective = effective_operator(circuit)
     n_work = len(circuit.work_qubits)
@@ -605,19 +622,152 @@ def test_prep_tree_levels_run_in_one_pass_each(monkeypatch):
         assert state.tobytes() == reference.tobytes()
 
 
-def test_effective_operator_allocates_one_block():
-    """The su3(5) mu block is simulated in place: no gate copies it, so the
-    traced peak stays within a quarter block of the block itself."""
+def traced_peak(function, *args) -> int:
+    """The peak of the memory tracemalloc traces while function(*args) runs."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_effective_operator_allocates_one_block(monkeypatch):
+    """The su3(5) mu block, 32 MiB, runs one window at a time: the traced
+    peak stays within a quarter of one window's buffer plus the top block,
+    under an eighth of the whole block.  A block below the window size is
+    simulated in place: no gate copies it, so the peak stays within a
+    quarter block of the block itself."""
     circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(5)))
     n_work, n_anc = len(circuit.work_qubits), len(circuit.ancilla_qubits)
     block_bytes = 2 ** (n_work + n_anc) * 2**n_work * 16
-    tracemalloc.start()
-    try:
-        effective_operator(circuit)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert block_bytes <= peak <= 1.25 * block_bytes
+    top = (n_anc + 1) // 2
+    window_bytes, top_block_bytes = block_bytes >> top, block_bytes >> (n_anc - top)
+    peak = traced_peak(effective_operator, circuit)
+    assert peak <= 1.25 * (window_bytes + top_block_bytes)
+    assert peak < block_bytes / 8
+    monkeypatch.setattr(statevector, "_WINDOW", block_bytes // 16)
+    assert block_bytes <= traced_peak(effective_operator, circuit) <= 1.25 * block_bytes
+
+
+# no block has more amplitudes than this, so none runs in windows
+_NO_WINDOWS = 1 << 62
+
+
+def windowed(window, function, *args):
+    """function(*args) with blocks of more than `window` amplitudes run one
+    ancilla window at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_WINDOW", window)
+        return function(*args)
+
+
+def window_top(circuit, columns):
+    """The number of top ancillas `_postselected` windows on."""
+    prefix = statevector._ancilla_prefix_length(circuit)
+    body = circuit.gates[prefix:]
+    retire = statevector._retirements(circuit, prefix)
+    return statevector._window_plan(circuit, body, retire, columns)[0]
+
+
+_BUILDERS = {"mu": build_mu, "delta": build_delta, "eta": build_eta, "eps": build_epsilon,
+             "cylinder": build_cylinder}
+
+
+@st.composite
+def window_circuits(draw):
+    """(kind, circuit, oracle block): the exact or paper-mode circuit of a
+    generator of a random table of 1-15 entries, under either convention
+    and a random beta, with the dense target or factored form over the
+    nominal scale; or a `tree_level_circuits` circuit with its dense-kron
+    block.  Two-circle generators take tables of at most three entries,
+    two bits a circle, so that every block fits 2**16 amplitudes."""
+    kind = draw(st.sampled_from(["exact", "paper", "tree"]))
+    if kind == "tree":
+        circuit = draw(tree_level_circuits())
+        return kind, circuit, oracle_block(circuit)
+    size = draw(st.integers(1, 15))
+    table = RepTable(tuple(
+        RepEntry(f"R{k}", draw(st.floats(-1.0, 5.0)), draw(st.integers(1, 30)))
+        for k in range(size)
+    ))
+    spec = FrobeniusSpec(table, default_encoding(table), draw(st.floats(0.0, 3.0)),
+                         draw(st.sampled_from(list(PhaseConvention))))
+    tags = ["mu", "delta", "eta", "eps"] if size <= 3 else ["eta", "eps"]
+    if kind == "exact":
+        target = _BUILDERS[draw(st.sampled_from(tags + ["cylinder"]))](spec)
+        circuit, report = compile_exact(target)
+        return kind, circuit, target.matrix / report.nominal_scale.real
+    tag = draw(st.sampled_from(tags))
+    circuit, report = compile_paper(tag, spec)
+    return kind, circuit, paper_factored_form(tag, spec).matrix() / report.nominal_scale.real
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_circuits(), st.data())
+def test_windows_change_no_bit(case, data):
+    """Running a block one ancilla window at a time, with windows of 1, 2**6
+    and 2**10 amplitudes, changes no bit: `effective_operator` and `run`
+    equal, byte for byte, their one-window results, which match the oracle.
+    Every exact circuit of three or more ancillas windows."""
+    kind, circuit, want = case
+    n_work, n_anc = len(circuit.work_qubits), len(circuit.ancilla_qubits)
+    bits = format(data.draw(st.integers(0, 2**n_work - 1)), f"0{n_work}b")
+    whole = windowed(_NO_WINDOWS, effective_operator, circuit)
+    column, probability = windowed(_NO_WINDOWS, run, circuit, bits)
+    assert np.max(np.abs(whole.matrix - want)) <= 1e-12
+    for window in (1, 1 << 6, 1 << 10):
+        if kind == "exact" and n_anc >= 3 and window == 1:
+            assert windowed(window, window_top, circuit, 1) == (n_anc + 1) // 2
+        effective = windowed(window, effective_operator, circuit)
+        assert effective.matrix.tobytes() == whole.matrix.tobytes()
+        assert effective.success_probabilities == whole.success_probabilities
+        got, got_probability = windowed(window, run, circuit, bits)
+        assert got.tobytes() == column.tobytes()
+        assert got_probability == probability
+
+
+def lcu_circuit(select_end=(), unprepare=None, tail=()):
+    """An LCU on work qubit 0 and ancillas 1-4 (top 1, 2; low 3, 4): a
+    `prep_tree` prefix, one gate of each kind on qubit 0 under each of the
+    16 ancilla patterns, then `select_end`, the tree's adjoint (or the
+    gates `unprepare`) and `tail`, every ancilla post-selected on 0."""
+    ancillas = (1, 2, 3, 4)
+    prep, _ = prep_tree([float(k % 5 + 1) for k in range(16)], ancillas)
+    kinds = sorted(_KIND_ARITY)
+    select = []
+    for pattern in range(16):
+        controls = tuple((a, pattern >> (3 - i) & 1) for i, a in enumerate(ancillas))
+        kind = kinds[pattern % len(kinds)]
+        select.append(Gate(kind, 0, (0.3 + pattern,) * _KIND_ARITY[kind], controls))
+    if unprepare is None:
+        unprepare = [gate.adjoint() for gate in reversed(prep)]
+    gates = prep + select + list(select_end) + list(unprepare) + list(tail)
+    return Circuit((0,), ancillas, tuple(gates), tuple((a, 0) for a in ancillas))
+
+
+@pytest.mark.parametrize("case", ["fits", "targets a top ancilla", "retires a top ancilla",
+                                  "late control on a low ancilla"])
+def test_window_fallbacks(case):
+    """A circuit that breaks the window plan runs as one window, with the
+    same bytes: a body gate that targets a top ancilla before the low
+    ancillas retire; a top ancilla (2) that retires before them, since
+    their unprepare gates are controlled on ancilla 1 alone; a gate after
+    the unprepare stage controlled on a low ancilla."""
+    circuits = {
+        "fits": lcu_circuit(),
+        "targets a top ancilla": lcu_circuit(select_end=[Gate("ry", 2, (0.4,), ((1, 1), (3, 0)))]),
+        "retires a top ancilla": lcu_circuit(unprepare=[
+            Gate("h", 4, (), ((1, 0),)), Gate("h", 3, (), ((1, 1),)), Gate("h", 1)]),
+        "late control on a low ancilla": lcu_circuit(tail=[Gate("rz", 0, (0.7,), ((4, 0),))]),
+    }
+    circuit = circuits[case]
+    assert windowed(1, window_top, circuit, 2) == (2 if case == "fits" else 0)
+    whole = windowed(_NO_WINDOWS, effective_operator, circuit)
+    assert np.max(np.abs(whole.matrix - oracle_block(circuit))) <= 1e-12
+    assert windowed(1, effective_operator, circuit).matrix.tobytes() == whole.matrix.tobytes()
+    for bits in "01":
+        assert windowed(1, run, circuit, bits)[0].tobytes() == whole.matrix[:, int(bits)].tobytes()
 
 
 def test_probabilities_are_raw():
