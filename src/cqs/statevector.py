@@ -113,6 +113,7 @@ windows changes a bit of the nonzero results.
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -195,6 +196,9 @@ def _run_view(block: np.ndarray, n: int, targets: set, fixed: list,
 # generic update: numpy's vectorized complex multiply may round `a * u`, or
 # an in-place product, differently in the last bit.
 
+# the off-diagonal entries -i and +i of the y matrix, signed zeros included
+_MINUS_I, _PLUS_I = Gate("y", 0).matrix2()[[0, 1], [1, 0]]
+
 
 def _swap(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
     lo_copy = lo.copy()
@@ -203,10 +207,9 @@ def _swap(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
 
 
 def _swap_times_i(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
-    u = gate.matrix2()  # [[0, -i], [i, 0]]
     lo_copy = lo.copy()
-    np.multiply(u[0, 1], hi, out=lo)
-    np.multiply(u[1, 0], lo_copy, out=hi)
+    np.multiply(_MINUS_I, hi, out=lo)
+    np.multiply(_PLUS_I, lo_copy, out=hi)
 
 
 def _negate_hi(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
@@ -216,9 +219,11 @@ def _negate_hi(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
 
 
 def _scale(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
-    u = gate.matrix2()
-    lo[...] = u[0, 0] * lo
-    hi[...] = u[1, 1] * hi
+    # both diagonal entries of matrix2(), exp(i theta) times the identity's
+    # 1 + 0j, formed by the same complex product without building the matrix
+    u = cmath.exp(1j * gate.params[0]) * (1 + 0j)
+    lo[...] = u * lo
+    hi[...] = u * hi
 
 
 def _rotate_y(lo: np.ndarray, hi: np.ndarray, c, s, keep=None) -> None:
@@ -400,7 +405,11 @@ def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
         view, halves, _ = _run_view(block, n, {position[g.target] for g in run}, pinned)
         for gate in run:
             lo_index, hi_index = halves[position[gate.target]]
-            _in_slices(_KERNELS[gate.kind], view[lo_index], view[hi_index], gate)
+            lo, hi = view[lo_index], view[hi_index]
+            if lo.size <= _CHUNK:
+                _KERNELS[gate.kind](lo, hi, gate)
+            else:
+                _in_slices(_KERNELS[gate.kind], lo, hi, gate)
         start = stop
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from cqs import cli
-from cqs.duality_compiler import compile_exact, compile_paper, prep_tree
+from cqs.duality_compiler import compile_exact, compile_paper, emit_text, prep_tree
 from cqs.encoding import default_encoding
 from cqs.frobenius import (
     FrobeniusSpec,
@@ -283,3 +283,13 @@ def test_stdout_bytes_are_pinned(capsys, monkeypatch):
             stdin_text = capsys.readouterr().out
         got[command] = hashlib.sha256(stdin_text.encode()).hexdigest()
     assert got == PINNED_STDOUT_SHA256
+
+
+def test_emit_text_in_process_matches_pinned_emit():
+    """`emit_text` of the su3(15) mu circuit, compiled in process, gives
+    the pinned bytes of the CLI pipeline that writes the circuit document,
+    reads it back and emits it: the compiler's unchecked gates render as
+    the document loader's checked ones."""
+    circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(15)))
+    got = hashlib.sha256(emit_text(circuit).encode()).hexdigest()
+    assert got == PINNED_STDOUT_SHA256["compile --op mu --truncate 15 | emit"]

@@ -28,8 +28,9 @@ from cqs.duality_compiler import (
     prep_tree,
 )
 from cqs.duality_compiler import _NO_CONTROLS, _Controls, _paper_factors, _pattern_table
-from cqs.frobenius import FrobeniusSpec, PhaseConvention, build_eta, build_mu
-from cqs.pauli import PAULI_1Q, normalize_factor, pauli_reconstruct
+from cqs.frobenius import (FrobeniusSpec, PhaseConvention, build_cylinder, build_delta,
+                           build_epsilon, build_eta, build_mu)
+from cqs.pauli import PAULI_1Q, NormalizedFactor, normalize_factor, pauli_reconstruct
 from cqs.statevector import effective_operator
 from cqs.verify import compare_up_to_scale
 
@@ -899,6 +900,108 @@ def test_compile_exact_mu_costs(count, gates, ancillas):
     assert len(circuit.ancilla_qubits) == ancillas
 
 
+def _assert_as_checked(gates):
+    """Each gate equals, field by field, the gate the checked constructor
+    builds from its fields with the controls as a fresh list: a plain int
+    target, plain float parameters of the same bits and checked controls
+    whose qubit set is exactly theirs."""
+    for gate in gates:
+        checked = Gate(gate.kind, gate.target, gate.params, list(gate.controls))
+        assert type(gate.target) is int and gate.target == checked.target
+        assert gate.kind == checked.kind
+        assert type(gate.params) is tuple and all(type(p) is float for p in gate.params)
+        assert [p.hex() for p in gate.params] == [p.hex() for p in checked.params]
+        assert type(gate.controls) is _Controls and gate.controls == checked.controls
+        assert gate.controls.qubits == checked.controls.qubits
+        assert all(type(q) is int and type(s) is int for q, s in gate.controls)
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 5e-324]), st.floats(-2.0, 2.0))
+_BUILDERS = {"mu": build_mu, "delta": build_delta, "eta": build_eta, "eps": build_epsilon,
+             "cylinder": build_cylinder}
+_INTEGER_TYPE = st.sampled_from([int, np.int64, np.int32, np.uint8])
+_PHASE = st.one_of(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0).map(np.float64),
+                   st.integers(-3, 3), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_unchecked_stages_build_checked_gates(data):
+    """The compiler stages check their inputs once and build their gates
+    unchecked; every gate they give still equals what the checked
+    constructor makes of its fields (`_assert_as_checked`)."""
+    case = data.draw(st.sampled_from(["exact", "generator", "factor", "prep_tree"]))
+    if case == "exact":
+        # a 1-3 qubit operator with zero, tiny and signed-zero entries, and
+        # one entry of 1 so that it is not the zero operator
+        dim = 2 ** data.draw(st.integers(1, 3))
+        entries = data.draw(st.lists(st.tuples(_ENTRIES, _ENTRIES),
+                                     min_size=dim * dim, max_size=dim * dim))
+        mat = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
+        mat.flat[data.draw(st.integers(0, dim * dim - 1))] = 1.0
+        gates = compile_exact(mat)[0].gates
+    elif case == "generator":
+        op_name = data.draw(st.sampled_from(sorted(_BUILDERS)))
+        spec = FrobeniusSpec.su3(3, beta=data.draw(st.floats(0.0, 2.0)),
+                                 convention=data.draw(st.sampled_from(list(PhaseConvention))))
+        gates = compile_exact(_BUILDERS[op_name](spec))[0].gates
+        if op_name != "cylinder":
+            gates += compile_paper(op_name, spec)[0].gates
+    elif case == "factor":
+        # a user-made factor: phases of any real type, a numpy-int target
+        letters = data.draw(st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=4,
+                                     unique=True))
+        k = len(letters)
+        magnitudes = data.draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))
+        phases = data.draw(st.lists(_PHASE, min_size=k, max_size=k))
+        factor = NormalizedFactor("".join(letters), tuple(magnitudes), tuple(phases))
+        target = data.draw(_INTEGER_TYPE)(data.draw(st.integers(0, 5)))
+        start = int(target) + data.draw(st.integers(1, 3))
+        circuit, _ = compile_factor(factor, target, start)
+        gates = circuit.gates
+        assert sum(1 for g in gates if g.kind == "phase") == sum(1 for p in phases if p != 0.0)
+    else:
+        mass = data.draw(_MASSES.filter(lambda m: sum(m) > 0.0))
+        m = (len(mass) - 1).bit_length()
+        ids = data.draw(st.lists(st.integers(0, 200), min_size=m, max_size=m, unique=True))
+        ancillas = tuple(data.draw(_INTEGER_TYPE)(q) for q in ids)
+        gates, _ = prep_tree(mass, ancillas)
+        assert {g.target for g in gates} <= set(ids)
+    _assert_as_checked(gates)
+    _assert_as_checked([gate.adjoint() for gate in gates])
+
+
+def _refusal(kind, target, params, controls):
+    """The message of the checked constructor's ValueError."""
+    with pytest.raises(ValueError) as info:
+        Gate(kind, target, params, controls)
+    return str(info.value)
+
+
+def test_stage_checks_refuse_as_the_constructor_does():
+    """A select target inside the ancilla register, and a phase that is
+    NaN or infinite, are refused with the constructor's messages."""
+    overlap = _refusal("x", 1, (), ((1, 1),))
+    # (letters, target, first ancilla): one ancilla for two terms, two for more
+    for letters, target, start in (("XZ", 1, 1), ("IY", np.int64(3), 3), ("XYZ", 1, 1),
+                                   ("IXYZ", np.int32(2), 1)):
+        k = len(letters)
+        factor = NormalizedFactor(letters, (0.5,) * k, (0.0,) * k)
+        with pytest.raises(ValueError) as info:
+            compile_factor(factor, target, start)
+        assert str(info.value) == overlap
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)):
+        for letters, phases in (("X", (bad,)), ("IZ", (0.0, bad)), ("XYZ", (1, 0.5, bad))):
+            k = len(letters)
+            factor = NormalizedFactor(letters, (1.0 / k,) * k, phases)
+            with pytest.raises(ValueError) as info:
+                compile_factor(factor, 0, 1)
+            assert str(info.value) == _refusal("phase", 0, (bad,), ())
+    # a letter that names no Pauli matrix still goes through the constructor
+    with pytest.raises(ValueError, match="unknown gate kind 'q'"):
+        compile_factor(NormalizedFactor("IQ", (0.5, 0.5), (0.0, 0.0)), 0, 1)
+
+
 def test_compile_report_dict(spec):
     _, report = compile_paper("eps", spec)
     doc = report.to_dict()
@@ -950,6 +1053,75 @@ def test_emit_text_shared_and_copied_controls_agree():
     texts = [emit_text(Circuit((0,), (1, 2), gs, ((1, 0), (2, 1)))) for gs in (gates, copies)]
     assert texts[0] == texts[1]
     assert "ccry(0.25) !a0, a1, q0;\nccx !a0, a1, q0;\nccry(-0.25) !a0, a1, q0;\n" in texts[0]
+
+
+def _emit_reference(circuit):
+    """`emit_text` written plainly: one join per gate, repr per parameter."""
+    names = {q: f"q{i}" for i, q in enumerate(circuit.work_qubits)}
+    names.update((q, f"a{i}") for i, q in enumerate(circuit.ancilla_qubits))
+    lines = ["work " + ", ".join(names[q] for q in circuit.work_qubits) + ";"]
+    if circuit.ancilla_qubits:
+        lines.append("ancilla " + ", ".join(names[q] for q in circuit.ancilla_qubits) + ";")
+    for gate in circuit.gates:
+        operands = "".join(("" if s else "!") + names[q] + ", " for q, s in gate.controls)
+        head = "c" * len(gate.controls) + gate.kind
+        if gate.params:
+            head += "(" + ",".join(map(repr, gate.params)) + ")"
+        lines.append(f"{head} {operands}{names[gate.target]};")
+    lines += [f"postselect {names[q]} -> {bit};" for q, bit in circuit.postselect]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_MAGNITUDES = [0.0, 5e-324, 1e300, 0.1, math.pi]
+
+
+@st.composite
+def _emit_circuits(draw):
+    """Circuits whose control lists are unsorted, empty, shared as one
+    object, equal by value as distinct objects or extensions of an earlier
+    list by one pair, and whose parameters include 0.0, -0.0, x and -x,
+    5e-324 and 1e300."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.permutations(range(n)))
+    n_work = draw(st.integers(1, n))
+    magnitudes = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_MAGNITUDES),
+                                         st.floats(0.0, 1e6)), min_size=1, max_size=3))
+    gates, lists = [], []
+    for _ in range(draw(st.integers(0, 14))):
+        how = draw(st.sampled_from(["new", "shared", "copy", "extend", "empty"]))
+        if how == "new" or not lists:
+            qubits = draw(st.lists(st.sampled_from(ids), max_size=n - 1, unique=True))
+            controls = [(q, draw(st.integers(0, 1))) for q in qubits]
+        else:
+            earlier = draw(st.sampled_from(lists))
+            controls = {"shared": earlier, "copy": list(earlier), "empty": ()}.get(how)
+            if how == "extend":
+                free = [q for q in ids if q not in earlier.qubits]
+                controls = list(earlier)
+                if len(free) > 1:
+                    controls.append((draw(st.sampled_from(free)), draw(st.integers(0, 1))))
+        taken = {q for q, _ in controls}
+        target = draw(st.sampled_from([q for q in ids if q not in taken] or [None]))
+        if target is None:
+            controls, target = (), draw(st.sampled_from(ids))
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        params = ()
+        if GATE_KINDS[kind]:
+            params = (draw(st.sampled_from(magnitudes)) * draw(st.sampled_from([1.0, -1.0])),)
+        gate = Gate(kind, target, params, controls)
+        gates.append(gate)
+        lists.append(gate.controls)
+    ancillas = ids[n_work:]
+    post = tuple((a, draw(st.integers(0, 1))) for a in ancillas)
+    return Circuit(ids[:n_work], ancillas, tuple(gates), post)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_emit_circuits())
+def test_emit_text_matches_plain_rendering(circuit):
+    """The memoized control texts and parameter reprs give the bytes of
+    the plain rendering, whatever the sharing, order and signs."""
+    assert emit_text(circuit) == _emit_reference(circuit)
 
 
 def test_emit_text_deterministic(spec):

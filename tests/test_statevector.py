@@ -345,6 +345,31 @@ def test_kernels_repeat_the_generic_arithmetic(n, cols, data):
     assert np.array_equal(block, want)
 
 
+_SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e300]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["phase", "y"]),
+       st.sampled_from([0.0, -0.0, math.pi, -math.pi, 5e-324]) | st.floats(-10.0, 10.0),
+       st.lists(st.tuples(_SIGNED, _SIGNED), min_size=2, max_size=8).filter(
+           lambda pairs: len(pairs) % 2 == 0))
+def test_phase_and_y_kernels_use_the_matrix_entries(kind, theta, pairs):
+    """The phase and y kernels multiply by the very entries of
+    `Gate.matrix2()`, signed zeros included, with no matrix built: their
+    bytes equal the products with those entries, on halves that hold
+    zeros of both signs."""
+    gate = Gate(kind, 0, (theta,) if kind == "phase" else ())
+    u = gate.matrix2()
+    halves = np.array([complex(re, im) for re, im in pairs]).reshape(2, -1)
+    lo, hi = halves[0].copy(), halves[1].copy()
+    if kind == "phase":
+        want = (u[0, 0] * halves[0], u[1, 1] * halves[1])
+    else:
+        want = (u[0, 1] * halves[1], u[1, 0] * halves[0])
+    statevector._KERNELS[kind](lo, hi, gate)
+    assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_circuits(), st.integers(1, 7))
 def test_sliced_updates_are_exact(circuit, chunk):
