@@ -11,8 +11,8 @@ naming an unknown gate kind or a non-finite parameter, a document field of
 the wrong JSON type or a non-integer qubit id, target, control state or
 post-selected bit, paper mode asked for the cylinder, a --truncate outside
 [1, 4095], an operator wider than frobenius.MAX_DOCUMENT_QUBITS, or a
-simulation whose amplitude block exceeds statevector.MAX_BLOCK_BYTES.  `python -m cqs.cli`
-runs the same command.
+simulation whose planned allocation exceeds statevector.MAX_BLOCK_BYTES.
+`python -m cqs.cli` runs the same command.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ def _emit_json(doc, out: Optional[str]) -> None:
 _KIND_JSON = {kind: json.dumps(kind) for kind in GATE_KINDS}
 
 
-def _circuit_json(circuit: Circuit, report: Optional[CompileReport] = None) -> str:
+def _circuit_json(circuit: Circuit, report: CompileReport) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)` of the circuit document,
-    `circuit.to_dict()` with `report.to_dict()` as its "report" key when a
-    report is given, written gate by gate.
+    `circuit.to_dict()` with `report.to_dict()` as its "report" key, written
+    gate by gate.
 
     With `indent` set, `json.dumps` runs CPython's pure-Python encoder, far
     too slow for the tens of thousands of gates of a compiled circuit.  So
@@ -92,8 +92,7 @@ def _circuit_json(circuit: Circuit, report: Optional[CompileReport] = None) -> s
     """
     doc = replace(circuit, gates=()).to_dict()
     del doc["gates"]
-    if report is not None:
-        doc["report"] = report.to_dict()
+    doc["report"] = report.to_dict()
     # "gates" sorts before every other key, so its text opens the object
     rest = json.dumps(doc, indent=2, sort_keys=True)
     controls_text: dict[int, str] = {}

@@ -48,20 +48,21 @@ contiguous slab.
 
 One function, `_postselected`, simulates a list of work-register basis
 columns: `effective_operator` passes all 2**n_work of them, `run` the one
-column of its input.  The leading gates that touch ancillas only (the
+column of its input.  It runs each simulation from one plan, made before
+anything is allocated: the prefix, the phases after it (see Windows
+below) and the bytes they allocate, which are checked against
+MAX_BLOCK_BYTES.  The leading gates that touch ancillas only (the
 state-preparation tree of an LCU circuit) act identically on every column,
 so they run once on the 2**n_anc ancilla vector, which is then written into
 each column before the remaining gates run on the block.  Retirement is the
-mirror of that prefix at the other end of the circuit: once a gate is the
-last one to touch an ancilla (as target or control), the ancilla is
-retired, and every later gate gets it as an extra control fixed at its
-post-selected bit.  The trailing gates (the unprepare tree of an LCU
-circuit) then update only the rows that can still reach the kept slab,
-without copying or reshaping the block.  A level whose target retires
-right after it writes only the half of its rows that holds the
-post-selected bit, and leaves the other half stale.  The whole block's
-size is checked against MAX_BLOCK_BYTES before anything is allocated,
-also when it runs in windows, which allocate less.
+mirror of that prefix at the other end of each phase: once a gate is the
+last of its phase to touch an ancilla (as target or control), the ancilla
+is retired, and every later gate of the phase gets it as an extra control
+fixed at its post-selected bit.  The trailing gates (the unprepare tree of
+an LCU circuit) then update only the rows that can still reach the kept
+slab, without copying or reshaping the block.  A level whose target
+retires right after it writes only the half of its rows that holds the
+post-selected bit, and leaves the other half stale.
 
 Windows: cache blocking along the ancillas, after Haener & Steiger.  In an
 LCU circuit every select gate, and every unprepare level of the later
@@ -75,26 +76,28 @@ in circuit order with the top controls skipped (the window fixes them),
 and copies the rows where the low ancillas hold their post-selected bits
 into a top block of the top ancillas and the work register.  The remaining
 gates, which touch no low ancilla, then run on the top block, and the kept
-slab is sliced from it.  The buffer and the top block together hold
-2**-floor(n_anc / 2) + 2**-ceil(n_anc / 2) of the block.  A circuit that
-does not fit this plan, such as a paper-mode circuit, or a smaller block,
-runs as one window of the whole block, with no top ancilla (see
-_window_plan).
+slab is sliced from it.  The plan allocates the ancilla vector, the buffer
+and the top block, 2**-floor(n_anc / 2) + 2**-ceil(n_anc / 2) of the
+whole block, which is never allocated.  A circuit that does not fit this
+plan, such as a paper-mode circuit, or a smaller block, runs as one window
+of the whole block, with no top ancilla (see _window_plan); its top block
+is the kept slab.
 
 Bit-identity contract: every kernel performs, on every nonzero amplitude,
 the same floating-point operations as the generic update
 u00 * a0 + u01 * a1, u10 * a0 + u11 * a1 (a term with a zero matrix entry
 only adds a signed zero).  The shared prefix gives each column the same
 operations on the same values as simulating the prefix in that column.
-Retirement leaves only dead rows stale: no gate touches a retired ancilla
-again, so a row holding its other bit never feeds a row holding the kept
-bit, and every row that does reach the kept slab gets the same operations
-on the same values.  A run's shared view changes no operation either: a
-gate's `lo` and `hi` in it hold exactly the amplitude pairs its own
-one-gate view would hold, matched by the same controls and retired
-ancillas, with the other targets of the run as extra axes that the
-elementwise kernels treat like any other, and the gates still run one
-after another in circuit order.  A level's gates touch disjoint rows, one
+Retirement leaves only dead rows stale: no gate of the phase touches a
+retired ancilla again, and a phase hands on only the rows where its
+ancillas hold their post-selected bits, so a row holding the other bit
+never feeds a kept row, and every row that does reach the kept slab gets
+the same operations on the same values.  A run's shared view changes no
+operation either: a gate's `lo` and `hi` in it hold exactly the amplitude
+pairs its own one-gate view would hold, matched by the same controls and
+retired ancillas, with the other targets of the run as extra axes that
+the elementwise kernels treat like any other, and the gates still run
+one after another in circuit order.  A level's gates touch disjoint rows, one
 pattern each, and none of them reads a row another writes, so one pass
 equals running them in order; each amplitude gets the rotation's own
 operations with its gate's cos and sin, element by element.  The kept
@@ -115,7 +118,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +134,8 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
-# largest amplitude block (complex128, rows x columns) a simulation may
-# need: the whole block, also when it runs in smaller windows
+# most bytes a simulation plan may allocate: the ancilla vector, the window
+# buffer and the top block (complex128), not the whole block it windows
 MAX_BLOCK_BYTES = 1 << 30
 PROBABILITY_SLACK = 1e-12
 # gates whose halves exceed this many amplitudes run in slices of about this
@@ -413,21 +415,15 @@ def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
         start = stop
 
 
-def _check_sizes(circuit: Circuit, columns: int) -> tuple[int, int]:
-    """(n_work, n_anc) after checking the qubit count, the post-selection
-    and the size of a block of `columns` columns."""
+def _check_sizes(circuit: Circuit) -> tuple[int, int]:
+    """(n_work, n_anc) after checking the qubit count and the
+    post-selection."""
     n_work = len(circuit.work_qubits)
     n_anc = len(circuit.ancilla_qubits)
     if n_work + n_anc > MAX_QUBITS:
         raise ValueError(f"circuit exceeds {MAX_QUBITS} qubits")
     if {q for q, _ in circuit.postselect} != set(circuit.ancilla_qubits):
         raise ValueError("every ancilla must be post-selected exactly once")
-    block_bytes = 2 ** (n_work + n_anc) * columns * 16
-    if block_bytes > MAX_BLOCK_BYTES:
-        raise ValueError(
-            f"the amplitude block needs {block_bytes} bytes, over the "
-            f"{MAX_BLOCK_BYTES}-byte budget"
-        )
     return n_work, n_anc
 
 
@@ -472,64 +468,53 @@ def _ancilla_prefix_length(circuit: Circuit) -> int:
     return len(circuit.gates)
 
 
-def _retirements(circuit: Circuit, prefix: int) -> dict:
-    """Maps the index of a gate after the shared prefix to the ancillas
-    that no gate from it on touches, as (ancilla, post-selected bit)
-    controls: those that gate and every later gate also get.  An ancilla
-    retires right after its last gate, at index 0 if no gate after the
-    prefix touches it."""
-    ancillas = set(circuit.ancilla_qubits)
-    body = circuit.gates[prefix:]
+def _retirements(gates, postselect) -> dict:
+    """Maps the index of a gate of `gates` to the ancillas that no gate
+    from it on touches, as (ancilla, post-selected bit) controls of
+    `postselect`: those that gate and every later gate also get.  An
+    ancilla retires right after its last gate, at index 0 if no gate
+    touches it."""
+    ancillas = {q for q, _ in postselect}
     last = {}
-    for index in range(len(body) - 1, -1, -1):
+    for index in range(len(gates) - 1, -1, -1):
         if len(last) == len(ancillas):
             break
-        gate = body[index]
+        gate = gates[index]
         for q in (gate.target, *gate.controls.qubits):
             if q in ancillas and q not in last:
                 last[q] = index
     retire = {}
-    for q, bit in circuit.postselect:
+    for q, bit in postselect:
         retire.setdefault(last.get(q, -1) + 1, []).append((q, bit))
     return retire
 
 
-def _sub_retirements(retire: dict, indices) -> dict:
-    """`retire` for the gates at the ascending `indices`: an ancilla that
-    retires at index r retires before the first of them at or after r."""
-    sub = {}
-    for index, pairs in retire.items():
-        sub.setdefault(bisect_left(indices, index), []).extend(pairs)
-    return sub
-
-
-def _window_plan(circuit: Circuit, body, retire: dict, columns: int) -> tuple[int, int, list]:
+def _window_plan(circuit: Circuit, body, columns: int) -> tuple[int, int, list]:
     """(top, split, windows): how `_postselected` runs the gates `body`
-    after the prefix, whose retirements are `retire`, on `columns`
-    columns.
+    after the prefix on `columns` columns.
 
     The first `top` ancillas pick a window, one of their 2**top patterns.
-    body[:split] runs window by window: window w runs, in circuit order,
-    the gates whose controls on the top ancillas spell w, and windows[w]
-    holds those gates with their `_sub_retirements`.  body[split:] runs
-    on the rows where the other, low, ancillas hold their post-selected
-    bits.  That needs every gate of body[:split] to be controlled on every
-    top ancilla, so that it targets none of them and touches the rows of
-    one window, and body[split:] to touch no low ancilla; then no top
-    ancilla retires before the split either, since each gate before it
-    touches every top ancilla.  In an LCU circuit body[:split] is the
-    select stage and the unprepare levels of the low ancillas.  Windows
-    pay only on blocks of more than _WINDOW amplitudes with three or more
-    ancillas, and top is then ceil(n_anc / 2); otherwise top is 0: one
-    window of the whole body, with split = len(body)."""
+    body[:split] runs window by window: windows[w] lists, in circuit
+    order, the gates whose controls on the top ancillas spell w.
+    body[split:] runs on the rows where the other, low, ancillas hold
+    their post-selected bits.  That needs every gate of body[:split] to
+    be controlled on every top ancilla, so that it targets none of them
+    and touches the rows of one window, and body[split:] to touch no low
+    ancilla.  In an LCU circuit body[:split] is the select stage and the
+    unprepare levels of the low ancillas.  Each phase, each window and
+    then body[split:], retires its ancillas after their last gate in its
+    own gate list (see _retirements).  Windows pay only on blocks of more
+    than _WINDOW amplitudes with three or more ancillas, and top is then
+    ceil(n_anc / 2); otherwise top is 0: one window of the whole body,
+    with split = len(body)."""
     ancillas = circuit.ancilla_qubits
-    whole = (0, len(body), [(body, retire)])
+    whole = (0, len(body), [body])
     if len(ancillas) < 3 or columns << circuit.n_qubits <= _WINDOW:
         return whole
     top = (len(ancillas) + 1) // 2
     top_qubits, low_qubits = frozenset(ancillas[:top]), frozenset(ancillas[top:])
     shift = {q: top - 1 - i for i, q in enumerate(ancillas[:top])}
-    windows = [([], []) for _ in range(2**top)]
+    windows = [[] for _ in range(2**top)]
     window_of = {}  # the window of each controls object, keyed by identity
     split = 0
     for gate in body:
@@ -540,38 +525,44 @@ def _window_plan(circuit: Circuit, body, retire: dict, columns: int) -> tuple[in
                 break
             window = window_of[id(controls)] = sum(
                 state << shift[q] for q, state in controls if q in shift)
-        gates, indices = windows[window]
-        gates.append(gate)
-        indices.append(split)
+        windows[window].append(gate)
         split += 1
     for gate in body[split:]:
         if gate.target in low_qubits or not low_qubits.isdisjoint(gate.controls.qubits):
             return whole
-    return top, split, [(gates, _sub_retirements(retire, indices)) for gates, indices in windows]
+    return top, split, windows
 
 
 def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     """Post-selected work-register rows for the work basis inputs
     `columns`: column j of the result is the circuit's output on input
-    columns[j].  The ancilla-only prefix runs once, on the ancilla register;
-    the rest runs on the block, where each ancilla is retired after its last
-    gate: later gates run only on the rows holding its post-selected bit
-    (see _retirements).  The block runs in two phases (see _window_plan):
-    each window reuses one buffer of the low ancillas and the work register
-    and leaves the rows of its low ancillas' post-selected bits in a top
-    block of the top ancillas and the work register, where the remaining
-    gates run.  The kept slab is sliced from the top block."""
-    n_work, n_anc = _check_sizes(circuit, len(columns))
+    columns[j].  The plan comes first: the ancilla-only prefix, which runs
+    once on the ancilla vector, and the window plan of the rest (see
+    _window_plan).  The bytes the plan allocates, the ancilla vector, one
+    buffer of the low ancillas and the work register, and a top block of
+    the top ancillas and the work register, are checked against
+    MAX_BLOCK_BYTES before any of them is allocated.  Each window reuses
+    the buffer and leaves the rows of its low ancillas' post-selected bits
+    in the top block, where the remaining gates run.  In each phase an
+    ancilla is retired after its last gate: later gates run only on the
+    rows holding its post-selected bit (see _retirements).  The kept slab
+    is sliced from the top block."""
+    n_work, n_anc = _check_sizes(circuit)
     dim_work, count = 2**n_work, len(columns)
     prefix = _ancilla_prefix_length(circuit)
+    body = circuit.gates[prefix:]
+    top, split, windows = _window_plan(circuit, body, count)
+    dim_low = 2 ** (n_anc - top)
+    planned = (2**n_anc + (dim_low + 2**top) * dim_work * count) * 16
+    if planned > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"the simulation plan allocates {planned} bytes, over the "
+            f"{MAX_BLOCK_BYTES}-byte budget"
+        )
+    ancillas, work, postselect = circuit.ancilla_qubits, circuit.work_qubits, circuit.postselect
     ancilla_state = np.zeros((2**n_anc, 1), dtype=complex)
     ancilla_state[0, 0] = 1.0
-    ancillas, work = circuit.ancilla_qubits, circuit.work_qubits
     _simulate(circuit.gates[:prefix], ancilla_state, {q: i for i, q in enumerate(ancillas)})
-    body = circuit.gates[prefix:]
-    retire = _retirements(circuit, prefix)
-    top, split, windows = _window_plan(circuit, body, retire, count)
-    dim_low = 2 ** (n_anc - top)
     window_position = {q: i for i, q in enumerate(ancillas[top:] + work)}
     top_position = {q: i for i, q in enumerate(ancillas[:top] + work)}
     mask = _postselect_mask(circuit)
@@ -579,16 +570,16 @@ def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     buffer = np.zeros((dim_low * dim_work, count), dtype=complex)
     top_block = np.empty((len(windows) * dim_work, count), dtype=complex)
     entries = (slice(None), columns, np.arange(count))
-    for window, (gates, window_retire) in enumerate(windows):
+    for window, gates in enumerate(windows):
         if window:
             buffer.fill(0)  # np.zeros gave the first window fresh zero pages
         rows = ancilla_state[window * dim_low : (window + 1) * dim_low]
         buffer.reshape(dim_low, dim_work, count)[entries] = rows
-        _simulate(gates, buffer, window_position, window_retire)
+        _simulate(gates, buffer, window_position, _retirements(gates, postselect))
         top_block[window * dim_work : (window + 1) * dim_work] = (
             buffer[kept_low : kept_low + dim_work])
-    _simulate(body[split:], top_block, top_position,
-              _sub_retirements(retire, range(split, len(body))))
+    rest = body[split:]
+    _simulate(rest, top_block, top_position, _retirements(rest, postselect))
     kept = mask // dim_low * dim_work
     return top_block[kept : kept + dim_work]
 

@@ -445,7 +445,7 @@ def test_retired_ancillas_are_exact(circuit):
     hold its post-selected bit changes no kept value: the block, each run
     and each probability equal a full-register run of every gate."""
     prefix = statevector._ancilla_prefix_length(circuit)
-    retire = statevector._retirements(circuit, prefix)
+    retire = statevector._retirements(circuit.gates[prefix:], circuit.postselect)
     # the prefix-only and the unused ancilla retire before the first body gate
     assert set(circuit.ancilla_qubits[:2]) <= {q for q, _ in retire.get(0, ())}
     assert any(len(group) >= 2 for index, group in retire.items() if index > 0)
@@ -527,7 +527,7 @@ def test_runs_change_no_bit(circuit):
     the dense-kron oracle."""
     prefix = statevector._ancilla_prefix_length(circuit)
     body = circuit.gates[prefix:]
-    retire = statevector._retirements(circuit, prefix)
+    retire = statevector._retirements(body, circuit.postselect)
     assert any(0 < r < len(body) and body[r].controls is body[r - 1].controls for r in retire)
     effective = effective_operator(circuit)
     one_gate = gate_by_gate(effective_operator, circuit)
@@ -657,22 +657,33 @@ def traced_peak(function, *args) -> int:
         tracemalloc.stop()
 
 
+def planned_bytes(circuit, columns):
+    """The bytes `_postselected` plans to allocate for `columns` columns:
+    the ancilla vector, the window buffer and the top block."""
+    n_work, n_anc = len(circuit.work_qubits), len(circuit.ancilla_qubits)
+    top = window_top(circuit, columns)
+    return (2**n_anc + (2 ** (n_anc - top) + 2**top) * 2**n_work * columns) * 16
+
+
 def test_effective_operator_allocates_one_block(monkeypatch):
     """The su3(5) mu block, 32 MiB, runs one window at a time: the traced
-    peak stays within a quarter of one window's buffer plus the top block,
-    under an eighth of the whole block.  A block below the window size is
-    simulated in place: no gate copies it, so the peak stays within a
-    quarter block of the block itself."""
+    peak stays within a quarter above the bytes the plan budgets, one
+    window's buffer plus the top block, under an eighth of the whole
+    block.  A block below the window size is simulated in place: no gate
+    copies it, so the peak stays within a quarter above its plan, the
+    block, its kept slab and the ancilla vector."""
     circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(5)))
     n_work, n_anc = len(circuit.work_qubits), len(circuit.ancilla_qubits)
-    block_bytes = 2 ** (n_work + n_anc) * 2**n_work * 16
-    top = (n_anc + 1) // 2
-    window_bytes, top_block_bytes = block_bytes >> top, block_bytes >> (n_anc - top)
+    columns = 2**n_work
+    block_bytes = 2 ** (n_work + n_anc) * columns * 16
+    assert window_top(circuit, columns) == (n_anc + 1) // 2
     peak = traced_peak(effective_operator, circuit)
-    assert peak <= 1.25 * (window_bytes + top_block_bytes)
+    assert peak <= 1.25 * planned_bytes(circuit, columns)
     assert peak < block_bytes / 8
     monkeypatch.setattr(statevector, "_WINDOW", block_bytes // 16)
-    assert block_bytes <= traced_peak(effective_operator, circuit) <= 1.25 * block_bytes
+    assert window_top(circuit, columns) == 0
+    assert block_bytes <= traced_peak(effective_operator, circuit) <= 1.25 * planned_bytes(
+        circuit, columns)
 
 
 # no block has more amplitudes than this, so none runs in windows
@@ -691,8 +702,7 @@ def window_top(circuit, columns):
     """The number of top ancillas `_postselected` windows on."""
     prefix = statevector._ancilla_prefix_length(circuit)
     body = circuit.gates[prefix:]
-    retire = statevector._retirements(circuit, prefix)
-    return statevector._window_plan(circuit, body, retire, columns)[0]
+    return statevector._window_plan(circuit, body, columns)[0]
 
 
 _BUILDERS = {"mu": build_mu, "delta": build_delta, "eta": build_eta, "eps": build_epsilon,
@@ -795,6 +805,44 @@ def test_window_fallbacks(case):
         assert windowed(1, run, circuit, bits)[0].tobytes() == whole.matrix[:, int(bits)].tobytes()
 
 
+def test_ancillas_retire_per_phase():
+    """Each window retires its ancillas after their last gate in its own
+    gate list.  In window 3 (ancillas 1 and 2 both 1) of this LCU no gate
+    touches low ancilla 4: its select gates are controlled on ancillas 1-3
+    only, and the unprepare level of 4 has no gate under it.  So 4 retires
+    at index 0 of window 3 and of no other window, with the same bytes as
+    one window of the whole block, which matches the dense-kron oracle."""
+    ancillas = (1, 2, 3, 4)
+    prep, _ = prep_tree([float(k % 5 + 1) for k in range(16)], ancillas)
+    kinds = sorted(_KIND_ARITY)
+    select = []
+    for pattern in range(16):
+        controls = tuple((a, pattern >> (3 - i) & 1) for i, a in enumerate(ancillas))
+        if pattern >> 2 == 3:  # window 3: one gate per pattern of ancillas 1-3
+            if pattern & 1:
+                continue
+            controls = controls[:3]
+        kind = kinds[pattern % len(kinds)]
+        select.append(Gate(kind, 0, (0.3 + pattern,) * _KIND_ARITY[kind], controls))
+    unprepare = [gate.adjoint() for gate in reversed(prep)
+                 if not (gate.target == 4 and {(1, 1), (2, 1)} <= set(gate.controls))]
+    circuit = Circuit((0,), ancillas, tuple(prep + select + unprepare),
+                      tuple((a, 0) for a in ancillas))
+    prefix = statevector._ancilla_prefix_length(circuit)
+    assert prefix == len(prep)
+    top, split, windows = windowed(1, statevector._window_plan, circuit,
+                                   circuit.gates[prefix:], 2)
+    assert top == 2
+    retire_at_0 = [{q for q, _ in statevector._retirements(gates, circuit.postselect).get(0, ())}
+                   for gates in windows]
+    assert [4 in retired for retired in retire_at_0] == [False, False, False, True]
+    whole = windowed(_NO_WINDOWS, effective_operator, circuit)
+    assert np.max(np.abs(whole.matrix - oracle_block(circuit))) <= 1e-12
+    assert windowed(1, effective_operator, circuit).matrix.tobytes() == whole.matrix.tobytes()
+    for bits in "01":
+        assert windowed(1, run, circuit, bits)[0].tobytes() == whole.matrix[:, int(bits)].tobytes()
+
+
 def test_probabilities_are_raw():
     # cos^2 + sin^2 of this rotation rounds one ulp above 1; the success
     # probability is that raw squared norm, not clipped to 1
@@ -815,21 +863,37 @@ def test_probability_above_input_norm_raises():
 
 
 def test_block_budget(monkeypatch):
-    # su3(15) mu: 8 work + 12 ancilla qubits, a 4 GiB block
-    wide = Circuit(tuple(range(8)), tuple(range(8, 20)), (),
-                   tuple((q, 0) for q in range(8, 20)))
-    with pytest.raises(ValueError, match="budget"):
-        effective_operator(wide)
-    # 2 work + 1 ancilla: 8 rows x 4 columns x 16 bytes = 512 bytes
+    """MAX_BLOCK_BYTES bounds the bytes the simulation plan allocates: the
+    ancilla vector, the window buffer and the top block, exactly."""
+    # 2 work + 1 ancilla, one window of the whole block: a 2-entry ancilla
+    # vector, an 8-row buffer and a 4-row top block of 4 columns (800
+    # bytes), or of 1 column (224 bytes)
     small = Circuit((0, 1), (2,), (Gate("h", 2),), ((2, 0),))
-    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", 512)
-    assert effective_operator(small).matrix.shape == (4, 4)
-    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", 511)
+    for columns, function, args in ((4, effective_operator, (small,)), (1, run, (small, "01"))):
+        assert planned_bytes(small, columns) == (2 + 12 * columns) * 16
+        monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(small, columns))
+        function(*args)
+        monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(small, columns) - 1)
+        with pytest.raises(ValueError, match="budget"):
+            function(*args)
+    # su3(2) mu in windows of its 3 top ancillas, under a budget below its
+    # whole 2**9 x 16 block
+    target = build_mu(FrobeniusSpec.su3(2))
+    circuit, report = compile_exact(target)
+    monkeypatch.setattr(statevector, "_WINDOW", 1)
+    planned = planned_bytes(circuit, 16)
+    assert window_top(circuit, 16) == 3 and planned < 2**9 * 16 * 16
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned)
+    block = effective_operator(circuit).matrix
+    assert np.max(np.abs(block - target.matrix / report.nominal_scale)) <= 1e-12
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned - 1)
     with pytest.raises(ValueError, match="budget"):
-        effective_operator(small)
-    # a single column is 8 x 16 = 128 bytes
-    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", 128)
-    run(small, "01")
-    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", 127)
+        effective_operator(circuit)
+    # an LCU that cannot run in windows needs its whole block, refused
+    # under the budget its windowed twin runs in
+    fits, late = lcu_circuit(), lcu_circuit(tail=[Gate("rz", 0, (0.7,), ((4, 0),))])
+    assert (window_top(fits, 2), window_top(late, 2)) == (2, 0)
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(fits, 2))
+    effective_operator(fits)
     with pytest.raises(ValueError, match="budget"):
-        run(small, "01")
+        effective_operator(late)
