@@ -19,8 +19,9 @@ product.  Both modes emit their prepare and select stages through one
 helper, `_prepare_select`.  The ancillas are prepared with one binary Ry
 tree, `prep_tree` (Grover-Rudolph, quant-ph/0208112; Mottonen et al.,
 quant-ph/0407010).  Each node sums the masses L and R of its two halves
-with `math.fsum` and takes the angle 2 atan(sqrt(R / L)) when R <= L,
-else pi - 2 atan(sqrt(L / R)): a correctly rounded sum, one ratio of at
+correctly rounded (`math.fsum`, or one IEEE addition for two leaves) and
+takes the angle 2 atan(sqrt(R / L)) when R <= L, else
+pi - 2 atan(sqrt(L / R)): a correctly rounded sum, one ratio of at
 most 1, a root and an arctangent, so no ratio is clamped and small
 angles keep their relative precision.  The figure angles theta1-theta4
 and w_top of paper mode are named angles of these trees.
@@ -473,6 +474,19 @@ def _atan_root(small: float, big: float) -> float:
     return math.atan(math.sqrt(ratio))
 
 
+def _mass(leaves: list, first: int, count: int) -> float:
+    """The correctly rounded sum of the `count` leaf masses from
+    leaves[first]: one leaf is its own mass and IEEE addition rounds a sum
+    of two correctly, so only more leaves need `math.fsum`.  A zero sum
+    may differ from fsum's in its sign alone, which gives the same tree
+    angle."""
+    if count == 1:
+        return leaves[first]
+    if count == 2:
+        return leaves[first] + leaves[first + 1]
+    return math.fsum(leaves[first : first + count])
+
+
 def _tree_gates(mass: Sequence[float],
                 table: list[list[_Controls]]) -> tuple[list[Gate], list[tuple[str, float]]]:
     """`prep_tree` with the node controls of level l taken from row l of
@@ -492,20 +506,20 @@ def _tree_gates(mass: Sequence[float],
         total = math.inf
     if not 0.0 < total < math.inf:
         raise ValueError("masses must have a positive finite sum")
+    leaves += [0.0] * (2**m - len(leaves))  # the zero padding
     gates: list[Gate] = []
     named: list[tuple[str, float]] = []
     trusted = Gate._trusted
     for level in range(m):
         ancilla = table[level + 1][0][-1][0]
         half = 2 ** (m - 1 - level)
-        # the prefixes past the row hold no mass, so they get no gate; a
-        # slice past the last leaf is the zero padding and sums to 0
+        # the prefixes past the row hold no mass, so they get no gate
         for prefix, controls in enumerate(table[level]):
             middle = (2 * prefix + 1) * half
-            right = math.fsum(leaves[middle : middle + half])
+            right = _mass(leaves, middle, half)
             if right == 0.0:
                 continue
-            left = math.fsum(leaves[middle - half : middle])
+            left = _mass(leaves, middle - half, half)
             if right <= left:
                 theta = 2.0 * _atan_root(right, left)
             else:
@@ -523,7 +537,7 @@ def prep_tree(
     Leaf k is the ancilla pattern k (first ancilla most significant); the
     mass is padded with zeros to 2**len(ancillas) leaves.  The node at level
     l with prefix p splits its mass between its halves L and R, each the
-    correctly rounded `math.fsum` of its leaf masses, with Ry(theta) on
+    correctly rounded sum of its leaf masses (see _mass), with Ry(theta) on
     ancilla l, controlled on the prefix bits: theta = 2 atan(sqrt(R / L))
     when R <= L, else pi - 2 atan(sqrt(L / R)).  A node with R = 0 gets no
     gate.  Returns the gates and their angles named `prep_l<l>_p<p>`.

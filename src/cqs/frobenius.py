@@ -166,9 +166,6 @@ class DenseOperator:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T, self.out_qubits, self.in_qubits)
-
     def to_dict(self) -> dict:
         entries = [
             [int(r), int(c), float(self.matrix[r, c].real), float(self.matrix[r, c].imag)]

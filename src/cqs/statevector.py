@@ -8,16 +8,18 @@ success probability.  Probabilities are reported raw, never clipped: one
 above 1 + 1e-12, or NaN, raises ValueError.
 
 Gate application follows the strided-view layout of Haener & Steiger
-(arXiv:1704.01127).  Gates are applied in runs: a run is a maximal stretch of
-consecutive gates that share one controls object and that no ancilla
-retirement (below) splits, such as the select gates of one LCU term,
-which the compilers give one shared control list.  Each run reshapes the
-C-contiguous (2**n, cols) amplitude block once, so that every control of
-the run, every retired ancilla and every distinct target of the run get
-a length-2 axis of their own, each stretch of untouched qubits between
-them is merged into one axis, and the trailing stretch also absorbs the
-column axis.  Fixing each control axis at its required state gives one
-basic-indexing view of exactly the matched rows; a gate of the run then
+(arXiv:1704.01127).  Every gate list is planned before it runs: its
+schedule (see _schedule) is a list of steps, each one reshape of the
+C-contiguous (2**n, cols) amplitude block into a view and a list of kernel
+calls on that view.  Gates are grouped into runs: a run is a maximal
+stretch of consecutive gates that share one controls object and that no
+ancilla retirement (below) splits, such as the gates of one LCU term,
+which the compilers give one shared control list.  A run's view gives
+every control of the run, every retired ancilla and every distinct target
+of the run a length-2 axis of its own, merges each stretch of untouched
+qubits between them into one axis, and lets the trailing stretch also
+absorb the column axis.  Fixing each control axis at its required state
+gives one basic-indexing view of exactly the matched rows; a gate then
 fixes its own target axis at 0 and 1 to get two views, `lo` and `hi`.
 No index arrays, masks or gathered copies are made.  Each gate kind has
 its own kernel on the two views: x swaps them, z negates the float64 view
@@ -27,19 +29,25 @@ generic update with `Gate.matrix2()`.  Halves larger than _CHUNK
 amplitudes are updated slice by slice so that each slice and its
 temporaries stay in cache.
 
-Ry gates run in levels instead of runs.  A level is a stretch of
-consecutive ry gates on one target under one control qubit set, each
-under a distinct pattern of it, with no retirement inside: one level of
-an LCU's binary Ry tree, a uniformly controlled rotation (Mottonen et al.,
-quant-ph/0407010).  When the control set sits on consecutive register
-positions, as it does in every compiled LCU, the level takes one view
-with those positions merged into one pattern axis, and each slice of
-consecutive pattern values, of about _CHUNK amplitudes, is one rotation
-with per-pattern cos and sin arrays that broadcast over the slice; a
-pattern with no gate splits the slice.  A lone ry, or a level whose
-control set is not consecutive, runs as a level of one gate with its
-controls fixed.  Levels are found from the gate list alone, so parsed
-circuits get them too.
+Levels.  Runs under distinct patterns of one control qubit set run as one
+step when that set sits on consecutive register positions, as it does in
+every compiled LCU.  A level is a stretch of such runs, each a branch: an
+optional phase followed by x, y, z or ry gates on increasing target
+positions, with no retirement inside.  Each level of an LCU's prepare and
+unprepare trees is one, a uniformly controlled rotation whose branches
+are single ry gates (Mottonen et al., quant-ph/0407010), and so is its
+select stage, one branch per term.  The level's view merges the control
+positions into one pattern axis.  The level runs in chunks of
+consecutive patterns of about _CHUNK amplitudes, and each chunk goes slot
+by slot: one pass of the phases, with per-pattern factors
+exp(i theta) * (1 + 0j), then, target by target, one kernel call per
+stretch of consecutive patterns whose branches hold the same kind there,
+ry with per-pattern cos and sin arrays; a pattern with no gate in the
+slot splits the stretch.  A pattern whose rows alone exceed _CHUNK
+amplitudes is a chunk of its own, whose calls are sliced as a run's are.
+Levels are found from the gate list alone, so parsed circuits get them
+too.  Every gate keeps its own kernel: a level batches kernel calls
+across branches and folds no gates together.
 
 The block puts the ancillas on its leading (most significant) axes and the
 work register after them.  A select gate controlled on every ancilla then
@@ -48,21 +56,27 @@ contiguous slab.
 
 One function, `_postselected`, simulates a list of work-register basis
 columns: `effective_operator` passes all 2**n_work of them, `run` the one
-column of its input.  It runs each simulation from one plan, made before
-anything is allocated: the prefix, the phases after it (see Windows
-below) and the bytes they allocate, which are checked against
-MAX_BLOCK_BYTES.  The leading gates that touch ancillas only (the
-state-preparation tree of an LCU circuit) act identically on every column,
-so they run once on the 2**n_anc ancilla vector, which is then written into
-each column before the remaining gates run on the block.  Retirement is the
-mirror of that prefix at the other end of each phase: once a gate is the
-last of its phase to touch an ancilla (as target or control), the ancilla
-is retired, and every later gate of the phase gets it as an extra control
-fixed at its post-selected bit.  The trailing gates (the unprepare tree of
-an LCU circuit) then update only the rows that can still reach the kept
-slab, without copying or reshaping the block.  A level whose target
-retires right after it writes only the half of its rows that holds the
-post-selected bit, and leaves the other half stale.
+column of its input.  It runs each simulation from one plan (see _plan):
+the prefix, the phases after it (see Windows below) and the bytes they
+allocate, which are checked against MAX_BLOCK_BYTES before anything is
+allocated; then, on the first simulation that the budget admits, the
+ancilla state the prefix produces and the schedule of each phase.  A
+plan is made once per circuit and column count, and per value of
+_WINDOW and _CHUNK, and is kept for as long as its circuit lives, in a
+cache keyed weakly on the (frozen) circuit; a later simulation of the
+circuit on as many columns only runs kernels.  The leading gates that
+touch ancillas only (the state-preparation tree of an LCU circuit) act
+identically on every column, so they run once on the 2**n_anc ancilla
+vector, which is then written into each column before the remaining
+gates run on the block.  Retirement is the mirror of that prefix at the
+other end of each phase: once a gate is the last of its phase to touch
+an ancilla (as target or control), the ancilla is retired, and every
+later gate of the phase gets it as an extra control fixed at its
+post-selected bit.  The trailing gates (the unprepare tree of an LCU
+circuit) then update only the rows that can still reach the kept slab,
+without copying or reshaping the block.  An ry gate whose target retires
+right after its run or level writes only the half of its rows that holds
+the post-selected bit, and leaves the other half stale.
 
 Windows: cache blocking along the ancillas, after Haener & Steiger.  In an
 LCU circuit every select gate, and every unprepare level of the later
@@ -95,13 +109,16 @@ never feeds a kept row, and every row that does reach the kept slab gets
 the same operations on the same values.  A run's shared view changes no
 operation either: a gate's `lo` and `hi` in it hold exactly the amplitude
 pairs its own one-gate view would hold, matched by the same controls and
-retired ancillas, with the other targets of the run as extra axes that
+retired ancilla, with the other targets of the run as extra axes that
 the elementwise kernels treat like any other, and the gates still run
-one after another in circuit order.  A level's gates touch disjoint rows, one
-pattern each, and none of them reads a row another writes, so one pass
-equals running them in order; each amplitude gets the rotation's own
-operations with its gate's cos and sin, element by element.  The kept
-half of a retiring level gets exactly the operations the full rotation
+one after another in circuit order.  A level's branches touch disjoint
+rows, one pattern each, and none of them reads a row another writes; so
+running a level chunk by chunk and slot by slot gives every row the
+gates of its own branch in the branch's own order, the phase first as in
+the branch, and each amplitude gets its gate's kernel with its gate's
+own parameters, element by element, since a per-pattern array holds the
+very factor, cos or sin that the gate's own call would use.  The kept
+half of a retiring ry gets exactly the operations the full rotation
 gives it, and the stale half holds the retired bit that no later gate
 and no kept row reads.  A gate of the window phase touches the rows of
 one window only, so grouping those gates by window, each group still in
@@ -109,15 +126,21 @@ circuit order, gives every row the same operations in the same order;
 the gates of a level split across windows keep the level contract in
 each.  Once the low ancillas have retired, every later gate on the
 whole block touches only rows where they hold their post-selected bits,
-which are the rows the top block holds.  So neither the layout, the
-runs, the levels, the kept-half writes, the prefix, retirement nor the
-windows changes a bit of the nonzero results.
+which are the rows the top block holds.  A plan depends on its circuit,
+the column count, _WINDOW and _CHUNK alone, which key it, and never on
+the input columns, which enter only through the buffer; so a reused plan
+runs the very kernel calls that a fresh one would.  So neither the
+layout, the runs, the levels, the kept-half writes, the prefix,
+retirement, the windows nor plan reuse changes a bit of the nonzero
+results.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,60 +161,53 @@ MAX_QUBITS = 24
 # buffer and the top block (complex128), not the whole block it windows
 MAX_BLOCK_BYTES = 1 << 30
 PROBABILITY_SLACK = 1e-12
-# gates whose halves exceed this many amplitudes run in slices of about this
-# size, so a slice and its temporaries stay in cache
+# kernels whose halves exceed this many amplitudes run in slices of about
+# this size, and a level runs in chunks of about this size (see
+# _level_step), so a slice and its temporaries stay in cache
 _CHUNK = 1 << 12
 # blocks larger than this many amplitudes run one ancilla window at a time
 # (see _window_plan), so each window's buffer stays near cache size
 _WINDOW = 1 << 16
 
 
-# the index pairs that select the 0 and 1 halves of axis k of a view
-_AXIS_HALVES = [((slice(None),) * k + (0,), (slice(None),) * k + (1,))
-                for k in range(2 * MAX_QUBITS + 2)]
-
-
-def _run_view(block: np.ndarray, n: int, targets: set, fixed: list,
-              pattern: tuple = ()) -> tuple:
-    """A view of the rows of a C-contiguous (2**n, cols) block where every
-    (position, state) of `fixed` matches, with a length-2 axis of its own
-    for each target position, and a map from each target to the index
-    pair that selects its (lo, hi) halves in that view.  A `pattern`
-    (first, width) merges positions first .. first + width - 1 into one
-    axis of length 2**width, indexed by their bits read big-endian; its
-    axis in the view is returned third (None without a pattern)."""
+def _view(n: int, cols: int, targets, fixed: list, pattern: tuple = ()) -> tuple:
+    """(shape, index, axes): block.reshape(shape)[tuple(index)] views the
+    rows of a C-contiguous (2**n, cols) block where every (position,
+    state) of `fixed` matches.  Each target position gets a length-2 axis
+    of its own, axes[position] in the reshaped block, whose entry in
+    `index` a kernel's halves set to 0 and 1; each stretch of other
+    positions between them is merged into one axis, and the trailing
+    stretch also absorbs the column axis.  A `pattern` (first, width)
+    merges positions first .. first + width - 1 into one axis,
+    axes[None], of length 2**width, indexed by their bits read
+    big-endian."""
     entries = fixed + [(t, -1) for t in targets]
     if pattern:
         entries.append((pattern[0], -2))
     entries.sort()
     shape = []
     index = []
-    halves = {}
-    pattern_axis = None
-    free = 0  # the axes of the view so far
+    axes = {}
     last = -1
     for pos, state in entries:
         if pos - last > 1:
             shape.append(1 << (pos - last - 1))
             index.append(slice(None))
-            free += 1
         last = pos
         if state == -2:
-            pattern_axis = free
-            free += 1
+            axes[None] = len(shape)
             shape.append(1 << pattern[1])
             index.append(slice(None))
             last += pattern[1] - 1
             continue
         if state < 0:
-            halves[pos] = _AXIS_HALVES[free]
-            free += 1
+            axes[pos] = len(shape)
             state = slice(None)
         shape.append(2)
         index.append(state)
-    shape.append(block.shape[1] << (n - 1 - last))
+    shape.append(cols << (n - 1 - last))
     index.append(slice(None))
-    return block.reshape(shape)[tuple(index)], halves, pattern_axis
+    return tuple(shape), index, axes
 
 
 # Complex products are formed as `u * a` into a fresh array, the form of the
@@ -202,28 +218,33 @@ def _run_view(block: np.ndarray, n: int, targets: set, fixed: list,
 _MINUS_I, _PLUS_I = Gate("y", 0).matrix2()[[0, 1], [1, 0]]
 
 
-def _swap(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+def _swap(lo: np.ndarray, hi: np.ndarray) -> None:
     lo_copy = lo.copy()
     lo[...] = hi
     hi[...] = lo_copy
 
 
-def _swap_times_i(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+def _swap_times_i(lo: np.ndarray, hi: np.ndarray) -> None:
     lo_copy = lo.copy()
     np.multiply(_MINUS_I, hi, out=lo)
     np.multiply(_PLUS_I, lo_copy, out=hi)
 
 
-def _negate_hi(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+def _negate_hi(lo: np.ndarray, hi: np.ndarray) -> None:
     # flips the sign bits of both parts, as the complex negative does
     hi = hi.view(np.float64)
     np.negative(hi, out=hi)
 
 
-def _scale(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
+def _phase_factor(theta: float) -> complex:
     # both diagonal entries of matrix2(), exp(i theta) times the identity's
     # 1 + 0j, formed by the same complex product without building the matrix
-    u = cmath.exp(1j * gate.params[0]) * (1 + 0j)
+    return cmath.exp(1j * theta) * (1 + 0j)
+
+
+def _scale(lo: np.ndarray, hi: np.ndarray, u) -> None:
+    """The phase gate: u is a `_phase_factor`, or an array of them that
+    broadcasts over the halves along a level's pattern axis."""
     lo[...] = u * lo
     hi[...] = u * hi
 
@@ -250,8 +271,7 @@ def _rotate_y(lo: np.ndarray, hi: np.ndarray, c, s, keep=None) -> None:
     a1 += s * a0_copy
 
 
-def _matrix_update(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
-    u = gate.matrix2()
+def _matrix_update(lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> None:
     new_lo = u[0, 0] * lo
     new_lo += u[0, 1] * hi
     new_hi = u[1, 0] * lo
@@ -260,6 +280,7 @@ def _matrix_update(lo: np.ndarray, hi: np.ndarray, gate: Gate) -> None:
     hi[...] = new_hi
 
 
+# the kernel of each gate kind but ry, whose kernel is _rotate_y
 _KERNELS = {
     "x": _swap,
     "y": _swap_times_i,
@@ -270,149 +291,297 @@ _KERNELS = {
 }
 
 
-def _in_slices(kernel, lo: np.ndarray, hi: np.ndarray, *args) -> None:
+def _gate_op(gate: Gate, keep=None) -> tuple:
+    """(kernel, args): kernel(lo, hi, *args) applies `gate` to its halves.
+    An ry gate with `keep` 0 or 1 writes only that half (see _rotate_y)."""
+    kind = gate.kind
+    if kind == "ry":
+        half = gate.params[0] / 2
+        return _rotate_y, (math.cos(half), math.sin(half), keep)
+    if kind == "phase":
+        return _KERNELS[kind], (_phase_factor(gate.params[0]),)
+    if kind == "rz" or kind == "h":
+        return _KERNELS[kind], (gate.matrix2(),)
+    return _KERNELS[kind], ()
+
+
+def _pins(controls, position: dict) -> list:
+    """The (position, state) pairs of the (qubit, state) `controls` on
+    qubits of `position`; the caller fixes the others (see _schedule)."""
+    return [(position[q], state) for q, state in controls if q in position]
+
+
+# the kinds a level's branch holds after its optional leading phase
+_LETTERS = frozenset(("x", "y", "z", "ry"))
+
+
+def _run(gates, start: int, retire: dict, position: dict) -> tuple[int, bool]:
+    """(stop, branch): the index after the run that starts at gates[start],
+    the maximal stretch of consecutive gates that share one controls
+    object with no `retire` index inside, and whether the run is a
+    branch: an optional phase followed by x, y, z or ry gates on
+    increasing target positions."""
+    controls = gates[start].controls
+    branch = True
+    last = -1
+    stop = start
+    while True:
+        gate = gates[stop]
+        if branch and (stop > start or gate.kind != "phase"):
+            spot = position[gate.target]
+            branch = gate.kind in _LETTERS and spot > last
+            last = spot
+        stop += 1
+        if stop == len(gates) or gates[stop].controls is not controls or stop in retire:
+            return stop, branch
+
+
+def _level(gates, start: int, position: dict, retire: dict) -> tuple[list, list]:
+    """(branches, spots): the level that starts at gates[start], as a
+    (pattern value, start, stop) triple for each of its runs in circuit
+    order, and the sorted positions of its control set, which only a
+    level of two or more runs needs.
+
+    A level is a stretch of consecutive runs (see _run) under one control
+    qubit set, each under a distinct pattern of it and each a branch, with
+    no `retire` index inside: one level of an Ry tree, whose runs are
+    single gates, a uniformly controlled rotation; or a stretch of an
+    LCU's select stage, one run per term.  A pattern's value reads the
+    control states on qubits of `position` as a big-endian number, in
+    position order.  Only a set on consecutive positions makes a level of
+    more than one run, since only such a set merges into one axis of the
+    block; any other run is a level of one."""
+    stop, branch = _run(gates, start, retire, position)
+    if not branch:
+        return [(0, start, stop)], []
+    qubits = gates[start].controls.qubits
+    spots = sorted([position[q] for q in qubits if q in position])
+    if not spots or spots[-1] - spots[0] != len(spots) - 1:
+        return [(0, start, stop)], spots
+    # each control pair's share of the pattern value; one on a qubit outside
+    # `position` adds nothing
+    share = {}
+    for q in qubits:
+        share[q, 0] = 0
+        share[q, 1] = 1 << (spots[-1] - position[q]) if q in position else 0
+    branches, seen = [], set()
+    while True:
+        value = sum(map(share.__getitem__, gates[start].controls))
+        if value in seen:
+            break
+        seen.add(value)
+        branches.append((value, start, stop))
+        if stop == len(gates) or stop in retire:
+            break
+        controls = gates[stop].controls
+        if controls.qubits is not qubits and controls.qubits != qubits:
+            break
+        after, branch = _run(gates, stop, retire, position)
+        if not branch:
+            break
+        start, stop = stop, after
+    return branches, spots
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _rows(dim: int, start: int, stop=None) -> tuple:
+    """The index of entries start .. stop - 1 along dimension `dim` of a
+    kernel's halves, or of entry `start` alone, which drops that
+    dimension, when stop is None; one object shared by every op that
+    takes them."""
+    return (slice(None),) * dim + (start if stop is None else slice(start, stop),)
+
+
+def _per_pattern(values: list, shape: tuple) -> np.ndarray:
+    """values as an array of `shape`, which broadcasts them along a
+    level's pattern axis; a copy, since a reshaped view would keep its
+    base array alive in the plan as well."""
+    return np.array(values).reshape(shape).copy()
+
+
+def _halves(index: list, axis: int) -> tuple:
+    """The (lo, hi) indices that fix `axis` of a `_view` index at 0 and 1."""
+    lo, hi = index.copy(), index.copy()
+    lo[axis], hi[axis] = 0, 1
+    return tuple(lo), tuple(hi)
+
+
+def _in_slices(kernel, lo: np.ndarray, hi: np.ndarray, args: tuple) -> None:
     """kernel(lo, hi, *args), on slices of about _CHUNK amplitudes along
-    the first axis when the halves are larger."""
-    if lo.size <= _CHUNK:
-        kernel(lo, hi, *args)
-        return
+    the first axis of the halves."""
     step = max(1, _CHUNK * lo.shape[0] // lo.size)
     for first in range(0, lo.shape[0], step):
         kernel(lo[first : first + step], hi[first : first + step], *args)
 
 
-def _pins(controls, position: dict) -> list:
-    """The (position, state) pairs of the (qubit, state) `controls` on
-    qubits of `position`; the caller fixes the others (see _simulate)."""
-    return [(position[q], state) for q, state in controls if q in position]
+def _run_step(run, n: int, cols: int, position: dict, fixed: list, retiring: dict) -> tuple:
+    """The step of one run with its controls pinned: one view for all its
+    targets, then each gate in order.  An ry gate whose target is in
+    `retiring`, and that no later gate of the run targets, writes only
+    the half holding the post-selected bit."""
+    spots = [position[gate.target] for gate in run]
+    last = {spot: i for i, spot in enumerate(spots)}
+    shape, index, axes = _view(n, cols, last, _pins(run[0].controls, position) + fixed)
+    which = {}
+    halves, ops = [], []
+    for i, gate in enumerate(run):
+        spot = spots[i]
+        if spot not in which:
+            which[spot] = len(halves)
+            halves.append(_halves(index, axes[spot]))
+        kernel, args = _gate_op(gate, retiring.get(gate.target) if last[spot] == i else None)
+        ops.append((kernel, which[spot], None, args))
+    return shape, halves, ops
 
 
-def _level_patterns(gates, start: int, position: dict, retire: dict) -> tuple[list, list]:
-    """The pattern values of the level of ry gates that starts at
-    gates[start], and the sorted positions of its control set.
-
-    A level is a stretch of consecutive ry gates on one target under one
-    control qubit set, each under a distinct pattern of it, with no
-    `retire` index inside: one level of an Ry tree, a uniformly controlled
-    rotation.  A pattern's value reads the control states on qubits of
-    `position` as a big-endian number, in position order.  Only a set on
-    consecutive positions makes a level of more than one gate, since only
-    such a set merges into one axis of the block."""
-    first = gates[start]
-    target, qubits = first.target, first.controls.qubits
-    spots = sorted(position[q] for q in qubits if q in position)
-    if not spots or spots[-1] - spots[0] != len(spots) - 1:
-        return [0], spots
-    shift = {q: spots[-1] - position[q] for q in qubits if q in position}
-    values, seen = [], set()
-    for index in range(start, len(gates)):
-        gate = gates[index]
-        controls = gate.controls
-        if (gate.kind != "ry" or gate.target != target or (values and index in retire)
-                or (controls.qubits is not qubits and controls.qubits != qubits)):
-            break
-        value = 0
-        for q, state in controls:
-            if q in shift:
-                value |= state << shift[q]
-        if value in seen:
-            break
-        seen.add(value)
-        values.append(value)
-    return values, spots
+def _group_op(group: list, first: int, last: int, which: int, dim: int, trailing: tuple,
+              retiring: dict) -> tuple:
+    """The op of a level that applies the gates `group`, one kind on one
+    slot, to pattern values first .. last of halves `which` (see
+    _level_step), with per-pattern parameter arrays of shape `trailing`.
+    One pattern's op fixes the pattern axis, which drops it, so that its
+    halves can be sliced along their first dimension (see _execute)."""
+    gate = group[0]
+    keep = retiring.get(gate.target) if gate.kind == "ry" else None
+    if len(group) == 1:
+        kernel, args = _gate_op(gate, keep)
+        return kernel, which, _rows(dim, first), args
+    if gate.kind == "ry":
+        half_angles = [gate.params[0] / 2 for gate in group]
+        args = (_per_pattern(list(map(math.cos, half_angles)), trailing),
+                _per_pattern(list(map(math.sin, half_angles)), trailing), keep)
+        return _rotate_y, which, _rows(dim, first, last + 1), args
+    if gate.kind == "phase":
+        args = (_per_pattern([_phase_factor(gate.params[0]) for gate in group], trailing),)
+    else:
+        args = ()
+    return _KERNELS[gate.kind], which, _rows(dim, first, last + 1), args
 
 
-def _rotate_level(gates, start: int, block: np.ndarray, position: dict, fixed: list,
-                  retire: dict) -> int:
-    """Apply the level of ry gates that starts at gates[start] (see
-    _level_patterns), with the rows of `fixed` pinned, and return the index
-    after it.  The level takes one view with its control set merged into
-    one pattern axis, and each slice of consecutive pattern values, of up
-    to about _CHUNK amplitudes, is one `_rotate_y` call with per-pattern cos
-    and sin arrays.  A level of one gate, or one whose single pattern
-    already exceeds _CHUNK amplitudes, runs gate by gate with each gate's
-    controls fixed.  When the `retire` index after the level retires its
-    target, only the half holding the post-selected bit is written."""
-    values, spots = _level_patterns(gates, start, position, retire)
-    stop = start + len(values)
-    target = gates[start].target
-    spot = position[target]
-    keep = next((bit for q, bit in retire.get(stop, ()) if q == target), None)
-    n = len(position)
-    # patterns per slice; the shifted size is one pattern's share of a half
-    step = _CHUNK // (block.size >> (len(fixed) + len(spots) + 1))
-    if len(values) == 1 or step == 0:
+def _level_step(gates, branches: list, spots: list, n: int, cols: int, position: dict,
+                fixed: list, retiring: dict, step: int) -> tuple:
+    """The step of a level of two or more branches (see _level): one view
+    with the control set merged into one pattern axis.  The level runs in
+    chunks of at most `step` branches, in pattern order, so that a chunk
+    stays in cache; each chunk takes one slot after another, the phases
+    first and then each target position in increasing order.  A slot
+    makes one kernel call for each stretch of consecutive pattern values
+    whose branches hold a gate of one kind there (see _group_op); a
+    pattern with no gate in the slot splits the stretch.  The phases take
+    the halves of the level's first target, since they scale both.  An ry
+    slot whose target is in `retiring` writes only the half holding the
+    post-selected bit."""
+    branches = sorted(branches)
+    values = [value for value, _, _ in branches]
+    count = len(values)
+    slots = {}  # -1 for the phases, else a target position: a gate or None per branch
+    targets = set()
+    for i, (_, start, stop) in enumerate(branches):
         for gate in gates[start:stop]:
-            half = gate.params[0] / 2
-            pinned = _pins(gate.controls, position) + fixed
-            view, halves, _ = _run_view(block, n, {spot}, pinned)
-            lo_index, hi_index = halves[spot]
-            _in_slices(_rotate_y, view[lo_index], view[hi_index],
-                       math.cos(half), math.sin(half), keep)
-        return stop
-    view, halves, axis = _run_view(block, n, {spot}, fixed, (spots[0], len(spots)))
-    lo_index, hi_index = halves[spot]
-    lo, hi = view[lo_index], view[hi_index]
-    if len(lo_index) - 1 < axis:
-        axis -= 1  # the target axis before it is gone from the halves
-    order = sorted(range(len(values)), key=values.__getitem__)
-    values = [values[i] for i in order]
-    half_angles = [gates[start + i].params[0] / 2 for i in order]
-    shape = (-1,) + (1,) * (lo.ndim - 1 - axis)
-    cos = np.array(list(map(math.cos, half_angles))).reshape(shape)
-    sin = np.array(list(map(math.sin, half_angles))).reshape(shape)
-    lead = (slice(None),) * axis
-    begin = 0
-    for end in range(1, len(values) + 1):
-        if end < len(values) and end - begin < step and values[end] == values[end - 1] + 1:
-            continue
-        rows = lead + (slice(values[begin], values[end - 1] + 1),)
-        _rotate_y(lo[rows], hi[rows], cos[begin:end], sin[begin:end], keep)
-        begin = end
-    return stop
+            spot = position[gate.target]
+            targets.add(spot)
+            slot = -1 if gate.kind == "phase" else spot
+            row = slots.get(slot)
+            if row is None:
+                row = slots[slot] = [None] * count
+            row[i] = gate
+    shape, index, axes = _view(n, cols, targets, fixed, (spots[0], len(spots)))
+    pattern = axes[None]
+    # the free axes of the view before and after the pattern axis, which
+    # each target's halves have one fewer of on its own side
+    before = sum(entry.__class__ is slice for entry in index[:pattern])
+    after = sum(entry.__class__ is slice for entry in index[pattern + 1:])
+    lowest = min(targets)
+    halves, layout = [], []  # layout: (slot, halves index, pattern dimension, trailing)
+    for slot in sorted(slots):
+        axis = axes[lowest if slot < 0 else slot]
+        if slot != lowest or -1 not in slots:  # else the phases' halves serve
+            halves.append(_halves(index, axis))
+        if axis < pattern:
+            layout.append((slot, len(halves) - 1, before - 1, (-1,) + (1,) * after))
+        else:
+            layout.append((slot, len(halves) - 1, before, (-1,) + (1,) * (after - 1)))
+    ops = []
+    for chunk in range(0, count, step):
+        chunk_stop = min(count, chunk + step)
+        for slot, which, dim, trailing in layout:
+            row = slots[slot]
+            begin = chunk
+            while begin < chunk_stop:
+                gate = row[begin]
+                end = begin + 1
+                if gate is None:
+                    begin = end
+                    continue
+                kind = gate.kind
+                while (end < chunk_stop and values[end] == values[end - 1] + 1
+                       and row[end] is not None and row[end].kind == kind):
+                    end += 1
+                ops.append(_group_op(row[begin:end], values[begin], values[end - 1],
+                                     which, dim, trailing, retiring))
+                begin = end
+    return shape, halves, ops
 
 
-def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
-    """Apply gates in order to a C-contiguous (2**n, cols) block in place;
-    `position` maps qubit ids to register positions 0..n-1.  `retire` maps
-    a gate index to (qubit, state) controls that gate and every later
-    gate also get.  A control on a qubit outside `position` is skipped:
-    the caller has fixed that qubit, as a window fixes its top ancillas
-    (see _window_plan).  Each level of ry gates (see _level_patterns)
-    runs as one pass over one view of the block, in slices of about
-    _CHUNK amplitudes, and a level right before its target's retirement
-    writes only the half that holds the post-selected bit (see
-    _rotate_level).
-    Each run of other consecutive gates that share one controls object,
-    and that no `retire` index splits, shares one view of the block (see
-    _run_view).  Neither changes a bit of the kept rows: a level's gates
-    touch disjoint rows and none reads a row another writes, and a kept
-    half gets the operations the full rotation gives it."""
+def _schedule(gates, position: dict, cols: int, retire=None) -> list:
+    """The steps that apply `gates` in order to a C-contiguous (2**n, cols)
+    block in place, n = len(position); `position` maps qubit ids to
+    register positions 0..n-1.  `retire` maps a gate index to (qubit,
+    state) controls that gate and every later gate also get.  A control on
+    a qubit outside `position` is skipped: the caller has fixed that
+    qubit, as a window fixes its top ancillas (see _window_plan).
+
+    Each level (see _level) of two or more branches is one step, run in
+    chunks of about _CHUNK amplitudes (see _level_step); every other run
+    is one step of its own, with its controls pinned (see _run_step).  A
+    step is (shape, halves, ops), run by _execute on view =
+    block.reshape(shape): halves lists (lo, hi) index pairs into the view,
+    and each op (kernel, which, rows, args) runs kernel(lo, hi, *args) on
+    the halves of pair `which`, or on their `rows` when it is not None.
+    No step changes a bit of the kept rows: a level's branches touch
+    disjoint rows, and none reads a row another writes, and a kept half
+    gets the operations the full rotation gives it."""
     n = len(position)
     retire = retire or {}
+    steps = []
     fixed = []
     start = 0
     while start < len(gates):
         fixed += _pins(retire.get(start, ()), position)
-        if gates[start].kind == "ry":
-            start = _rotate_level(gates, start, block, position, fixed, retire)
-            continue
-        controls = gates[start].controls
-        stop = start + 1
-        while (stop < len(gates) and gates[stop].controls is controls
-               and gates[stop].kind != "ry" and stop not in retire):
-            stop += 1
-        run = gates[start:stop]
-        pinned = _pins(controls, position) + fixed
-        view, halves, _ = _run_view(block, n, {position[g.target] for g in run}, pinned)
-        for gate in run:
-            lo_index, hi_index = halves[position[gate.target]]
-            lo, hi = view[lo_index], view[hi_index]
-            if lo.size <= _CHUNK:
-                _KERNELS[gate.kind](lo, hi, gate)
-            else:
-                _in_slices(_KERNELS[gate.kind], lo, hi, gate)
+        branches, spots = _level(gates, start, position, retire)
+        stop = branches[-1][2]
+        retiring = dict(retire.get(stop, ()))
+        if len(branches) > 1:
+            # patterns per slice; the shifted size is one pattern's share of a half
+            step = max(1, _CHUNK // ((cols << n) >> (len(fixed) + len(spots) + 1)))
+            steps.append(_level_step(gates, branches, spots, n, cols, position, fixed,
+                                     retiring, step))
+        else:
+            steps.append(_run_step(gates[start:stop], n, cols, position, fixed, retiring))
         start = stop
+    return steps
+
+
+def _execute(steps: list, block: np.ndarray) -> None:
+    """Run the steps of a `_schedule` on a C-contiguous block in place;
+    halves of more than _CHUNK amplitudes run in slices (see _in_slices)."""
+    for shape, halves, ops in steps:
+        view = block.reshape(shape)
+        pairs = [(view[lo], view[hi]) for lo, hi in halves]
+        for kernel, which, rows, args in ops:
+            lo, hi = pairs[which]
+            if rows is not None:
+                lo, hi = lo[rows], hi[rows]
+            if lo.size <= _CHUNK:
+                kernel(lo, hi, *args)
+            else:
+                _in_slices(kernel, lo, hi, args)
+
+
+def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
+    """Apply gates in order to a C-contiguous (2**n, cols) block in place,
+    from a fresh `_schedule`."""
+    _execute(_schedule(gates, position, block.shape[1], retire), block)
 
 
 def _check_sizes(circuit: Circuit) -> tuple[int, int]:
@@ -533,53 +702,105 @@ def _window_plan(circuit: Circuit, body, columns: int) -> tuple[int, int, list]:
     return top, split, windows
 
 
+@dataclass(eq=False)
+class _Plan:
+    """How `_postselected` simulates one circuit on a number of columns:
+    the ancilla-only prefix, the window plan of the gates after it (see
+    _window_plan) and the bytes they allocate.  `steps` is filled on the
+    first simulation that the budget admits: the ancilla vector after the
+    prefix, the `_schedule` of each window and that of the remaining
+    gates, each phase with its own retirements."""
+
+    prefix: int
+    top: int
+    split: int
+    windows: list
+    planned: int
+    steps: tuple = None
+
+
+# each circuit's plans, keyed by what they depend on besides the circuit;
+# a plan dies with its circuit
+_PLANS = weakref.WeakKeyDictionary()
+
+
+def _plan(circuit: Circuit, count: int) -> _Plan:
+    """The plan of `circuit` on `count` columns, made once and then reused
+    for as long as the circuit lives, with every value that shapes it,
+    _WINDOW and _CHUNK, in its key."""
+    plans = _PLANS.get(circuit)
+    if plans is None:
+        plans = _PLANS[circuit] = {}
+    key = (count, _WINDOW, _CHUNK)
+    plan = plans.get(key)
+    if plan is None:
+        n_work, n_anc = _check_sizes(circuit)
+        prefix = _ancilla_prefix_length(circuit)
+        top, split, windows = _window_plan(circuit, circuit.gates[prefix:], count)
+        planned = (2**n_anc + (2 ** (n_anc - top) + 2**top) * 2**n_work * count) * 16
+        plan = plans[key] = _Plan(prefix, top, split, windows, planned)
+    return plan
+
+
+def _steps(circuit: Circuit, plan: _Plan, count: int) -> tuple:
+    """(ancilla state, window steps, remaining steps) of a plan: the
+    prefix run once on the 2**n_anc ancilla vector, and the `_schedule`
+    of each phase with its own retirements (see _retirements)."""
+    ancillas, work, postselect = circuit.ancilla_qubits, circuit.work_qubits, circuit.postselect
+    state = np.zeros((2 ** len(ancillas), 1), dtype=complex)
+    state[0, 0] = 1.0
+    _simulate(circuit.gates[:plan.prefix], state, {q: i for i, q in enumerate(ancillas)})
+    state.setflags(write=False)
+    top = plan.top
+    window_position = {q: i for i, q in enumerate(ancillas[top:] + work)}
+    top_position = {q: i for i, q in enumerate(ancillas[:top] + work)}
+    windows = [_schedule(gates, window_position, count, _retirements(gates, postselect))
+               for gates in plan.windows]
+    rest = circuit.gates[plan.prefix + plan.split:]
+    return state, windows, _schedule(rest, top_position, count, _retirements(rest, postselect))
+
+
 def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     """Post-selected work-register rows for the work basis inputs
     `columns`: column j of the result is the circuit's output on input
-    columns[j].  The plan comes first: the ancilla-only prefix, which runs
-    once on the ancilla vector, and the window plan of the rest (see
-    _window_plan).  The bytes the plan allocates, the ancilla vector, one
-    buffer of the low ancillas and the work register, and a top block of
-    the top ancillas and the work register, are checked against
-    MAX_BLOCK_BYTES before any of them is allocated.  Each window reuses
-    the buffer and leaves the rows of its low ancillas' post-selected bits
-    in the top block, where the remaining gates run.  In each phase an
-    ancilla is retired after its last gate: later gates run only on the
-    rows holding its post-selected bit (see _retirements).  The kept slab
-    is sliced from the top block."""
-    n_work, n_anc = _check_sizes(circuit)
-    dim_work, count = 2**n_work, len(columns)
-    prefix = _ancilla_prefix_length(circuit)
-    body = circuit.gates[prefix:]
-    top, split, windows = _window_plan(circuit, body, count)
-    dim_low = 2 ** (n_anc - top)
-    planned = (2**n_anc + (dim_low + 2**top) * dim_work * count) * 16
-    if planned > MAX_BLOCK_BYTES:
+    columns[j].  The plan comes first (see _plan): the ancilla-only
+    prefix, which runs once on the ancilla vector, and the window plan of
+    the rest (see _window_plan).  The bytes the plan allocates, the
+    ancilla vector, one buffer of the low ancillas and the work register,
+    and a top block of the top ancillas and the work register, are
+    checked against MAX_BLOCK_BYTES before any of them is allocated.  Each
+    window reuses the buffer and leaves the rows of its low ancillas'
+    post-selected bits in the top block, where the remaining gates run.
+    In each phase an ancilla is retired after its last gate: later gates
+    run only on the rows holding its post-selected bit (see _retirements).
+    The kept slab is sliced from the top block.  A later call with as many
+    columns only runs the plan's steps."""
+    count = len(columns)
+    plan = _plan(circuit, count)
+    if plan.planned > MAX_BLOCK_BYTES:
         raise ValueError(
-            f"the simulation plan allocates {planned} bytes, over the "
+            f"the simulation plan allocates {plan.planned} bytes, over the "
             f"{MAX_BLOCK_BYTES}-byte budget"
         )
-    ancillas, work, postselect = circuit.ancilla_qubits, circuit.work_qubits, circuit.postselect
-    ancilla_state = np.zeros((2**n_anc, 1), dtype=complex)
-    ancilla_state[0, 0] = 1.0
-    _simulate(circuit.gates[:prefix], ancilla_state, {q: i for i, q in enumerate(ancillas)})
-    window_position = {q: i for i, q in enumerate(ancillas[top:] + work)}
-    top_position = {q: i for i, q in enumerate(ancillas[:top] + work)}
+    if plan.steps is None:
+        plan.steps = _steps(circuit, plan, count)
+    state, windows, rest = plan.steps
+    dim_work = 2 ** len(circuit.work_qubits)
+    dim_low = len(state) >> plan.top
     mask = _postselect_mask(circuit)
     kept_low = mask % dim_low * dim_work
     buffer = np.zeros((dim_low * dim_work, count), dtype=complex)
     top_block = np.empty((len(windows) * dim_work, count), dtype=complex)
     entries = (slice(None), columns, np.arange(count))
-    for window, gates in enumerate(windows):
+    for window, steps in enumerate(windows):
         if window:
             buffer.fill(0)  # np.zeros gave the first window fresh zero pages
-        rows = ancilla_state[window * dim_low : (window + 1) * dim_low]
-        buffer.reshape(dim_low, dim_work, count)[entries] = rows
-        _simulate(gates, buffer, window_position, _retirements(gates, postselect))
+        buffer.reshape(dim_low, dim_work, count)[entries] = (
+            state[window * dim_low : (window + 1) * dim_low])
+        _execute(steps, buffer)
         top_block[window * dim_work : (window + 1) * dim_work] = (
             buffer[kept_low : kept_low + dim_work])
-    rest = body[split:]
-    _simulate(rest, top_block, top_position, _retirements(rest, postselect))
+    _execute(rest, top_block)
     kept = mask // dim_low * dim_work
     return top_block[kept : kept + dim_work]
 

@@ -109,7 +109,7 @@ def test_euclidean_weights_real():
 def test_delta_is_mu_dagger_without_area(spec):
     mu0 = logical_form("mu", spec, beta=0.0)
     delta0 = logical_form("delta", spec, beta=0.0)
-    assert np.max(np.abs(delta0.matrix - mu0.dagger().matrix)) < 1e-14
+    assert np.max(np.abs(delta0.matrix - mu0.matrix.conj().T)) < 1e-14
 
 
 def test_sphere_value(spec):
@@ -284,13 +284,6 @@ def test_dense_operator_from_dict_rejects_malformed():
     ):
         with pytest.raises(ValueError, match=message):
             DenseOperator.from_dict(bad)
-
-
-def test_dagger_twice(spec):
-    op = logical_form("delta", spec)
-    again = op.dagger().dagger()
-    assert np.array_equal(again.matrix, op.matrix)
-    assert again.in_qubits == op.in_qubits and again.out_qubits == op.out_qubits
 
 
 @st.composite

@@ -8,8 +8,10 @@ matrices, and `run` against a full-register run that simulates every gate.
 """
 
 import cmath
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -366,7 +368,8 @@ def test_phase_and_y_kernels_use_the_matrix_entries(kind, theta, pairs):
         want = (u[0, 0] * halves[0], u[1, 1] * halves[1])
     else:
         want = (u[0, 1] * halves[1], u[1, 0] * halves[0])
-    statevector._KERNELS[kind](lo, hi, gate)
+    kernel, args = statevector._gate_op(gate)
+    kernel(lo, hi, *args)
     assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
 
 
@@ -502,20 +505,27 @@ def shared_control_circuits(draw):
 
 
 def gate_by_gate(function, *args):
-    """function(*args) with every `_simulate` call split into one call per
-    gate, each pinning the ancillas retired before it: the shared prefix
-    and retirement stay, and no run or level is shared."""
-    simulate = statevector._simulate
+    """function(*args) with every `_schedule` split into one schedule per
+    gate, each pinning the ancillas retired before it, and with no plan
+    cached before: the shared prefix and retirement stay, and no run or
+    level is shared.  Fails if the split schedule was never made."""
+    schedule = statevector._schedule
+    calls = []
 
-    def one_at_a_time(gates, block, position, retire=None):
-        fixed = []
+    def one_at_a_time(gates, position, cols, retire=None):
+        calls.append(len(gates))
+        steps, fixed = [], []
         for index, gate in enumerate(gates):
             fixed += (retire or {}).get(index, ())
-            simulate((gate,), block, position, {0: fixed})
+            steps += schedule((gate,), position, cols, {0: fixed})
+        return steps
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(statevector, "_simulate", one_at_a_time)
-        return function(*args)
+        patch.setattr(statevector, "_schedule", one_at_a_time)
+        patch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+        result = function(*args)
+    assert calls
+    return result
 
 
 @settings(max_examples=150, deadline=None)
@@ -614,6 +624,167 @@ def test_levels_change_no_bit(circuit, chunk, data):
     assert column.tobytes() == reference[:, j].tobytes()
     assert probability == float(np.sum(np.abs(reference[:, j]) ** 2))
     assert np.max(np.abs(effective.matrix - oracle_block(circuit))) <= 1e-12
+
+
+_LEVEL_LETTERS = ["ry", "x", "y", "z"]
+
+
+def draw_branch(draw, targets, form, controls):
+    """The gates of one select branch under `controls`: a phase on
+    targets[0] unless its drawn angle is zero, then letters on drawn
+    targets in increasing order.  `form` "repeat" targets the last of them
+    again, "reverse" puts a target before a smaller one (or repeats one,
+    given a single target), "h/rz" inserts an h or rz gate; none of these
+    is a branch a level may merge."""
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    if form == "reverse" and len(targets) < 2:
+        form = "repeat"
+    gates = []
+    phase = draw(st.sampled_from([0.0]) | angles)
+    if phase != 0.0:
+        gates.append(Gate("phase", targets[0], (phase,), controls))
+    chosen = sorted(draw(st.lists(st.sampled_from(range(len(targets))), unique=True,
+                                  min_size=2 if form == "reverse" else 1)))
+    if form == "repeat":
+        chosen.append(chosen[-1])
+    elif form == "reverse":
+        chosen[0], chosen[1] = chosen[1], chosen[0]
+    for index in chosen:
+        kind = draw(st.sampled_from(_LEVEL_LETTERS))
+        gates.append(Gate(kind, targets[index], (draw(angles),) * _KIND_ARITY[kind], controls))
+    if form == "h/rz":
+        kind = draw(st.sampled_from(["h", "rz"]))
+        gate = Gate(kind, draw(st.sampled_from(targets)), (draw(angles),) * _KIND_ARITY[kind],
+                    controls)
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    return gates
+
+
+@st.composite
+def select_level_circuits(draw):
+    """LCUs whose select stage runs as levels, and holds runs that no level
+    may merge:
+
+    - a `prep_tree` on m consecutive ancillas, then one branch per drawn
+      pattern (see draw_branch), every gate of a branch under one
+      `_Controls` of its pattern; the first two branches are plain, on
+      consecutive patterns and begin on a work qubit, so every circuit
+      has a select level of two or more branches, and the later patterns
+      leave gaps and repeat;
+    - when drawn, a spare ancilla that one later branch targets first
+      and no other gate touches, so that it retires inside the select
+      stage;
+    - the tree's adjoint, and every ancilla post-selected on a drawn bit,
+      at least one on 1."""
+    n_work = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    n_spare = draw(st.integers(0, 1))
+    ids = draw(st.permutations(range(20, 20 + n_work + m + n_spare)))
+    work, tree, spare = ids[:n_work], ids[n_work:n_work + m], ids[n_work + m:]
+    anc = tree + spare if draw(st.booleans()) else spare + tree
+    mass = draw(st.lists(_MASSES, min_size=2, max_size=2**m))
+    mass[draw(st.integers(0, len(mass) - 1))] = 1.0
+    prep, _ = prep_tree(mass, tree)
+    first = draw(st.integers(0, 2**m - 2))
+    patterns = [first, first + 1] + draw(st.lists(st.integers(0, 2**m - 1), max_size=5))
+    forms = ["plain"] * 2 + [draw(st.sampled_from(["plain", "plain", "repeat", "reverse", "h/rz"]))
+                             for _ in patterns[2:]]
+    spare_branch = draw(st.integers(1, len(patterns) - 1)) if spare else None
+    select = []
+    for index, (pattern, form) in enumerate(zip(patterns, forms)):
+        controls = _Controls((a, pattern >> (m - 1 - i) & 1) for i, a in enumerate(tree))
+        if index == spare_branch:
+            kind = draw(st.sampled_from(_LEVEL_LETTERS))
+            select.append(Gate(kind, spare[0], (0.9,) * _KIND_ARITY[kind], controls))
+        select += draw_branch(draw, work, form, controls)
+    gates = prep + select + [gate.adjoint() for gate in reversed(prep)]
+    bits = [draw(st.integers(0, 1)) for _ in anc]
+    bits[draw(st.integers(0, len(anc) - 1))] = 1
+    return Circuit(work, anc, tuple(gates), tuple(zip(anc, bits)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(select_level_circuits(), st.sampled_from([1, 3, 8, 1 << 12]), st.data())
+def test_select_levels_change_no_bit(circuit, chunk, data):
+    """Applying each stretch of select branches as one level, in chunks of
+    about `chunk` amplitudes, changes no bit: `effective_operator` and
+    `run` equal, byte for byte, a full-register run that applies each gate
+    through its own `_simulate` call, and they match the dense-kron
+    oracle."""
+    prefix = statevector._ancilla_prefix_length(circuit)
+    body = circuit.gates[prefix:]
+    position = {q: i for i, q in enumerate(circuit.ancilla_qubits + circuit.work_qubits)}
+    retire = statevector._retirements(body, circuit.postselect)
+    assert len(statevector._level(body, 0, position, retire)[0]) >= 2
+    n_work = len(circuit.work_qubits)
+    reference = full_register_run(circuit, np.eye(2**n_work))
+    j = data.draw(st.integers(0, 2**n_work - 1))
+    bits = format(j, f"0{n_work}b")
+    saved = statevector._CHUNK
+    statevector._CHUNK = chunk
+    try:
+        effective = effective_operator(circuit)
+        column, probability = run(circuit, bits)
+    finally:
+        statevector._CHUNK = saved
+    assert effective.matrix.tobytes() == reference.tobytes()
+    assert column.tobytes() == reference[:, j].tobytes()
+    assert probability == float(np.sum(np.abs(reference[:, j]) ** 2))
+    assert np.max(np.abs(effective.matrix - oracle_block(circuit))) <= 1e-12
+
+
+def counting(calls, function):
+    """function, appending its name to `calls` on every call."""
+    def counted(*args):
+        calls.append(function.__name__)
+        return function(*args)
+    return counted
+
+
+def test_su3_15_eta_select_stage_runs_as_levels(monkeypatch):
+    """The su3(15) exact eta circuit has 974 select gates, one non-ry kernel
+    call each when every run of them is a step of its own.  As levels,
+    `run` makes fewer than half as many non-ry kernel calls, with the same
+    bytes as a run gate by gate."""
+    circuit, _ = compile_exact(build_eta(FrobeniusSpec.su3(15)))
+    assert sum(gate.kind != "ry" for gate in circuit.gates) == 974
+    calls = []
+    for kind, kernel in statevector._KERNELS.items():
+        monkeypatch.setitem(statevector._KERNELS, kind, counting(calls, kernel))
+    bits = "0000"
+    vector, probability = run(circuit, bits)
+    assert 0 < len(calls) < 974 // 2
+    want, want_probability = gate_by_gate(run, circuit, bits)
+    assert vector.tobytes() == want.tobytes() and probability == want_probability
+
+
+def test_plans_are_reused_and_die_with_their_circuit(monkeypatch):
+    """A second `run` of a circuit makes no schedule and no window plan; a
+    new _CHUNK, or a _WINDOW under which the circuit runs in windows of
+    its two top ancillas, makes a fresh plan, with the same bytes; and the
+    plan cache keeps no circuit alive."""
+    monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+    calls = []
+    for name in ("_schedule", "_window_plan"):
+        monkeypatch.setattr(statevector, name, counting(calls, getattr(statevector, name)))
+    circuit = lcu_circuit()
+    first = run(circuit, "1")[0]
+    assert calls.count("_schedule") > 1 and calls.count("_window_plan") == 1
+    calls.clear()
+    assert run(circuit, "1")[0].tobytes() == first.tobytes()
+    run(circuit, "0")
+    assert calls == []
+    for name in ("_CHUNK", "_WINDOW"):
+        monkeypatch.setattr(statevector, name, 1)
+        assert run(circuit, "1")[0].tobytes() == first.tobytes()
+        assert calls.count("_schedule") > 1 and calls.count("_window_plan") == 1
+        calls.clear()
+    assert statevector._plan(circuit, 1).top == 2
+    alive = weakref.ref(circuit)
+    assert len(statevector._PLANS) == 1
+    del circuit
+    gc.collect()
+    assert alive() is None and len(statevector._PLANS) == 0
 
 
 def test_prep_tree_levels_run_in_one_pass_each(monkeypatch):
