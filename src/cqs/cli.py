@@ -234,11 +234,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
+    # the suite first: its two-circle forms can refuse circles that the
+    # target alone would pass, before the target is compiled or expanded
+    axioms = axiom_suite(spec)
     circuit, _report, target = _compile(args, spec)
     target_name = args.op
     if args.mode == "paper":
         target, target_name = target.matrix(), f"{args.op}_factored_form"
-    report = verify_compiled(circuit, target, target_name, args.mode, axiom_suite(spec))
+    report = verify_compiled(circuit, target, target_name, args.mode, axioms)
     _emit_json(report.to_dict(), args.report)
     if report.relative_residual > RESIDUAL_TOLERANCE:
         print(

@@ -781,14 +781,15 @@ def emit_text(circuit: Circuit) -> str:
     round-trip repr, so equal circuits emit byte-equal text.
 
     Each control list's operands are rendered once per distinct value, from
-    its prefix: the text of a list is the text of all its pairs but the
-    last, memoized by value in the same table, plus one operand string
-    made once per (qubit, state) pair.  The LCU patterns of a compiled
-    circuit each extend a pattern one shorter, so each costs one
-    concatenation, and a run of gates that share one controls object
-    costs one lookup.  Each parameter's repr is made once per magnitude,
-    since repr(-x) is "-" + repr(x) for x > 0; zeros of either sign go
-    straight to repr, since 0.0 and -0.0 are one key but print apart.
+    its prefix: the text of a list is the text of its longest prefix
+    rendered before, memoized by value in the same table, plus the operand
+    strings of the pairs after it, each made once per (qubit, state) pair.
+    The LCU patterns of a compiled circuit each extend a pattern one
+    shorter, so each costs one concatenation, and a run of gates that
+    share one controls object costs one lookup.  Each parameter's repr is
+    made once per magnitude, since repr(-x) is "-" + repr(x) for x > 0;
+    zeros of either sign go straight to repr, since 0.0 and -0.0 are one
+    key but print apart.
     """
     names = {q: f"q{i}" for i, q in enumerate(circuit.work_qubits)}
     names.update((q, f"a{i}") for i, q in enumerate(circuit.ancilla_qubits))
@@ -803,7 +804,13 @@ def emit_text(circuit: Circuit) -> str:
     def operands_of(controls: tuple) -> str:
         text = rendered.get(controls)
         if text is None:
-            text = rendered[controls] = operands_of(controls[:-1]) + operand[controls[-1]]
+            # a loop, not a recursion per pair: a list may hold thousands
+            end = len(controls) - 1
+            while (text := rendered.get(controls[:end])) is None:
+                end -= 1
+            for pair in controls[end:]:
+                text += operand[pair]
+            rendered[controls] = text
         return text
 
     # positive magnitude -> repr

@@ -11,25 +11,25 @@ Gate application follows the strided-view layout of Haener & Steiger
 (arXiv:1704.01127).  Every gate list is planned before it runs: its
 schedule (see _schedule) is a list of steps, each one reshape of the
 C-contiguous (2**n, cols) amplitude block into a view and a list of kernel
-calls on that view.  Gates are grouped into runs: a run is a maximal
-stretch of consecutive gates that share one controls object and that no
-ancilla retirement (below) splits, such as the gates of one LCU term,
-which the compilers give one shared control list.  A run's view gives
-every control of the run, every retired ancilla and every distinct target
-of the run a length-2 axis of its own, merges each stretch of untouched
+calls on that view.  Each step is a single gate or a level (below).  A
+gate's view gives each of its controls, each retired ancilla and its
+target a length-2 axis of its own, merges each stretch of untouched
 qubits between them into one axis, and lets the trailing stretch also
 absorb the column axis.  Fixing each control axis at its required state
-gives one basic-indexing view of exactly the matched rows; a gate then
-fixes its own target axis at 0 and 1 to get two views, `lo` and `hi`.
-No index arrays, masks or gathered copies are made.  Each gate kind has
-its own kernel on the two views: x swaps them, z negates the float64 view
-of `hi`, y swaps them and multiplies by -i / +i, phase scales both, ry is
-a real rotation on float64 views of the halves, and rz and h take the
+gives one basic-indexing view of exactly the matched rows; fixing the
+target axis at 0 and 1 then gives two views, `lo` and `hi`.  No index
+arrays, masks or gathered copies are made.  Each gate kind has its own
+kernel on the two views: x swaps them, z negates the float64 view of
+`hi`, y swaps them and multiplies by -i / +i, phase scales both, ry is a
+real rotation on float64 views of the halves, and rz and h take the
 generic update with `Gate.matrix2()`.  Halves larger than _CHUNK
 amplitudes are updated slice by slice so that each slice and its
 temporaries stay in cache.
 
-Levels.  Runs under distinct patterns of one control qubit set run as one
+Levels.  A run is a maximal stretch of consecutive gates that share one
+controls object and that no ancilla retirement (below) splits, such as
+the gates of one LCU term, which the compilers give one shared control
+list.  Runs under distinct patterns of one control qubit set run as one
 step when that set sits on consecutive register positions, as it does in
 every compiled LCU.  A level is a stretch of such runs, each a branch: an
 optional phase followed by x, y, z or ry gates on increasing target
@@ -44,10 +44,10 @@ exp(i theta) * (1 + 0j), then, target by target, one kernel call per
 stretch of consecutive patterns whose branches hold the same kind there,
 ry with per-pattern cos and sin arrays; a pattern with no gate in the
 slot splits the stretch.  A pattern whose rows alone exceed _CHUNK
-amplitudes is a chunk of its own, whose calls are sliced as a run's are.
-Levels are found from the gate list alone, so parsed circuits get them
-too.  Every gate keeps its own kernel: a level batches kernel calls
-across branches and folds no gates together.
+amplitudes is a chunk of its own, whose calls are sliced as a single
+gate's are.  Levels are found from the gate list alone, so parsed
+circuits get them too.  Every gate keeps its own kernel: a level batches
+kernel calls across branches and folds no gates together.
 
 The block puts the ancillas on its leading (most significant) axes and the
 work register after them.  A select gate controlled on every ancilla then
@@ -75,7 +75,7 @@ later gate of the phase gets it as an extra control fixed at its
 post-selected bit.  The trailing gates (the unprepare tree of an LCU
 circuit) then update only the rows that can still reach the kept slab,
 without copying or reshaping the block.  An ry gate whose target retires
-right after its run or level writes only the half of its rows that holds
+right after it or its level writes only the half of its rows that holds
 the post-selected bit, and leaves the other half stale.
 
 Windows: cache blocking along the ancillas, after Haener & Steiger.  In an
@@ -106,18 +106,13 @@ Retirement leaves only dead rows stale: no gate of the phase touches a
 retired ancilla again, and a phase hands on only the rows where its
 ancillas hold their post-selected bits, so a row holding the other bit
 never feeds a kept row, and every row that does reach the kept slab gets
-the same operations on the same values.  A run's shared view changes no
-operation either: a gate's `lo` and `hi` in it hold exactly the amplitude
-pairs its own one-gate view would hold, matched by the same controls and
-retired ancilla, with the other targets of the run as extra axes that
-the elementwise kernels treat like any other, and the gates still run
-one after another in circuit order.  A level's branches touch disjoint
-rows, one pattern each, and none of them reads a row another writes; so
-running a level chunk by chunk and slot by slot gives every row the
-gates of its own branch in the branch's own order, the phase first as in
-the branch, and each amplitude gets its gate's kernel with its gate's
-own parameters, element by element, since a per-pattern array holds the
-very factor, cos or sin that the gate's own call would use.  The kept
+the same operations on the same values.  A level's branches touch
+disjoint rows, one pattern each, and none of them reads a row another
+writes; so running a level chunk by chunk and slot by slot gives every
+row the gates of its own branch in the branch's own order, the phase
+first as in the branch, and each amplitude gets its gate's kernel with
+its gate's own parameters, element by element, since a per-pattern array
+holds the very factor, cos or sin that the gate's own call would use.  The kept
 half of a retiring ry gets exactly the operations the full rotation
 gives it, and the stale half holds the retired bit that no later gate
 and no kept row reads.  A gate of the window phase touches the rows of
@@ -130,9 +125,8 @@ which are the rows the top block holds.  A plan depends on its circuit,
 the column count, _WINDOW and _CHUNK alone, which key it, and never on
 the input columns, which enter only through the buffer; so a reused plan
 runs the very kernel calls that a fresh one would.  So neither the
-layout, the runs, the levels, the kept-half writes, the prefix,
-retirement, the windows nor plan reuse changes a bit of the nonzero
-results.
+layout, the levels, the kept-half writes, the prefix, retirement, the
+windows nor plan reuse changes a bit of the nonzero results.
 """
 
 from __future__ import annotations
@@ -414,24 +408,14 @@ def _in_slices(kernel, lo: np.ndarray, hi: np.ndarray, args: tuple) -> None:
         kernel(lo[first : first + step], hi[first : first + step], *args)
 
 
-def _run_step(run, n: int, cols: int, position: dict, fixed: list, retiring: dict) -> tuple:
-    """The step of one run with its controls pinned: one view for all its
-    targets, then each gate in order.  An ry gate whose target is in
-    `retiring`, and that no later gate of the run targets, writes only
-    the half holding the post-selected bit."""
-    spots = [position[gate.target] for gate in run]
-    last = {spot: i for i, spot in enumerate(spots)}
-    shape, index, axes = _view(n, cols, last, _pins(run[0].controls, position) + fixed)
-    which = {}
-    halves, ops = [], []
-    for i, gate in enumerate(run):
-        spot = spots[i]
-        if spot not in which:
-            which[spot] = len(halves)
-            halves.append(_halves(index, axes[spot]))
-        kernel, args = _gate_op(gate, retiring.get(gate.target) if last[spot] == i else None)
-        ops.append((kernel, which[spot], None, args))
-    return shape, halves, ops
+def _gate_step(gate: Gate, n: int, cols: int, position: dict, fixed: list, keep) -> tuple:
+    """The step of one gate with its controls and the retired ancillas
+    pinned: one target axis and one op.  An ry gate with `keep` 0 or 1
+    writes only that half (see _rotate_y)."""
+    spot = position[gate.target]
+    shape, index, axes = _view(n, cols, (spot,), _pins(gate.controls, position) + fixed)
+    kernel, args = _gate_op(gate, keep)
+    return shape, [_halves(index, axes[spot])], [(kernel, 0, None, args)]
 
 
 def _group_op(group: list, first: int, last: int, which: int, dim: int, trailing: tuple,
@@ -532,15 +516,17 @@ def _schedule(gates, position: dict, cols: int, retire=None) -> list:
     qubit, as a window fixes its top ancillas (see _window_plan).
 
     Each level (see _level) of two or more branches is one step, run in
-    chunks of about _CHUNK amplitudes (see _level_step); every other run
-    is one step of its own, with its controls pinned (see _run_step).  A
-    step is (shape, halves, ops), run by _execute on view =
-    block.reshape(shape): halves lists (lo, hi) index pairs into the view,
-    and each op (kernel, which, rows, args) runs kernel(lo, hi, *args) on
-    the halves of pair `which`, or on their `rows` when it is not None.
-    No step changes a bit of the kept rows: a level's branches touch
-    disjoint rows, and none reads a row another writes, and a kept half
-    gets the operations the full rotation gives it."""
+    chunks of about _CHUNK amplitudes (see _level_step); every other gate
+    is one step of its own (see _gate_step).  Each run is scanned once,
+    whether it joins a level or gives one step per gate.  An ry gate whose
+    target retires right after it writes only the half holding the
+    post-selected bit.  A step is (shape, halves, ops), run by _execute on
+    view = block.reshape(shape): halves lists (lo, hi) index pairs into
+    the view, and each op (kernel, which, rows, args) runs kernel(lo, hi,
+    *args) on the halves of pair `which`, or on their `rows` when it is
+    not None.  No step changes a bit of the kept rows: a level's branches
+    touch disjoint rows, and none reads a row another writes, and a kept
+    half gets the operations the full rotation gives it."""
     n = len(position)
     retire = retire or {}
     steps = []
@@ -550,21 +536,24 @@ def _schedule(gates, position: dict, cols: int, retire=None) -> list:
         fixed += _pins(retire.get(start, ()), position)
         branches, spots = _level(gates, start, position, retire)
         stop = branches[-1][2]
-        retiring = dict(retire.get(stop, ()))
         if len(branches) > 1:
             # patterns per slice; the shifted size is one pattern's share of a half
             step = max(1, _CHUNK // ((cols << n) >> (len(fixed) + len(spots) + 1)))
             steps.append(_level_step(gates, branches, spots, n, cols, position, fixed,
-                                     retiring, step))
+                                     dict(retire.get(stop, ())), step))
         else:
-            steps.append(_run_step(gates[start:stop], n, cols, position, fixed, retiring))
+            for i in range(start, stop):
+                gate = gates[i]
+                keep = dict(retire.get(i + 1, ())).get(gate.target)
+                steps.append(_gate_step(gate, n, cols, position, fixed, keep))
         start = stop
     return steps
 
 
 def _execute(steps: list, block: np.ndarray) -> None:
-    """Run the steps of a `_schedule` on a C-contiguous block in place;
-    halves of more than _CHUNK amplitudes run in slices (see _in_slices)."""
+    """Run the steps of a `_schedule` on a C-contiguous block in place,
+    each a single gate or a level; halves of more than _CHUNK amplitudes
+    run in slices (see _in_slices)."""
     for shape, halves, ops in steps:
         view = block.reshape(shape)
         pairs = [(view[lo], view[hi]) for lo, hi in halves]
@@ -576,12 +565,6 @@ def _execute(steps: list, block: np.ndarray) -> None:
                 kernel(lo, hi, *args)
             else:
                 _in_slices(kernel, lo, hi, args)
-
-
-def _simulate(gates, block: np.ndarray, position: dict, retire=None) -> None:
-    """Apply gates in order to a C-contiguous (2**n, cols) block in place,
-    from a fresh `_schedule`."""
-    _execute(_schedule(gates, position, block.shape[1], retire), block)
 
 
 def _check_sizes(circuit: Circuit) -> tuple[int, int]:
@@ -605,13 +588,17 @@ def _postselect_mask(circuit: Circuit) -> int:
     return mask
 
 
-def _checked_probability(vector: np.ndarray, label: str) -> float:
-    """Raw squared norm of a post-selected basis-input column; fails (NaN
-    included) when it exceeds 1 by more than PROBABILITY_SLACK."""
-    probability = float(np.sum(np.abs(vector) ** 2))
-    if not probability <= 1 + PROBABILITY_SLACK:
-        raise ValueError(f"success probability {probability!r} for input {label} exceeds 1")
-    return probability
+def _checked_probabilities(kept: np.ndarray, labels: list) -> dict:
+    """Raw squared norm of each post-selected basis-input column of `kept`,
+    keyed by its input's label, in one pass over the transposed block,
+    whose contiguous rows sum pairwise exactly as each column alone would;
+    fails (NaN included) on the first that exceeds 1 by more than
+    PROBABILITY_SLACK."""
+    probabilities = (np.abs(np.ascontiguousarray(kept.T)) ** 2).sum(axis=1).tolist()
+    for label, probability in zip(labels, probabilities):
+        if not probability <= 1 + PROBABILITY_SLACK:
+            raise ValueError(f"success probability {probability!r} for input {label} exceeds 1")
+    return dict(zip(labels, probabilities))
 
 
 @dataclass(frozen=True, eq=False)
@@ -749,7 +736,8 @@ def _steps(circuit: Circuit, plan: _Plan, count: int) -> tuple:
     ancillas, work, postselect = circuit.ancilla_qubits, circuit.work_qubits, circuit.postselect
     state = np.zeros((2 ** len(ancillas), 1), dtype=complex)
     state[0, 0] = 1.0
-    _simulate(circuit.gates[:plan.prefix], state, {q: i for i, q in enumerate(ancillas)})
+    _execute(_schedule(circuit.gates[:plan.prefix], {q: i for i, q in enumerate(ancillas)}, 1),
+             state)
     state.setflags(write=False)
     top = plan.top
     window_position = {q: i for i, q in enumerate(ancillas[top:] + work)}
@@ -814,8 +802,8 @@ def run(circuit: Circuit, input_bits: str) -> tuple[np.ndarray, float]:
     n_work = len(circuit.work_qubits)
     if len(input_bits) != n_work or any(ch not in "01" for ch in input_bits):
         raise ValueError(f"input must be {n_work} bits of 0/1, got {input_bits!r}")
-    out = _postselected(circuit, [int(input_bits, 2)])[:, 0]
-    return out, _checked_probability(out, input_bits)
+    kept = _postselected(circuit, [int(input_bits, 2)])
+    return kept[:, 0], _checked_probabilities(kept, [input_bits])[input_bits]
 
 
 def effective_operator(circuit: Circuit) -> EffectiveOperator:
@@ -824,9 +812,6 @@ def effective_operator(circuit: Circuit) -> EffectiveOperator:
     if n_work > MAX_DOCUMENT_QUBITS:
         raise ValueError(f"effective operator extraction supports up to {MAX_DOCUMENT_QUBITS} work qubits")
     matrix = _postselected(circuit, list(range(2**n_work)))
-    probabilities = {}
-    for j in range(2**n_work):
-        bits = format(j, f"0{n_work}b")
-        probabilities[bits] = _checked_probability(matrix[:, j], bits)
-    return EffectiveOperator(matrix, probabilities)
+    labels = [format(j, f"0{n_work}b") for j in range(2**n_work)]
+    return EffectiveOperator(matrix, _checked_probabilities(matrix, labels))
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .duality_compiler import Circuit, compile_exact, compile_paper, paper_factored_form
 from .frobenius import BUILDERS as _BUILDERS
-from .frobenius import GENERATOR_ARITY, DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
+from .frobenius import (GENERATOR_ARITY, MAX_DOCUMENT_QUBITS, DenseOperator, FrobeniusSpec,
+                        PhaseConvention, logical_form)
 from .pauli import _as_matrix, factorization_residual
 from .statevector import effective_operator
 
@@ -120,12 +121,20 @@ def axiom_suite(spec: FrobeniusSpec,
     outputs first and the first circle most significant, so mu is
     mu[o, a, b] and delta is delta[a, b, i].  The widest array is a
     four-circle side of associativity, coassociativity or the Frobenius
-    relation, d^4 entries; logical forms refuse registers over the 12-qubit
-    MAX_DOCUMENT_QUBITS, so d <= 64 and no array exceeds 2^24 entries
+    relation, d^4 entries.  The suite refuses circles whose mu and delta
+    would need registers over the 12-qubit MAX_DOCUMENT_QUBITS before it
+    builds anything, so d <= 64 and no array exceeds 2^24 entries
     (256 MiB).
     """
+    bits = spec.encoding.bits_per_circle
+    # mu and delta span two circles: refuse before any form is built
+    if 2 * bits > MAX_DOCUMENT_QUBITS:
+        raise ValueError(
+            f"the axiom suite on {bits}-qubit circles needs mu and delta on "
+            f"{2 * bits}-qubit registers, over the {MAX_DOCUMENT_QUBITS}-qubit limit"
+        )
     overrides = dict(overrides or {})
-    d = 2**spec.encoding.bits_per_circle
+    d = 2**bits
 
     def gen(tag: str, beta: Optional[float] = None) -> np.ndarray:
         if beta is None and tag in overrides:

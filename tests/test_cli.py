@@ -249,6 +249,13 @@ def test_emit_from_file(capsys, tmp_path):
     assert code == 0
     assert out.startswith("work q0, q1;\nancilla a0, a1, a2, a3;\n")
     assert "postselect a3 -> 0;" in out
+    # one gate of 3000 controls, far more than the interpreter's recursion limit
+    long_controls = tuple((q, q % 2) for q in range(3000))
+    circuit = Circuit(tuple(range(3001)), (), (Gate("x", 3000, (), long_controls),), ())
+    path.write_text(json.dumps(circuit.to_dict()))
+    code, out, _ = run_cli(capsys, ["emit", "--circuit", str(path)])
+    assert code == 0
+    assert out.endswith(" !q2998, q2999, q3000;\n")
 
 
 def test_custom_table_file(capsys, tmp_path):
@@ -371,6 +378,9 @@ def test_usage_exit_codes(capsys, monkeypatch):
         (["irreps", "--truncate", "4096"], "[1, 4095]"),
         (["build", "--op", "mu", "--truncate", "64"], "over the 12-qubit limit"),
         (["build", "--op", "mu", "--truncate", "1000"], "over the 12-qubit limit"),
+        (["verify", "--op", "cylinder", "--truncate", "64"], "the axiom suite on 7-qubit"),
+        (["verify", "--op", "eta", "--mode", "paper", "--truncate", "4095"],
+         "the axiom suite on 12-qubit"),
     ):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv

@@ -1116,11 +1116,18 @@ def _emit_circuits(draw):
     return Circuit(ids[:n_work], ancillas, tuple(gates), post)
 
 
+# one gate of 3000 controls, far more than the interpreter's recursion limit
+_LONG_CONTROLS = Circuit(tuple(range(3001)), (), (
+    Gate("x", 3000, (), tuple((q, q % 2) for q in range(3000))),), ())
+
+
 @settings(max_examples=300, deadline=None)
 @given(_emit_circuits())
+@example(_LONG_CONTROLS)
 def test_emit_text_matches_plain_rendering(circuit):
     """The memoized control texts and parameter reprs give the bytes of
-    the plain rendering, whatever the sharing, order and signs."""
+    the plain rendering, whatever the sharing, order, signs and length of
+    the control lists."""
     assert emit_text(circuit) == _emit_reference(circuit)
 
 

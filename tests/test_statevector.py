@@ -15,7 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqs import statevector
@@ -70,7 +70,7 @@ def basis(bits):
 
 def full_register_run(circuit, vector):
     """Post-selected work vector from simulating every gate on the whole
-    register, each through its own `_simulate` call, so that no run, level,
+    register, each through its own one-gate schedule, so that no level,
     prefix or retirement is shared: `vector` on the work qubits (or one
     work vector per column of a matrix) and |0> on the ancillas.  The
     reference that `run` and `effective_operator` must match bit for bit."""
@@ -81,7 +81,7 @@ def full_register_run(circuit, vector):
     block[:dim_work] = vectors
     position = {q: i for i, q in enumerate(circuit.ancilla_qubits + circuit.work_qubits)}
     for gate in circuit.gates:
-        statevector._simulate((gate,), block, position)
+        statevector._execute(statevector._schedule((gate,), position, block.shape[1]), block)
     kept = statevector._postselect_mask(circuit) * dim_work
     return block[kept : kept + dim_work].reshape(np.shape(vector))
 
@@ -343,7 +343,7 @@ def test_kernels_repeat_the_generic_arithmetic(n, cols, data):
     block = (rng.normal(size=(2**n, cols)) + 1j * rng.normal(size=(2**n, cols))) * scales
     want = block.copy()
     generic_update(want, n, gate)
-    statevector._simulate((gate,), block, {q: q for q in range(n)})
+    statevector._execute(statevector._schedule((gate,), {q: q for q in range(n)}, cols), block)
     assert np.array_equal(block, want)
 
 
@@ -507,8 +507,8 @@ def shared_control_circuits(draw):
 def gate_by_gate(function, *args):
     """function(*args) with every `_schedule` split into one schedule per
     gate, each pinning the ancillas retired before it, and with no plan
-    cached before: the shared prefix and retirement stay, and no run or
-    level is shared.  Fails if the split schedule was never made."""
+    cached before: the shared prefix and retirement stay, and no level is
+    shared.  Fails if the split schedule was never made."""
     schedule = statevector._schedule
     calls = []
 
@@ -528,13 +528,24 @@ def gate_by_gate(function, *args):
     return result
 
 
+def ry_then_x_run():
+    """A run that rotates an ancilla by ry and then flips it by x, its last
+    gate, before the ancilla retires: the ry must write both halves."""
+    shared = _Controls(())
+    gates = (Gate("h", 1), Gate("h", 0, (), shared), Gate("ry", 1, (0.7,), shared),
+             Gate("x", 1, (), shared), Gate("h", 0, (), shared))
+    return Circuit((0,), (1,), gates, ((1, 0),))
+
+
 @settings(max_examples=150, deadline=None)
 @given(shared_control_circuits())
+@example(ry_then_x_run())
 def test_runs_change_no_bit(circuit):
-    """Sharing one view among the gates of a run changes no bit: the block
-    equals, byte for byte, the one from applying each gate through its own
-    `_simulate` call under the same prefix and retirements, and it matches
-    the dense-kron oracle."""
+    """Scheduling a run that makes no level, its last gate writing only the
+    kept half when its target retires, changes no bit: the block equals,
+    byte for byte, the one from applying each gate through its own
+    one-gate schedule under the same prefix and retirements, and it
+    matches the dense-kron oracle."""
     prefix = statevector._ancilla_prefix_length(circuit)
     body = circuit.gates[prefix:]
     retire = statevector._retirements(body, circuit.postselect)
@@ -608,7 +619,7 @@ def test_levels_change_no_bit(circuit, chunk, data):
     amplitudes, and writing only the kept half of a level whose target
     retires, changes no bit: `effective_operator` and `run` equal, byte for
     byte, a full-register run that applies each gate through its own
-    `_simulate` call, and they match the dense-kron oracle."""
+    one-gate schedule, and they match the dense-kron oracle."""
     n_work = len(circuit.work_qubits)
     reference = full_register_run(circuit, np.eye(2**n_work))
     j = data.draw(st.integers(0, 2**n_work - 1))
@@ -709,7 +720,7 @@ def test_select_levels_change_no_bit(circuit, chunk, data):
     """Applying each stretch of select branches as one level, in chunks of
     about `chunk` amplitudes, changes no bit: `effective_operator` and
     `run` equal, byte for byte, a full-register run that applies each gate
-    through its own `_simulate` call, and they match the dense-kron
+    through its own one-gate schedule, and they match the dense-kron
     oracle."""
     prefix = statevector._ancilla_prefix_length(circuit)
     body = circuit.gates[prefix:]
@@ -743,9 +754,9 @@ def counting(calls, function):
 
 def test_su3_15_eta_select_stage_runs_as_levels(monkeypatch):
     """The su3(15) exact eta circuit has 974 select gates, one non-ry kernel
-    call each when every run of them is a step of its own.  As levels,
-    `run` makes fewer than half as many non-ry kernel calls, with the same
-    bytes as a run gate by gate."""
+    call each when each is a step of its own.  As levels, `run` makes
+    fewer than half as many non-ry kernel calls, with the same bytes as a
+    run gate by gate."""
     circuit, _ = compile_exact(build_eta(FrobeniusSpec.su3(15)))
     assert sum(gate.kind != "ry" for gate in circuit.gates) == 974
     calls = []
@@ -756,6 +767,20 @@ def test_su3_15_eta_select_stage_runs_as_levels(monkeypatch):
     assert 0 < len(calls) < 974 // 2
     want, want_probability = gate_by_gate(run, circuit, bits)
     assert vector.tobytes() == want.tobytes() and probability == want_probability
+
+
+def test_planning_scans_each_run_once(monkeypatch):
+    """A parsed run of 2000 uncontrolled gates on one work qubit, which
+    makes no level, is scanned once and gives one step per gate: a
+    `_level` call per gate would rescan the rest of the run each time, so
+    planning would be quadratic in the run's length."""
+    gates = tuple(Gate("ry" if i % 2 else "h", 0, (0.5,) * (i % 2)) for i in range(2000))
+    circuit = Circuit.from_dict(Circuit((0,), (), gates, ()).to_dict())
+    assert all(gate.controls is circuit.gates[0].controls for gate in circuit.gates)
+    calls = []
+    monkeypatch.setattr(statevector, "_run", counting(calls, statevector._run))
+    steps = statevector._schedule(circuit.gates, {0: 0}, 1)
+    assert calls == ["_run"] and len(steps) == 2000
 
 
 def test_plans_are_reused_and_die_with_their_circuit(monkeypatch):
@@ -800,7 +825,7 @@ def test_prep_tree_levels_run_in_one_pass_each(monkeypatch):
     reference = np.zeros((2**9, 1), dtype=complex)
     reference[0, 0] = 1.0
     for gate in circuit.gates[:prefix]:
-        statevector._simulate((gate,), reference, position)
+        statevector._execute(statevector._schedule((gate,), position, 1), reference)
     calls = []
     rotate = statevector._rotate_y
 
@@ -813,7 +838,7 @@ def test_prep_tree_levels_run_in_one_pass_each(monkeypatch):
         calls.clear()
         state = np.zeros_like(reference)
         state[0, 0] = 1.0
-        statevector._simulate(gates[:prefix], state, position)
+        statevector._execute(statevector._schedule(gates[:prefix], position, 1), state)
         assert 0 < len(calls) <= 9
         assert state.tobytes() == reference.tobytes()
 
@@ -1031,6 +1056,14 @@ def test_probability_above_input_norm_raises():
         effective_operator(circuit)
     with pytest.raises(ValueError, match="success probability"):
         run(circuit, "0")
+    # an imaginary angle makes the phase factor 2, which only input 1 meets:
+    # its probability is 4, and the error names it
+    doubling = Gate("phase", 1, (0.5,), ((0, 1),))
+    object.__setattr__(doubling, "params", (-1j * math.log(2),))
+    circuit = Circuit((0,), (1,), (doubling,), ((1, 0),))
+    assert run(circuit, "0")[1] == 1.0
+    with pytest.raises(ValueError, match="for input 1 exceeds 1"):
+        effective_operator(circuit)
 
 
 def test_block_budget(monkeypatch):
