@@ -780,12 +780,12 @@ def emit_text(circuit: Circuit) -> str:
     `!`, then `postselect <q> -> <bit>;` lines.  Floats use shortest
     round-trip repr, so equal circuits emit byte-equal text.
 
-    Each control list's operands are rendered once per distinct value, from
-    its prefix: the text of a list is the text of its longest prefix
-    rendered before, memoized by value in the same table, plus the operand
-    strings of the pairs after it, each made once per (qubit, state) pair.
-    The LCU patterns of a compiled circuit each extend a pattern one
-    shorter, so each costs one concatenation, and a run of gates that
+    Each control list's operands are rendered once per distinct value and
+    memoized by value.  The LCU patterns of a compiled circuit each extend
+    a pattern one pair shorter, rendered before, so each costs one lookup
+    of that prefix and one concatenation; any other list is rendered in
+    one pass from the operand strings, each made once per (qubit, state)
+    pair, so a list costs time linear in its length.  A run of gates that
     share one controls object costs one lookup.  Each parameter's repr is
     made once per magnitude, since repr(-x) is "-" + repr(x) for x > 0;
     zeros of either sign go straight to repr, since 0.0 and -0.0 are one
@@ -804,12 +804,11 @@ def emit_text(circuit: Circuit) -> str:
     def operands_of(controls: tuple) -> str:
         text = rendered.get(controls)
         if text is None:
-            # a loop, not a recursion per pair: a list may hold thousands
-            end = len(controls) - 1
-            while (text := rendered.get(controls[:end])) is None:
-                end -= 1
-            for pair in controls[end:]:
-                text += operand[pair]
+            text = rendered.get(controls[:-1])
+            if text is None:
+                text = "".join([operand[pair] for pair in controls])
+            else:
+                text += operand[controls[-1]]
             rendered[controls] = text
         return text
 

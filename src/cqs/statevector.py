@@ -78,6 +78,17 @@ without copying or reshaping the block.  An ry gate whose target retires
 right after it or its level writes only the half of its rows that holds
 the post-selected bit, and leaves the other half stale.
 
+Planning.  Verification (`verify_compiled`, and so `reproduce_paper` and
+`cqs verify`) simulates each circuit it compiles once, so each of its
+plans is used once and paid in full.  So planning makes few passes: the
+window plan reads each gate once, each phase splits its gate list into
+runs in one more pass (see _runs), and levels are found from the runs.
+What a plan shares lives in its layouts (see _Layout), which die once
+the plan is made: each control list's value, which gives both its
+window and its pattern in a level, is summed once per plan, and the
+windows share one layout, so each level geometry's view, halves and
+chunking are made once per plan rather than once per window.
+
 Windows: cache blocking along the ancillas, after Haener & Steiger.  In an
 LCU circuit every select gate, and every unprepare level of the later
 ("low") half of the ancillas, is controlled on each of the first
@@ -124,9 +135,12 @@ whole block touches only rows where they hold their post-selected bits,
 which are the rows the top block holds.  A plan depends on its circuit,
 the column count, _WINDOW and _CHUNK alone, which key it, and never on
 the input columns, which enter only through the buffer; so a reused plan
-runs the very kernel calls that a fresh one would.  So neither the
-layout, the levels, the kept-half writes, the prefix, retirement, the
-windows nor plan reuse changes a bit of the nonzero results.
+runs the very kernel calls that a fresh one would.  Within a plan, a
+shared view, halves list or controls value is the one each step would
+make for itself from the same geometry or control list, so sharing them
+changes no kernel call either.  So neither the layout, the levels, the
+kept-half writes, the prefix, retirement, the windows, what a plan
+shares nor plan reuse changes a bit of the nonzero results.
 """
 
 from __future__ import annotations
@@ -285,96 +299,169 @@ _KERNELS = {
 }
 
 
-def _gate_op(gate: Gate, keep=None) -> tuple:
-    """(kernel, args): kernel(lo, hi, *args) applies `gate` to its halves.
-    An ry gate with `keep` 0 or 1 writes only that half (see _rotate_y)."""
+def _op(gate: Gate, which: int, rows, keep=None) -> tuple:
+    """The op (kernel, which, rows, args) that applies `gate` to halves
+    `which`, or to their `rows` when that is not None: kernel(lo, hi,
+    *args).  An ry gate with `keep` 0 or 1 writes only that half (see
+    _rotate_y)."""
     kind = gate.kind
     if kind == "ry":
         half = gate.params[0] / 2
-        return _rotate_y, (math.cos(half), math.sin(half), keep)
+        return _rotate_y, which, rows, (math.cos(half), math.sin(half), keep)
     if kind == "phase":
-        return _KERNELS[kind], (_phase_factor(gate.params[0]),)
+        return _KERNELS[kind], which, rows, (_phase_factor(gate.params[0]),)
     if kind == "rz" or kind == "h":
-        return _KERNELS[kind], (gate.matrix2(),)
-    return _KERNELS[kind], ()
+        return _KERNELS[kind], which, rows, (gate.matrix2(),)
+    return _KERNELS[kind], which, rows, ()
 
 
-def _pins(controls, position: dict) -> list:
+def _pins(controls, position: dict) -> tuple:
     """The (position, state) pairs of the (qubit, state) `controls` on
     qubits of `position`; the caller fixes the others (see _schedule)."""
-    return [(position[q], state) for q, state in controls if q in position]
+    return tuple([(position[q], state) for q, state in controls if q in position])
+
+
+class _Layout:
+    """A register that schedules run on, and what the schedules of one plan
+    on it share.  The register is the stretch order[start:stop] of a qubit
+    `order`, its qubits at `position`s 0..n-1 of a C-contiguous (2**n,
+    cols) block; a caller fixes the other qubits of the order, and a
+    control on one of them is skipped.  A plan makes one layout for each
+    register it runs on and drops them once it is made.  Its order is the
+    ancillas, then the work qubits: the window buffer, which all 2**top
+    windows share, is that order without the top ancillas, and the
+    ancilla vector of the prefix, which takes the buffer's `bit` and
+    `values` (pass `plan`), is it without the work qubits.  The top block,
+    the top ancillas and the work qubits, is no stretch of that order and
+    has one of its own.
+
+    - `bit` maps each qubit of the order to its bit in a controls value,
+      the sum of the bits of the controls in state 1: the order read
+      big-endian, its first qubit most significant.  So the bits of the
+      buffer's value above its register spell a gate's window.
+    - `values` holds the value of each controls object met, by identity,
+      so that each control list is summed once per plan, however many
+      windows, levels and layouts read it; the gates keep their controls
+      alive.
+    - `patterns` maps each control qubit set to its pattern axis (see
+      _pattern).
+    - `views` maps the geometry of a single-gate step, (target position,
+      pins), or of a level, (pattern first, width, targets, slots, pins),
+      to what _gate_step or _level_view makes of it, so steps of one
+      geometry share one view and one list of halves."""
+
+    def __init__(self, order, cols: int, start: int = 0, stop=None, plan=None):
+        stop = len(order) if stop is None else stop
+        self.position = {q: i for i, q in enumerate(order[start:stop])}
+        self.n = stop - start
+        self.cols = cols
+        self.below = len(order) - stop  # the bits of a value below the register's
+        if plan is None:
+            self.bit = {q: 1 << (len(order) - 1 - i) for i, q in enumerate(order)}
+            self.values = {}
+        else:
+            self.bit, self.values = plan.bit, plan.values
+        self.patterns = {}
+        self.views = {}
+
+    def value(self, controls) -> int:
+        """The value of `controls` (see bit), summed once per object."""
+        value = self.values.get(id(controls))
+        if value is None:
+            value, bit = 0, self.bit
+            for q, state in controls:
+                if state:
+                    value += bit[q]
+            self.values[id(controls)] = value
+        return value
+
+
+def _pattern(layout: _Layout, qubits: frozenset) -> tuple:
+    """(first, width, shift, mask) for a control qubit set whose qubits of
+    the layout sit on the `width` consecutive positions from `first`,
+    which merge into one pattern axis; () for any other set.  The value of
+    a pattern reads its states on those positions as a big-endian number:
+    layout.value(controls) >> shift & mask.  Found once per set and
+    layout."""
+    pattern = layout.patterns.get(qubits)
+    if pattern is None:
+        position = layout.position
+        spots = sorted([position[q] for q in qubits if q in position])
+        pattern = ()
+        if spots and spots[-1] - spots[0] == len(spots) - 1:
+            pattern = (spots[0], len(spots), layout.below + layout.n - 1 - spots[-1],
+                       (1 << len(spots)) - 1)
+        layout.patterns[qubits] = pattern
+    return pattern
 
 
 # the kinds a level's branch holds after its optional leading phase
 _LETTERS = frozenset(("x", "y", "z", "ry"))
 
 
-def _run(gates, start: int, retire: dict, position: dict) -> tuple[int, bool]:
-    """(stop, branch): the index after the run that starts at gates[start],
-    the maximal stretch of consecutive gates that share one controls
-    object with no `retire` index inside, and whether the run is a
-    branch: an optional phase followed by x, y, z or ry gates on
-    increasing target positions."""
-    controls = gates[start].controls
-    branch = True
-    last = -1
-    stop = start
-    while True:
-        gate = gates[stop]
-        if branch and (stop > start or gate.kind != "phase"):
-            spot = position[gate.target]
-            branch = gate.kind in _LETTERS and spot > last
-            last = spot
-        stop += 1
-        if stop == len(gates) or gates[stop].controls is not controls or stop in retire:
-            return stop, branch
+def _runs(gates, retire: dict, position: dict) -> list:
+    """Each run of `gates`, the maximal stretches of consecutive gates that
+    share one controls object with no `retire` index inside, as [start,
+    controls, slots], in one pass.  slots is None unless the run is a
+    branch, an optional phase followed by x, y, z or ry gates on
+    increasing target positions; then slots[-1] is its phase and slots[p]
+    its gate on target position p."""
+    runs = []
+    controls = run = slots = None
+    for index, gate in enumerate(gates):
+        if gate.controls is not controls or index in retire:
+            controls, slots, last = gate.controls, {}, -1
+            run = [index, controls, slots]
+            runs.append(run)
+        if slots is not None:
+            kind = gate.kind
+            if kind in _LETTERS and (spot := position[gate.target]) > last:
+                slots[spot] = gate
+                last = spot
+            elif kind == "phase" and not slots:
+                slots[-1] = gate
+            else:
+                run[2] = slots = None
+    return runs
 
 
-def _level(gates, start: int, position: dict, retire: dict) -> tuple[list, list]:
-    """(branches, spots): the level that starts at gates[start], as a
-    (pattern value, start, stop) triple for each of its runs in circuit
-    order, and the sorted positions of its control set, which only a
-    level of two or more runs needs.
+def _level(layout: _Layout, runs: list, index: int, retire: dict) -> tuple:
+    """(level, end) for the branch runs[index]: the level it starts, as
+    (first, width, branches), its pattern axis (see _pattern) and a map
+    from each of its runs' pattern values to the run's slots, or None if
+    no later run joins it; and the index in `runs` after the level.
 
-    A level is a stretch of consecutive runs (see _run) under one control
-    qubit set, each under a distinct pattern of it and each a branch, with
-    no `retire` index inside: one level of an Ry tree, whose runs are
-    single gates, a uniformly controlled rotation; or a stretch of an
-    LCU's select stage, one run per term.  A pattern's value reads the
-    control states on qubits of `position` as a big-endian number, in
-    position order.  Only a set on consecutive positions makes a level of
-    more than one run, since only such a set merges into one axis of the
-    block; any other run is a level of one."""
-    stop, branch = _run(gates, start, retire, position)
-    if not branch:
-        return [(0, start, stop)], []
-    qubits = gates[start].controls.qubits
-    spots = sorted([position[q] for q in qubits if q in position])
-    if not spots or spots[-1] - spots[0] != len(spots) - 1:
-        return [(0, start, stop)], spots
-    # each control pair's share of the pattern value; one on a qubit outside
-    # `position` adds nothing
-    share = {}
-    for q in qubits:
-        share[q, 0] = 0
-        share[q, 1] = 1 << (spots[-1] - position[q]) if q in position else 0
-    branches, seen = [], set()
-    while True:
-        value = sum(map(share.__getitem__, gates[start].controls))
-        if value in seen:
+    A level is a stretch of consecutive runs under one control qubit set,
+    each under a distinct pattern of it and each a branch, with no
+    `retire` index inside: one level of an Ry tree, whose runs are single
+    gates, a uniformly controlled rotation; or a stretch of an LCU's
+    select stage, one run per term.  Only a set on consecutive positions
+    makes a level, since only such a set merges into one axis of the
+    block; its pattern axis is looked up once a second run could join."""
+    _, controls, slots = runs[index]
+    qubits = controls.qubits
+    branches = None
+    end = index + 1
+    while end < len(runs):
+        start, following, next_slots = runs[end]
+        if next_slots is None or start in retire:
             break
-        seen.add(value)
-        branches.append((value, start, stop))
-        if stop == len(gates) or stop in retire:
+        if following.qubits is not qubits and following.qubits != qubits:
             break
-        controls = gates[stop].controls
-        if controls.qubits is not qubits and controls.qubits != qubits:
+        if branches is None:
+            pattern = _pattern(layout, qubits)
+            if not pattern:
+                break
+            first, width, shift, mask = pattern
+            branches = {layout.value(controls) >> shift & mask: slots}
+        value = layout.value(following) >> shift & mask
+        if value in branches:
             break
-        after, branch = _run(gates, stop, retire, position)
-        if not branch:
-            break
-        start, stop = stop, after
-    return branches, spots
+        branches[value] = next_slots
+        end += 1
+    if branches is None or len(branches) < 2:
+        return None, index + 1
+    return (first, width, branches), end
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -408,145 +495,169 @@ def _in_slices(kernel, lo: np.ndarray, hi: np.ndarray, args: tuple) -> None:
         kernel(lo[first : first + step], hi[first : first + step], *args)
 
 
-def _gate_step(gate: Gate, n: int, cols: int, position: dict, fixed: list, keep) -> tuple:
-    """The step of one gate with its controls and the retired ancillas
-    pinned: one target axis and one op.  An ry gate with `keep` 0 or 1
-    writes only that half (see _rotate_y)."""
-    spot = position[gate.target]
-    shape, index, axes = _view(n, cols, (spot,), _pins(gate.controls, position) + fixed)
-    kernel, args = _gate_op(gate, keep)
-    return shape, [_halves(index, axes[spot])], [(kernel, 0, None, args)]
+def _gate_step(layout: _Layout, gate: Gate, pins: tuple, keep) -> tuple:
+    """The step of one gate with `pins`, its controls and the retired
+    ancillas, fixed: one target axis and one op.  An ry gate with `keep`
+    0 or 1 writes only that half (see _rotate_y).  The view and halves are
+    made once per target position and pins in a layout."""
+    spot = layout.position[gate.target]
+    view = layout.views.get((spot, pins))
+    if view is None:
+        shape, index, axes = _view(layout.n, layout.cols, (spot,), list(pins))
+        view = layout.views[spot, pins] = shape, [_halves(index, axes[spot])]
+    return view[0], view[1], [_op(gate, 0, None, keep)]
 
 
 def _group_op(group: list, first: int, last: int, which: int, dim: int, trailing: tuple,
-              retiring: dict) -> tuple:
-    """The op of a level that applies the gates `group`, one kind on one
-    slot, to pattern values first .. last of halves `which` (see
-    _level_step), with per-pattern parameter arrays of shape `trailing`.
-    One pattern's op fixes the pattern axis, which drops it, so that its
-    halves can be sliced along their first dimension (see _execute)."""
-    gate = group[0]
-    keep = retiring.get(gate.target) if gate.kind == "ry" else None
-    if len(group) == 1:
-        kernel, args = _gate_op(gate, keep)
-        return kernel, which, _rows(dim, first), args
-    if gate.kind == "ry":
+              keep) -> tuple:
+    """The op of a level that applies the gates `group`, two or more of one
+    kind on one slot, to pattern values first .. last of halves `which`
+    (see _level_step), with per-pattern parameter arrays of shape
+    `trailing`; an ry group with `keep` 0 or 1 writes only that half."""
+    kind = group[0].kind
+    rows = _rows(dim, first, last + 1)
+    if kind == "ry":
         half_angles = [gate.params[0] / 2 for gate in group]
-        args = (_per_pattern(list(map(math.cos, half_angles)), trailing),
-                _per_pattern(list(map(math.sin, half_angles)), trailing), keep)
-        return _rotate_y, which, _rows(dim, first, last + 1), args
-    if gate.kind == "phase":
-        args = (_per_pattern([_phase_factor(gate.params[0]) for gate in group], trailing),)
-    else:
-        args = ()
-    return _KERNELS[gate.kind], which, _rows(dim, first, last + 1), args
+        return _rotate_y, which, rows, (_per_pattern(list(map(math.cos, half_angles)), trailing),
+                                        _per_pattern(list(map(math.sin, half_angles)), trailing),
+                                        keep)
+    if kind == "phase":
+        factors = [_phase_factor(gate.params[0]) for gate in group]
+        return _KERNELS[kind], which, rows, (_per_pattern(factors, trailing),)
+    return _KERNELS[kind], which, rows, ()
 
 
-def _level_step(gates, branches: list, spots: list, n: int, cols: int, position: dict,
-                fixed: list, retiring: dict, step: int) -> tuple:
-    """The step of a level of two or more branches (see _level): one view
-    with the control set merged into one pattern axis.  The level runs in
-    chunks of at most `step` branches, in pattern order, so that a chunk
-    stays in cache; each chunk takes one slot after another, the phases
-    first and then each target position in increasing order.  A slot
-    makes one kernel call for each stretch of consecutive pattern values
-    whose branches hold a gate of one kind there (see _group_op); a
-    pattern with no gate in the slot splits the stretch.  The phases take
-    the halves of the level's first target, since they scale both.  An ry
-    slot whose target is in `retiring` writes only the half holding the
-    post-selected bit."""
-    branches = sorted(branches)
-    values = [value for value, _, _ in branches]
-    count = len(values)
-    slots = {}  # -1 for the phases, else a target position: a gate or None per branch
-    targets = set()
-    for i, (_, start, stop) in enumerate(branches):
-        for gate in gates[start:stop]:
-            spot = position[gate.target]
-            targets.add(spot)
-            slot = -1 if gate.kind == "phase" else spot
-            row = slots.get(slot)
-            if row is None:
-                row = slots[slot] = [None] * count
-            row[i] = gate
-    shape, index, axes = _view(n, cols, targets, fixed, (spots[0], len(spots)))
+def _level_view(layout: _Layout, key: tuple) -> tuple:
+    """(shape, halves, where, step) of a level of `key` (first, width,
+    targets, slots, pins) on the layout: one view with its target
+    positions split, its control set merged into one pattern axis of
+    2**width values at position `first` and `pins` fixed; the halves of
+    each slot; `where` maps each slot, in order, to its (halves index,
+    pattern dimension, trailing shape); and the patterns per chunk.  The
+    phases, slot -1, take the halves of the level's first target, since
+    they scale both; the pattern dimension indexes the pattern axis in
+    the halves, and a per-pattern array of the trailing shape broadcasts
+    along it.  The shifted size in `step` is one pattern's share of a
+    half."""
+    first, width, targets, slots, pins = key
+    shape, index, axes = _view(layout.n, layout.cols, targets, list(pins), (first, width))
     pattern = axes[None]
     # the free axes of the view before and after the pattern axis, which
     # each target's halves have one fewer of on its own side
     before = sum(entry.__class__ is slice for entry in index[:pattern])
     after = sum(entry.__class__ is slice for entry in index[pattern + 1:])
-    lowest = min(targets)
-    halves, layout = [], []  # layout: (slot, halves index, pattern dimension, trailing)
-    for slot in sorted(slots):
+    lowest = targets[0]
+    halves, where = [], {}
+    for slot in slots:
         axis = axes[lowest if slot < 0 else slot]
-        if slot != lowest or -1 not in slots:  # else the phases' halves serve
+        if slot != lowest or slots[0] >= 0:  # else the phases' halves serve
             halves.append(_halves(index, axis))
         if axis < pattern:
-            layout.append((slot, len(halves) - 1, before - 1, (-1,) + (1,) * after))
+            where[slot] = (len(halves) - 1, before - 1, (-1,) + (1,) * after)
         else:
-            layout.append((slot, len(halves) - 1, before, (-1,) + (1,) * (after - 1)))
+            where[slot] = (len(halves) - 1, before, (-1,) + (1,) * (after - 1))
+    step = max(1, _CHUNK // ((layout.cols << layout.n) >> (len(pins) + width + 1)))
+    return shape, halves, where, step
+
+
+def _level_step(layout: _Layout, level: tuple, pins: tuple, retiring: dict) -> tuple:
+    """The step of a level (first, width, branches) of two or more
+    branches (see _level), with `pins`, the retired ancillas, fixed: one
+    view with the control set merged into one pattern axis (see
+    _level_view, made once per geometry in a layout).  The level runs in
+    chunks of at most `step` branches, in pattern order, so that a chunk
+    stays in cache; each chunk takes one slot after another, the phases
+    first and then each target position in increasing order.  A slot
+    makes one kernel call for each stretch of consecutive pattern values
+    whose branches hold a gate of one kind there (see _group_op); a
+    pattern with no gate in the slot splits the stretch.  One pattern's
+    op fixes the pattern axis, which drops it, so that its halves can be
+    sliced along their first dimension (see _execute).  An ry slot whose
+    target is in `retiring` writes only the half holding the post-selected
+    bit."""
+    first, width, branches = level
+    values, ordered = zip(*sorted(branches.items()))
+    slots = sorted(set().union(*ordered))
+    targets = slots
+    if slots[0] < 0:  # a phase's target is split too
+        position = layout.position
+        targets = sorted(set(slots[1:]).union(
+            [position[branch[-1].target] for branch in ordered if -1 in branch]))
+    key = (first, width, tuple(targets), tuple(slots), pins)
+    view = layout.views.get(key)
+    if view is None:
+        view = layout.views[key] = _level_view(layout, key)
+    shape, halves, where, step = view
     ops = []
+    count = len(values)
     for chunk in range(0, count, step):
         chunk_stop = min(count, chunk + step)
-        for slot, which, dim, trailing in layout:
-            row = slots[slot]
+        for slot, (which, dim, trailing) in where.items():
             begin = chunk
             while begin < chunk_stop:
-                gate = row[begin]
+                gate = ordered[begin].get(slot)
                 end = begin + 1
                 if gate is None:
                     begin = end
                     continue
-                kind = gate.kind
-                while (end < chunk_stop and values[end] == values[end - 1] + 1
-                       and row[end] is not None and row[end].kind == kind):
+                group = [gate]
+                while end < chunk_stop and values[end] == values[end - 1] + 1:
+                    other = ordered[end].get(slot)
+                    if other is None or other.kind != gate.kind:
+                        break
+                    group.append(other)
                     end += 1
-                ops.append(_group_op(row[begin:end], values[begin], values[end - 1],
-                                     which, dim, trailing, retiring))
+                keep = retiring.get(gate.target) if retiring else None
+                if end - begin == 1:
+                    ops.append(_op(gate, which, _rows(dim, values[begin]), keep))
+                else:
+                    ops.append(_group_op(group, values[begin], values[end - 1], which, dim,
+                                         trailing, keep))
                 begin = end
     return shape, halves, ops
 
 
-def _schedule(gates, position: dict, cols: int, retire=None) -> list:
-    """The steps that apply `gates` in order to a C-contiguous (2**n, cols)
-    block in place, n = len(position); `position` maps qubit ids to
-    register positions 0..n-1.  `retire` maps a gate index to (qubit,
-    state) controls that gate and every later gate also get.  A control on
-    a qubit outside `position` is skipped: the caller has fixed that
-    qubit, as a window fixes its top ancillas (see _window_plan).
+def _schedule(gates, layout: _Layout, retire=None) -> list:
+    """The steps that apply `gates` in order to a C-contiguous (2**n,
+    cols) block of `layout` in place.  `retire` maps a gate index to
+    (qubit, state) controls that gate and every later gate also get.  A
+    control on a qubit outside the layout is skipped: the caller has fixed
+    that qubit, as a window fixes its top ancillas (see _window_plan).
 
     Each level (see _level) of two or more branches is one step, run in
     chunks of about _CHUNK amplitudes (see _level_step); every other gate
-    is one step of its own (see _gate_step).  Each run is scanned once,
-    whether it joins a level or gives one step per gate.  An ry gate whose
-    target retires right after it writes only the half holding the
-    post-selected bit.  A step is (shape, halves, ops), run by _execute on
+    is one step of its own (see _gate_step).  Each gate is scanned once,
+    in the pass that splits `gates` into runs (see _runs); levels are then
+    found from the runs.  An ry gate whose target retires right after it
+    writes only the half holding the post-selected bit.  A step is (shape, halves, ops), run by _execute on
     view = block.reshape(shape): halves lists (lo, hi) index pairs into
     the view, and each op (kernel, which, rows, args) runs kernel(lo, hi,
     *args) on the halves of pair `which`, or on their `rows` when it is
     not None.  No step changes a bit of the kept rows: a level's branches
     touch disjoint rows, and none reads a row another writes, and a kept
     half gets the operations the full rotation gives it."""
-    n = len(position)
+    position = layout.position
     retire = retire or {}
+    runs = _runs(gates, retire, position)
     steps = []
-    fixed = []
-    start = 0
-    while start < len(gates):
-        fixed += _pins(retire.get(start, ()), position)
-        branches, spots = _level(gates, start, position, retire)
-        stop = branches[-1][2]
-        if len(branches) > 1:
-            # patterns per slice; the shifted size is one pattern's share of a half
-            step = max(1, _CHUNK // ((cols << n) >> (len(fixed) + len(spots) + 1)))
-            steps.append(_level_step(gates, branches, spots, n, cols, position, fixed,
-                                     dict(retire.get(stop, ())), step))
+    fixed = ()
+    r = 0
+    while r < len(runs):
+        start, controls, slots = runs[r]
+        if start in retire:
+            fixed += _pins(retire[start], position)
+        level, end = _level(layout, runs, r, retire) if slots is not None else (None, r + 1)
+        stop = runs[end][0] if end < len(runs) else len(gates)
+        retiring = dict(retire[stop]) if stop in retire else {}
+        if level is not None:
+            steps.append(_level_step(layout, level, fixed, retiring))
         else:
-            for i in range(start, stop):
-                gate = gates[i]
-                keep = dict(retire.get(i + 1, ())).get(gate.target)
-                steps.append(_gate_step(gate, n, cols, position, fixed, keep))
-        start = stop
+            pins = _pins(controls, position) + fixed
+            for i in range(start, stop - 1):
+                steps.append(_gate_step(layout, gates[i], pins, None))
+            gate = gates[stop - 1]
+            steps.append(_gate_step(layout, gate, pins, retiring.get(gate.target)))
+        r = end
     return steps
 
 
@@ -618,9 +729,15 @@ class EffectiveOperator:
 def _ancilla_prefix_length(circuit: Circuit) -> int:
     """Number of leading gates whose target and controls are all ancillas."""
     ancillas = set(circuit.ancilla_qubits)
+    held = set()  # the control qubit sets found to hold ancillas only, by identity
     for count, gate in enumerate(circuit.gates):
-        if gate.target not in ancillas or not ancillas.issuperset(gate.controls.qubits):
+        if gate.target not in ancillas:
             return count
+        qubits = gate.controls.qubits
+        if id(qubits) not in held:
+            if not ancillas.issuperset(qubits):
+                return count
+            held.add(id(qubits))
     return len(circuit.gates)
 
 
@@ -630,78 +747,81 @@ def _retirements(gates, postselect) -> dict:
     `postselect`: those that gate and every later gate also get.  An
     ancilla retires right after its last gate, at index 0 if no gate
     touches it."""
-    ancillas = {q for q, _ in postselect}
+    untouched = {q for q, _ in postselect}
     last = {}
     for index in range(len(gates) - 1, -1, -1):
-        if len(last) == len(ancillas):
+        if not untouched:
             break
         gate = gates[index]
-        for q in (gate.target, *gate.controls.qubits):
-            if q in ancillas and q not in last:
+        if gate.target in untouched:
+            last[gate.target] = index
+            untouched.discard(gate.target)
+        if not untouched.isdisjoint(gate.controls.qubits):
+            for q in untouched.intersection(gate.controls.qubits):
                 last[q] = index
+            untouched.difference_update(gate.controls.qubits)
     retire = {}
     for q, bit in postselect:
         retire.setdefault(last.get(q, -1) + 1, []).append((q, bit))
     return retire
 
 
-def _window_plan(circuit: Circuit, body, columns: int) -> tuple[int, int, list]:
-    """(top, split, windows): how `_postselected` runs the gates `body`
-    after the prefix on `columns` columns.
+def _window_plan(circuit: Circuit, body, columns: int) -> tuple[int, int, list, _Layout]:
+    """(top, split, windows, buffer): how `_postselected` runs the gates
+    `body` after the prefix on `columns` columns.
 
     The first `top` ancillas pick a window, one of their 2**top patterns.
-    body[:split] runs window by window: windows[w] lists, in circuit
-    order, the gates whose controls on the top ancillas spell w.
-    body[split:] runs on the rows where the other, low, ancillas hold
-    their post-selected bits.  That needs every gate of body[:split] to
-    be controlled on every top ancilla, so that it targets none of them
-    and touches the rows of one window, and body[split:] to touch no low
-    ancilla.  In an LCU circuit body[:split] is the select stage and the
-    unprepare levels of the low ancillas.  Each phase, each window and
-    then body[split:], retires its ancillas after their last gate in its
-    own gate list (see _retirements).  Windows pay only on blocks of more
-    than _WINDOW amplitudes with three or more ancillas, and top is then
-    ceil(n_anc / 2); otherwise top is 0: one window of the whole body,
-    with split = len(body)."""
-    ancillas = circuit.ancilla_qubits
-    whole = (0, len(body), [body])
-    if len(ancillas) < 3 or columns << circuit.n_qubits <= _WINDOW:
-        return whole
-    top = (len(ancillas) + 1) // 2
-    top_qubits, low_qubits = frozenset(ancillas[:top]), frozenset(ancillas[top:])
-    shift = {q: top - 1 - i for i, q in enumerate(ancillas[:top])}
-    windows = [[] for _ in range(2**top)]
-    window_of = {}  # the window of each controls object, keyed by identity
-    split = 0
-    for gate in body:
-        controls = gate.controls
-        window = window_of.get(id(controls))
-        if window is None:
-            if not top_qubits <= controls.qubits:
-                break
-            window = window_of[id(controls)] = sum(
-                state << shift[q] for q, state in controls if q in shift)
-        windows[window].append(gate)
-        split += 1
-    for gate in body[split:]:
-        if gate.target in low_qubits or not low_qubits.isdisjoint(gate.controls.qubits):
-            return whole
-    return top, split, windows
+    body[:split] runs window by window on the layout `buffer` of the other
+    qubits: windows[w] lists, in circuit order, the gates whose controls
+    on the top ancillas spell w, the bits of their controls value above
+    the buffer's own (see _Layout).  body[split:] runs on the rows where
+    the other, low, ancillas hold their post-selected bits.  That needs
+    every gate of body[:split] to be controlled on every top ancilla, so
+    that it targets none of them and touches the rows of one window, and
+    body[split:] to touch no low ancilla.  In an LCU circuit body[:split]
+    is the select stage and the unprepare levels of the low ancillas.
+    Each phase, each window and then body[split:], retires its ancillas
+    after their last gate in its own gate list (see _retirements).
+    Windows pay only on blocks of more than _WINDOW amplitudes with three
+    or more ancillas, and top is then ceil(n_anc / 2); otherwise top is 0:
+    one window of the whole body, with split = len(body)."""
+    ancillas, work = circuit.ancilla_qubits, circuit.work_qubits
+    if len(ancillas) >= 3 and columns << circuit.n_qubits > _WINDOW:
+        top = (len(ancillas) + 1) // 2
+        top_qubits, low_qubits = frozenset(ancillas[:top]), frozenset(ancillas[top:])
+        buffer = _Layout(ancillas + work, columns, top)
+        windows = [[] for _ in range(2**top)]
+        values, n, window, previous = buffer.values, buffer.n, None, None
+        for gate in body:
+            controls = gate.controls
+            if controls is not previous:
+                # a controls object with a value has passed this check before
+                if id(controls) not in values and not top_qubits <= controls.qubits:
+                    break
+                window, previous = windows[buffer.value(controls) >> n], controls
+            window.append(gate)
+        split = sum(map(len, windows))
+        if all(gate.target not in low_qubits and low_qubits.isdisjoint(gate.controls.qubits)
+               for gate in body[split:]):
+            return top, split, windows, buffer
+    return 0, len(body), [body], _Layout(ancillas + work, columns)
 
 
 @dataclass(eq=False)
 class _Plan:
     """How `_postselected` simulates one circuit on a number of columns:
     the ancilla-only prefix, the window plan of the gates after it (see
-    _window_plan) and the bytes they allocate.  `steps` is filled on the
-    first simulation that the budget admits: the ancilla vector after the
-    prefix, the `_schedule` of each window and that of the remaining
-    gates, each phase with its own retirements."""
+    _window_plan) and the bytes they allocate.  `steps` is made on the
+    first simulation that the budget admits, which then drops the window
+    gate lists and the layout they were found on: the ancilla vector
+    after the prefix, the `_schedule` of each window and that of the
+    remaining gates, each phase with its own retirements."""
 
     prefix: int
     top: int
     split: int
     windows: list
+    buffer: _Layout
     planned: int
     steps: tuple = None
 
@@ -723,29 +843,30 @@ def _plan(circuit: Circuit, count: int) -> _Plan:
     if plan is None:
         n_work, n_anc = _check_sizes(circuit)
         prefix = _ancilla_prefix_length(circuit)
-        top, split, windows = _window_plan(circuit, circuit.gates[prefix:], count)
+        top, split, windows, buffer = _window_plan(circuit, circuit.gates[prefix:], count)
         planned = (2**n_anc + (2 ** (n_anc - top) + 2**top) * 2**n_work * count) * 16
-        plan = plans[key] = _Plan(prefix, top, split, windows, planned)
+        plan = plans[key] = _Plan(prefix, top, split, windows, buffer, planned)
     return plan
 
 
 def _steps(circuit: Circuit, plan: _Plan, count: int) -> tuple:
     """(ancilla state, window steps, remaining steps) of a plan: the
     prefix run once on the 2**n_anc ancilla vector, and the `_schedule`
-    of each phase with its own retirements (see _retirements)."""
+    of each phase with its own retirements (see _retirements).  Each phase
+    has its own layout; the windows share the plan's buffer."""
     ancillas, work, postselect = circuit.ancilla_qubits, circuit.work_qubits, circuit.postselect
+    order, buffer, top = ancillas + work, plan.buffer, plan.top
     state = np.zeros((2 ** len(ancillas), 1), dtype=complex)
     state[0, 0] = 1.0
-    _execute(_schedule(circuit.gates[:plan.prefix], {q: i for i, q in enumerate(ancillas)}, 1),
+    _execute(_schedule(circuit.gates[:plan.prefix], _Layout(order, 1, 0, len(ancillas), buffer)),
              state)
     state.setflags(write=False)
-    top = plan.top
-    window_position = {q: i for i, q in enumerate(ancillas[top:] + work)}
-    top_position = {q: i for i, q in enumerate(ancillas[:top] + work)}
-    windows = [_schedule(gates, window_position, count, _retirements(gates, postselect))
-               for gates in plan.windows]
+    windows = [_schedule(gates, buffer, _retirements(gates, postselect)) for gates in plan.windows]
     rest = circuit.gates[plan.prefix + plan.split:]
-    return state, windows, _schedule(rest, top_position, count, _retirements(rest, postselect))
+    if not rest:  # a plan of one window leaves no gate to the top block
+        return state, windows, []
+    top_block = _Layout(ancillas[:top] + work + ancillas[top:], count, 0, top + len(work))
+    return state, windows, _schedule(rest, top_block, _retirements(rest, postselect))
 
 
 def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
@@ -772,6 +893,7 @@ def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
         )
     if plan.steps is None:
         plan.steps = _steps(circuit, plan, count)
+        plan.windows = plan.buffer = None
     state, windows, rest = plan.steps
     dim_work = 2 ** len(circuit.work_qubits)
     dim_low = len(state) >> plan.top

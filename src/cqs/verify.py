@@ -182,9 +182,15 @@ def axiom_suite(spec: FrobeniusSpec,
 def verify_compiled(circuit: Circuit, target, target_name: str, mode: str,
                     axiom_results: Sequence[tuple[str, float]] = ()) -> VerifyReport:
     """Simulate a compiled circuit and compare its post-selected block with
-    the target up to one global scale."""
+    the target up to one global scale.  An all-zero block matches no
+    target: its relative residual is 1."""
     effective = effective_operator(circuit)
     residual, scale = compare_up_to_scale(effective.matrix, target)
+    if not effective.matrix.any():
+        # the fit gives a zero block residual 0 at scale 0, yet a zero block
+        # matches no target (the fit refuses a zero one): its residual is
+        # the target's relative distance from zero
+        residual = 1.0
     probabilities = list(effective.success_probabilities.values())
     return VerifyReport(
         target_name=target_name,

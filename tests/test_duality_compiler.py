@@ -8,6 +8,7 @@ against an independent construction rather than against its own output.
 
 import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -1116,19 +1117,35 @@ def _emit_circuits(draw):
     return Circuit(ids[:n_work], ancillas, tuple(gates), post)
 
 
-# one gate of 3000 controls, far more than the interpreter's recursion limit
-_LONG_CONTROLS = Circuit(tuple(range(3001)), (), (
-    Gate("x", 3000, (), tuple((q, q % 2) for q in range(3000))),), ())
+def _long_controls(count: int) -> Circuit:
+    """One gate of `count` controls, on a list no other gate shares."""
+    return Circuit(tuple(range(count + 1)), (), (
+        Gate("x", count, (), tuple((q, q % 2) for q in range(count))),), ())
+
+
+# far more controls than the interpreter's recursion limit
+_LONG_CONTROLS = _long_controls(3000)
+_LONGER_CONTROLS = _long_controls(20000)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_emit_circuits())
 @example(_LONG_CONTROLS)
+@example(_LONGER_CONTROLS)
 def test_emit_text_matches_plain_rendering(circuit):
     """The memoized control texts and parameter reprs give the bytes of
     the plain rendering, whatever the sharing, order, signs and length of
     the control lists."""
     assert emit_text(circuit) == _emit_reference(circuit)
+
+
+def test_emit_text_is_linear_in_a_fresh_control_list():
+    """A control list that extends no rendered one is rendered in one pass:
+    20000 controls take a few milliseconds, where rendering it prefix by
+    prefix took seconds."""
+    start = time.perf_counter()
+    emit_text(_LONGER_CONTROLS)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_emit_text_deterministic(spec):

@@ -79,9 +79,9 @@ def full_register_run(circuit, vector):
     block = np.zeros((2 ** len(circuit.ancilla_qubits) * dim_work, vectors.shape[1]),
                      dtype=complex)
     block[:dim_work] = vectors
-    position = {q: i for i, q in enumerate(circuit.ancilla_qubits + circuit.work_qubits)}
+    layout = statevector._Layout(circuit.ancilla_qubits + circuit.work_qubits, block.shape[1])
     for gate in circuit.gates:
-        statevector._execute(statevector._schedule((gate,), position, block.shape[1]), block)
+        statevector._execute(statevector._schedule((gate,), layout), block)
     kept = statevector._postselect_mask(circuit) * dim_work
     return block[kept : kept + dim_work].reshape(np.shape(vector))
 
@@ -343,7 +343,8 @@ def test_kernels_repeat_the_generic_arithmetic(n, cols, data):
     block = (rng.normal(size=(2**n, cols)) + 1j * rng.normal(size=(2**n, cols))) * scales
     want = block.copy()
     generic_update(want, n, gate)
-    statevector._execute(statevector._schedule((gate,), {q: q for q in range(n)}, cols), block)
+    statevector._execute(statevector._schedule((gate,), statevector._Layout(range(n), cols)),
+                         block)
     assert np.array_equal(block, want)
 
 
@@ -368,7 +369,7 @@ def test_phase_and_y_kernels_use_the_matrix_entries(kind, theta, pairs):
         want = (u[0, 0] * halves[0], u[1, 1] * halves[1])
     else:
         want = (u[0, 1] * halves[1], u[1, 0] * halves[0])
-    kernel, args = statevector._gate_op(gate)
+    kernel, _, _, args = statevector._op(gate, 0, None)
     kernel(lo, hi, *args)
     assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
 
@@ -512,12 +513,12 @@ def gate_by_gate(function, *args):
     schedule = statevector._schedule
     calls = []
 
-    def one_at_a_time(gates, position, cols, retire=None):
+    def one_at_a_time(gates, layout, retire=None):
         calls.append(len(gates))
         steps, fixed = [], []
         for index, gate in enumerate(gates):
             fixed += (retire or {}).get(index, ())
-            steps += schedule((gate,), position, cols, {0: fixed})
+            steps += schedule((gate,), layout, {0: fixed})
         return steps
 
     with pytest.MonkeyPatch.context() as patch:
@@ -724,9 +725,11 @@ def test_select_levels_change_no_bit(circuit, chunk, data):
     oracle."""
     prefix = statevector._ancilla_prefix_length(circuit)
     body = circuit.gates[prefix:]
-    position = {q: i for i, q in enumerate(circuit.ancilla_qubits + circuit.work_qubits)}
+    layout = statevector._Layout(circuit.ancilla_qubits + circuit.work_qubits, 1)
     retire = statevector._retirements(body, circuit.postselect)
-    assert len(statevector._level(body, 0, position, retire)[0]) >= 2
+    runs = statevector._runs(body, retire, layout.position)
+    level, _ = statevector._level(layout, runs, 0, retire)
+    assert len(level[2]) >= 2
     n_work = len(circuit.work_qubits)
     reference = full_register_run(circuit, np.eye(2**n_work))
     j = data.draw(st.integers(0, 2**n_work - 1))
@@ -771,16 +774,40 @@ def test_su3_15_eta_select_stage_runs_as_levels(monkeypatch):
 
 def test_planning_scans_each_run_once(monkeypatch):
     """A parsed run of 2000 uncontrolled gates on one work qubit, which
-    makes no level, is scanned once and gives one step per gate: a
-    `_level` call per gate would rescan the rest of the run each time, so
-    planning would be quadratic in the run's length."""
+    makes no level, is scanned once, in the one pass that splits the gate
+    list into runs, and gives one step per gate: a level looked for at
+    each gate would rescan the rest of the run each time, so planning
+    would be quadratic in the run's length."""
     gates = tuple(Gate("ry" if i % 2 else "h", 0, (0.5,) * (i % 2)) for i in range(2000))
     circuit = Circuit.from_dict(Circuit((0,), (), gates, ()).to_dict())
     assert all(gate.controls is circuit.gates[0].controls for gate in circuit.gates)
+    calls, runs = [], []
+    scan = statevector._runs
+
+    def scanned(*args):
+        runs.append(scan(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(statevector, "_runs", scanned)
+    monkeypatch.setattr(statevector, "_level", counting(calls, statevector._level))
+    steps = statevector._schedule(circuit.gates, statevector._Layout((0,), 1))
+    assert [len(found) for found in runs] == [1] and calls == [] and len(steps) == 2000
+
+
+def test_windows_share_level_geometry(monkeypatch):
+    """The su3(7) mu exact block on its 64 columns runs in 32 windows, each
+    with the same select and unprepare level layouts.  Its plan has 145
+    window and remaining steps, but each view is made once per geometry
+    in a plan, so planning makes fewer than a quarter as many `_view`
+    calls as it has steps."""
+    circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(7)))
     calls = []
-    monkeypatch.setattr(statevector, "_run", counting(calls, statevector._run))
-    steps = statevector._schedule(circuit.gates, {0: 0}, 1)
-    assert calls == ["_run"] and len(steps) == 2000
+    monkeypatch.setattr(statevector, "_view", counting(calls, statevector._view))
+    effective_operator(circuit)
+    _, windows, rest = statevector._plan(circuit, 64).steps
+    assert len(windows) == 32
+    steps = sum(map(len, windows)) + len(rest)
+    assert steps == 145 and 4 * len(calls) < steps
 
 
 def test_plans_are_reused_and_die_with_their_circuit(monkeypatch):
@@ -821,11 +848,11 @@ def test_prep_tree_levels_run_in_one_pass_each(monkeypatch):
     prefix = statevector._ancilla_prefix_length(circuit)
     assert prefix == 447 and {g.kind for g in circuit.gates[:prefix]} == {"ry"}
     assert len(circuit.ancilla_qubits) == 9
-    position = {q: i for i, q in enumerate(circuit.ancilla_qubits)}
+    layout = statevector._Layout(circuit.ancilla_qubits, 1)
     reference = np.zeros((2**9, 1), dtype=complex)
     reference[0, 0] = 1.0
     for gate in circuit.gates[:prefix]:
-        statevector._execute(statevector._schedule((gate,), position, 1), reference)
+        statevector._execute(statevector._schedule((gate,), layout), reference)
     calls = []
     rotate = statevector._rotate_y
 
@@ -838,7 +865,9 @@ def test_prep_tree_levels_run_in_one_pass_each(monkeypatch):
         calls.clear()
         state = np.zeros_like(reference)
         state[0, 0] = 1.0
-        statevector._execute(statevector._schedule(gates[:prefix], position, 1), state)
+        statevector._execute(statevector._schedule(gates[:prefix],
+                                                   statevector._Layout(circuit.ancilla_qubits, 1)),
+                             state)
         assert 0 < len(calls) <= 9
         assert state.tobytes() == reference.tobytes()
 
@@ -1026,8 +1055,8 @@ def test_ancillas_retire_per_phase():
                       tuple((a, 0) for a in ancillas))
     prefix = statevector._ancilla_prefix_length(circuit)
     assert prefix == len(prep)
-    top, split, windows = windowed(1, statevector._window_plan, circuit,
-                                   circuit.gates[prefix:], 2)
+    top, split, windows, _ = windowed(1, statevector._window_plan, circuit,
+                                      circuit.gates[prefix:], 2)
     assert top == 2
     retire_at_0 = [{q for q, _ in statevector._retirements(gates, circuit.postselect).get(0, ())}
                    for gates in windows]

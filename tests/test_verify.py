@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cqs.duality_compiler import compile_exact, compile_paper
+from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper
 from cqs.frobenius import (
     DenseOperator,
     FrobeniusSpec,
@@ -209,6 +209,20 @@ def test_verify_compiled_report():
     assert vr.fitted_scale == pytest.approx(1.0 / report.nominal_scale.real, abs=1e-12)
     assert 0.0 <= vr.min_success_probability <= vr.max_success_probability <= 1.0
     assert len(vr.axiom_results) == 8
+
+
+def test_verify_compiled_refuses_a_zero_block():
+    """A circuit whose only ancilla is post-selected on 1 and never flipped
+    has an all-zero block.  The least-squares fit would match it to any
+    target with scale 0 and residual 0; verification reports residual 1,
+    the target's relative distance from zero, so no caller takes it for a
+    match."""
+    circuit = Circuit((0,), (1,), (Gate("h", 0),), ((1, 1),))
+    vr = verify_compiled(circuit, np.eye(2), "identity", "exact")
+    assert vr.relative_residual == 1.0 > RESIDUAL_TOLERANCE
+    assert vr.max_success_probability == 0.0
+    # the fit itself keeps its documented answer for a zero block
+    assert compare_up_to_scale(np.zeros((2, 2)), np.eye(2)) == (0.0, 0j)
 
 
 def test_verify_report_to_dict():
