@@ -23,8 +23,9 @@ kernel on the two views: x swaps them, z negates the float64 view of
 `hi`, y swaps them and multiplies by -i / +i, phase scales both, ry is a
 real rotation on float64 views of the halves, and rz and h take the
 generic update with `Gate.matrix2()`.  Halves larger than _CHUNK
-amplitudes are updated slice by slice so that each slice and its
-temporaries stay in cache.
+amplitudes are updated slice by slice along their first axis, and an
+entry of that axis of more than _WINDOW amplitudes in turn, so that no
+call's temporaries outgrow a window, whatever the shape of the halves.
 
 Levels.  A run is a maximal stretch of consecutive gates that share one
 controls object and that no ancilla retirement (below) splits, such as
@@ -56,27 +57,28 @@ contiguous slab.
 
 One function, `_postselected`, simulates a list of work-register basis
 columns: `effective_operator` passes all 2**n_work of them, `run` the one
-column of its input.  It runs each simulation from one plan (see _plan):
-the prefix, the phases after it (see Windows below) and the bytes they
-allocate, which are checked against MAX_BLOCK_BYTES before anything is
-allocated; then, on the first simulation that the budget admits, the
-ancilla state the prefix produces and the schedule of each phase.  A
-plan is made once per circuit and column count, and per value of
-_WINDOW and _CHUNK, and is kept for as long as its circuit lives, in a
-cache keyed weakly on the (frozen) circuit; a later simulation of the
-circuit on as many columns only runs kernels.  The leading gates that
-touch ancillas only (the state-preparation tree of an LCU circuit) act
-identically on every column, so they run once on the 2**n_anc ancilla
-vector, which is then written into each column before the remaining
-gates run on the block.  Retirement is the mirror of that prefix at the
-other end of each phase: once a gate is the last of its phase to touch
-an ancilla (as target or control), the ancilla is retired, and every
-later gate of the phase gets it as an extra control fixed at its
-post-selected bit.  The trailing gates (the unprepare tree of an LCU
-circuit) then update only the rows that can still reach the kept slab,
-without copying or reshaping the block.  An ry gate whose target retires
-right after it or its level writes only the half of its rows that holds
-the post-selected bit, and leaves the other half stale.
+column of its input.  It runs each simulation from one plan, built in
+one step (see _plan): the prefix and the phases after it (see Windows
+below) are found first, and the bytes they allocate are checked against
+MAX_BLOCK_BYTES before anything is allocated; only then are the ancilla
+state the prefix produces and the schedule of each phase made.  A plan
+is made once per circuit and column count, and per value of _WINDOW and
+_CHUNK, and is kept for as long as its circuit lives, in a cache keyed
+weakly on the (frozen) circuit; a plan the budget refuses is never
+cached.  A later simulation of the circuit on as many columns only runs
+kernels.  The leading gates that touch ancillas only (the
+state-preparation tree of an LCU circuit) act identically on every
+column, so they run once on the 2**n_anc ancilla vector, which is then
+written into each column before the remaining gates run on the block.
+Retirement is the mirror of that prefix at the other end of each phase:
+once a gate is the last of its phase to touch an ancilla (as target or
+control), the ancilla is retired, and every later gate of the phase gets
+it as an extra control fixed at its post-selected bit.  The trailing
+gates (the unprepare tree of an LCU circuit) then update only the rows
+that can still reach the kept slab, without copying or reshaping the
+block.  An ry gate whose target retires right after it or its level
+writes only the half of its rows that holds the post-selected bit, and
+leaves the other half stale.
 
 Planning.  Verification (`verify_compiled`, and so `reproduce_paper` and
 `cqs verify`) simulates each circuit it compiles once, so each of its
@@ -166,15 +168,18 @@ __all__ = [
 
 MAX_QUBITS = 24
 # most bytes a simulation plan may allocate: the ancilla vector, the window
-# buffer and the top block (complex128), not the whole block it windows
+# buffer and the top block (complex128), not the whole block it windows;
+# checked when a plan is made, so a plan already cached is not checked again
 MAX_BLOCK_BYTES = 1 << 30
 PROBABILITY_SLACK = 1e-12
 # kernels whose halves exceed this many amplitudes run in slices of about
-# this size, and a level runs in chunks of about this size (see
-# _level_step), so a slice and its temporaries stay in cache
+# this size where their shape allows (see _in_slices), and a level runs in
+# chunks of about this size (see _level_step), so a slice and its
+# temporaries stay in cache
 _CHUNK = 1 << 12
 # blocks larger than this many amplitudes run one ancilla window at a time
-# (see _window_plan), so each window's buffer stays near cache size
+# (see _window_plan), and no kernel call's slice is larger, so each
+# window's buffer and each call's temporaries stay near cache size
 _WINDOW = 1 << 16
 
 
@@ -465,12 +470,10 @@ def _level(layout: _Layout, runs: list, index: int, retire: dict) -> tuple:
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _rows(dim: int, start: int, stop=None) -> tuple:
+def _rows(dim: int, start: int, stop: int) -> tuple:
     """The index of entries start .. stop - 1 along dimension `dim` of a
-    kernel's halves, or of entry `start` alone, which drops that
-    dimension, when stop is None; one object shared by every op that
-    takes them."""
-    return (slice(None),) * dim + (start if stop is None else slice(start, stop),)
+    kernel's halves; one object shared by every op that takes them."""
+    return (slice(None),) * dim + (slice(start, stop),)
 
 
 def _per_pattern(values: list, shape: tuple) -> np.ndarray:
@@ -489,7 +492,15 @@ def _halves(index: list, axis: int) -> tuple:
 
 def _in_slices(kernel, lo: np.ndarray, hi: np.ndarray, args: tuple) -> None:
     """kernel(lo, hi, *args), on slices of about _CHUNK amplitudes along
-    the first axis of the halves."""
+    the first axis of the halves, and of no more than one entry of that
+    axis.  An entry of more than _WINDOW amplitudes is sliced in turn, so
+    that no call's temporaries outgrow a window.  Only a single gate's op
+    or one pattern's is that large (see _level_step), and its args fit
+    halves of any shape."""
+    if lo.size > _WINDOW * lo.shape[0]:
+        for first in range(lo.shape[0]):
+            _in_slices(kernel, lo[first], hi[first], args)
+        return
     step = max(1, _CHUNK * lo.shape[0] // lo.size)
     for first in range(0, lo.shape[0], step):
         kernel(lo[first : first + step], hi[first : first + step], *args)
@@ -570,11 +581,11 @@ def _level_step(layout: _Layout, level: tuple, pins: tuple, retiring: dict) -> t
     first and then each target position in increasing order.  A slot
     makes one kernel call for each stretch of consecutive pattern values
     whose branches hold a gate of one kind there (see _group_op); a
-    pattern with no gate in the slot splits the stretch.  One pattern's
-    op fixes the pattern axis, which drops it, so that its halves can be
-    sliced along their first dimension (see _execute).  An ry slot whose
-    target is in `retiring` writes only the half holding the post-selected
-    bit."""
+    pattern with no gate in the slot splits the stretch; a stretch of
+    one pattern takes the gate's own op on that pattern's rows, which
+    alone may exceed _CHUNK amplitudes and are then sliced (see
+    _execute).  An ry slot whose target is in `retiring` writes only the
+    half holding the post-selected bit."""
     first, width, branches = level
     values, ordered = zip(*sorted(branches.items()))
     slots = sorted(set().union(*ordered))
@@ -609,7 +620,8 @@ def _level_step(layout: _Layout, level: tuple, pins: tuple, retiring: dict) -> t
                     end += 1
                 keep = retiring.get(gate.target) if retiring else None
                 if end - begin == 1:
-                    ops.append(_op(gate, which, _rows(dim, values[begin]), keep))
+                    rows = _rows(dim, values[begin], values[begin] + 1)
+                    ops.append(_op(gate, which, rows, keep))
                 else:
                     ops.append(_group_op(group, values[begin], values[end - 1], which, dim,
                                          trailing, keep))
@@ -807,96 +819,73 @@ def _window_plan(circuit: Circuit, body, columns: int) -> tuple[int, int, list, 
     return 0, len(body), [body], _Layout(ancillas + work, columns)
 
 
-@dataclass(eq=False)
-class _Plan:
-    """How `_postselected` simulates one circuit on a number of columns:
-    the ancilla-only prefix, the window plan of the gates after it (see
-    _window_plan) and the bytes they allocate.  `steps` is made on the
-    first simulation that the budget admits, which then drops the window
-    gate lists and the layout they were found on: the ancilla vector
-    after the prefix, the `_schedule` of each window and that of the
-    remaining gates, each phase with its own retirements."""
-
-    prefix: int
-    top: int
-    split: int
-    windows: list
-    buffer: _Layout
-    planned: int
-    steps: tuple = None
-
-
 # each circuit's plans, keyed by what they depend on besides the circuit;
 # a plan dies with its circuit
 _PLANS = weakref.WeakKeyDictionary()
 
 
-def _plan(circuit: Circuit, count: int) -> _Plan:
-    """The plan of `circuit` on `count` columns, made once and then reused
-    for as long as the circuit lives, with every value that shapes it,
-    _WINDOW and _CHUNK, in its key."""
+def _plan(circuit: Circuit, count: int) -> tuple:
+    """(top, state, window steps, remaining steps): how `_postselected`
+    simulates `circuit` on `count` columns, made once and then reused for
+    as long as the circuit lives, with every value that shapes it,
+    _WINDOW and _CHUNK, in its key.
+
+    It is built in one step.  The sizes are checked, and the ancilla-only
+    prefix and the window plan of the gates after it (see _window_plan)
+    are found; the bytes the plan allocates, the ancilla vector, one
+    buffer of the low ancillas and the work register, and a top block of
+    the top ancillas and the work register, are checked against
+    MAX_BLOCK_BYTES before any of them is allocated, and a plan the budget
+    refuses is not cached.  Then the prefix runs once on the 2**n_anc
+    ancilla vector, giving `state`, and each phase, each window and then
+    the remaining gates, gets the `_schedule` of its gate list with its
+    own retirements (see _retirements).  Each phase has its own layout;
+    the windows share the buffer's."""
     plans = _PLANS.get(circuit)
-    if plans is None:
-        plans = _PLANS[circuit] = {}
     key = (count, _WINDOW, _CHUNK)
-    plan = plans.get(key)
-    if plan is None:
-        n_work, n_anc = _check_sizes(circuit)
-        prefix = _ancilla_prefix_length(circuit)
-        top, split, windows, buffer = _window_plan(circuit, circuit.gates[prefix:], count)
-        planned = (2**n_anc + (2 ** (n_anc - top) + 2**top) * 2**n_work * count) * 16
-        plan = plans[key] = _Plan(prefix, top, split, windows, buffer, planned)
-    return plan
-
-
-def _steps(circuit: Circuit, plan: _Plan, count: int) -> tuple:
-    """(ancilla state, window steps, remaining steps) of a plan: the
-    prefix run once on the 2**n_anc ancilla vector, and the `_schedule`
-    of each phase with its own retirements (see _retirements).  Each phase
-    has its own layout; the windows share the plan's buffer."""
+    if plans is not None and key in plans:
+        return plans[key]
+    n_work, n_anc = _check_sizes(circuit)
+    prefix = _ancilla_prefix_length(circuit)
+    top, split, windows, buffer = _window_plan(circuit, circuit.gates[prefix:], count)
+    planned = (2**n_anc + (2 ** (n_anc - top) + 2**top) * 2**n_work * count) * 16
+    if planned > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"the simulation plan allocates {planned} bytes, over the "
+            f"{MAX_BLOCK_BYTES}-byte budget"
+        )
     ancillas, work, postselect = circuit.ancilla_qubits, circuit.work_qubits, circuit.postselect
-    order, buffer, top = ancillas + work, plan.buffer, plan.top
-    state = np.zeros((2 ** len(ancillas), 1), dtype=complex)
+    state = np.zeros((2**n_anc, 1), dtype=complex)
     state[0, 0] = 1.0
-    _execute(_schedule(circuit.gates[:plan.prefix], _Layout(order, 1, 0, len(ancillas), buffer)),
+    _execute(_schedule(circuit.gates[:prefix], _Layout(ancillas + work, 1, 0, n_anc, buffer)),
              state)
     state.setflags(write=False)
-    windows = [_schedule(gates, buffer, _retirements(gates, postselect)) for gates in plan.windows]
-    rest = circuit.gates[plan.prefix + plan.split:]
-    if not rest:  # a plan of one window leaves no gate to the top block
-        return state, windows, []
-    top_block = _Layout(ancillas[:top] + work + ancillas[top:], count, 0, top + len(work))
-    return state, windows, _schedule(rest, top_block, _retirements(rest, postselect))
+    window_steps = [_schedule(gates, buffer, _retirements(gates, postselect)) for gates in windows]
+    rest = circuit.gates[prefix + split:]
+    rest_steps = []  # a plan of one window leaves no gate to the top block
+    if rest:
+        top_block = _Layout(ancillas[:top] + work + ancillas[top:], count, 0, top + n_work)
+        rest_steps = _schedule(rest, top_block, _retirements(rest, postselect))
+    plan = top, state, window_steps, rest_steps
+    _PLANS.setdefault(circuit, {})[key] = plan
+    return plan
 
 
 def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     """Post-selected work-register rows for the work basis inputs
     `columns`: column j of the result is the circuit's output on input
-    columns[j].  The plan comes first (see _plan): the ancilla-only
-    prefix, which runs once on the ancilla vector, and the window plan of
-    the rest (see _window_plan).  The bytes the plan allocates, the
-    ancilla vector, one buffer of the low ancillas and the work register,
-    and a top block of the top ancillas and the work register, are
-    checked against MAX_BLOCK_BYTES before any of them is allocated.  Each
-    window reuses the buffer and leaves the rows of its low ancillas'
-    post-selected bits in the top block, where the remaining gates run.
-    In each phase an ancilla is retired after its last gate: later gates
-    run only on the rows holding its post-selected bit (see _retirements).
-    The kept slab is sliced from the top block.  A later call with as many
-    columns only runs the plan's steps."""
+    columns[j].  It only runs kernels, on the plan of the circuit on as
+    many columns (see _plan).  The ancilla state after the prefix is
+    written into each window's slice of the buffer, which each window
+    reuses; each window leaves the rows of its low ancillas' post-selected
+    bits in the top block, where the remaining gates run.  In each phase
+    an ancilla is retired after its last gate: later gates run only on
+    the rows holding its post-selected bit (see _retirements).  The kept
+    slab is sliced from the top block."""
     count = len(columns)
-    plan = _plan(circuit, count)
-    if plan.planned > MAX_BLOCK_BYTES:
-        raise ValueError(
-            f"the simulation plan allocates {plan.planned} bytes, over the "
-            f"{MAX_BLOCK_BYTES}-byte budget"
-        )
-    if plan.steps is None:
-        plan.steps = _steps(circuit, plan, count)
-        plan.windows = plan.buffer = None
-    state, windows, rest = plan.steps
+    top, state, windows, rest = _plan(circuit, count)
     dim_work = 2 ** len(circuit.work_qubits)
-    dim_low = len(state) >> plan.top
+    dim_low = len(state) >> top
     mask = _postselect_mask(circuit)
     kept_low = mask % dim_low * dim_work
     buffer = np.zeros((dim_low * dim_work, count), dtype=complex)

@@ -377,7 +377,9 @@ def test_phase_and_y_kernels_use_the_matrix_entries(kind, theta, pairs):
 @settings(max_examples=60, deadline=None)
 @given(random_circuits(), st.integers(1, 7))
 def test_sliced_updates_are_exact(circuit, chunk):
-    """Updating large halves slice by slice changes no value."""
+    """Updating large halves slice by slice, and running each level in
+    chunks of `chunk` amplitudes, down to one pattern per chunk, changes
+    no value."""
     whole = effective_operator(circuit).matrix
     saved = statevector._CHUNK
     statevector._CHUNK = chunk
@@ -804,7 +806,7 @@ def test_windows_share_level_geometry(monkeypatch):
     calls = []
     monkeypatch.setattr(statevector, "_view", counting(calls, statevector._view))
     effective_operator(circuit)
-    _, windows, rest = statevector._plan(circuit, 64).steps
+    _, _, windows, rest = statevector._plan(circuit, 64)
     assert len(windows) == 32
     steps = sum(map(len, windows)) + len(rest)
     assert steps == 145 and 4 * len(calls) < steps
@@ -831,7 +833,7 @@ def test_plans_are_reused_and_die_with_their_circuit(monkeypatch):
         assert run(circuit, "1")[0].tobytes() == first.tobytes()
         assert calls.count("_schedule") > 1 and calls.count("_window_plan") == 1
         calls.clear()
-    assert statevector._plan(circuit, 1).top == 2
+    assert statevector._plan(circuit, 1)[0] == 2
     alive = weakref.ref(circuit)
     assert len(statevector._PLANS) == 1
     del circuit
@@ -1097,16 +1099,23 @@ def test_probability_above_input_norm_raises():
 
 def test_block_budget(monkeypatch):
     """MAX_BLOCK_BYTES bounds the bytes the simulation plan allocates: the
-    ancilla vector, the window buffer and the top block, exactly."""
+    ancilla vector, the window buffer and the top block, exactly.  The
+    budget is checked when a plan is made, so each budget runs on an
+    empty plan cache."""
+
+    def budget(limit):
+        monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", limit)
+
     # 2 work + 1 ancilla, one window of the whole block: a 2-entry ancilla
     # vector, an 8-row buffer and a 4-row top block of 4 columns (800
     # bytes), or of 1 column (224 bytes)
     small = Circuit((0, 1), (2,), (Gate("h", 2),), ((2, 0),))
     for columns, function, args in ((4, effective_operator, (small,)), (1, run, (small, "01"))):
         assert planned_bytes(small, columns) == (2 + 12 * columns) * 16
-        monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(small, columns))
+        budget(planned_bytes(small, columns))
         function(*args)
-        monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(small, columns) - 1)
+        budget(planned_bytes(small, columns) - 1)
         with pytest.raises(ValueError, match="budget"):
             function(*args)
     # su3(2) mu in windows of its 3 top ancillas, under a budget below its
@@ -1116,17 +1125,58 @@ def test_block_budget(monkeypatch):
     monkeypatch.setattr(statevector, "_WINDOW", 1)
     planned = planned_bytes(circuit, 16)
     assert window_top(circuit, 16) == 3 and planned < 2**9 * 16 * 16
-    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned)
+    budget(planned)
     block = effective_operator(circuit).matrix
     assert np.max(np.abs(block - target.matrix / report.nominal_scale)) <= 1e-12
-    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned - 1)
+    budget(planned - 1)
     with pytest.raises(ValueError, match="budget"):
         effective_operator(circuit)
     # an LCU that cannot run in windows needs its whole block, refused
     # under the budget its windowed twin runs in
     fits, late = lcu_circuit(), lcu_circuit(tail=[Gate("rz", 0, (0.7,), ((4, 0),))])
     assert (window_top(fits, 2), window_top(late, 2)) == (2, 0)
-    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(fits, 2))
+    budget(planned_bytes(fits, 2))
     effective_operator(fits)
     with pytest.raises(ValueError, match="budget"):
         effective_operator(late)
+
+
+def test_refused_plans_are_not_cached(monkeypatch):
+    """A plan the budget refuses leaves no entry in the plan cache for its
+    circuit, so a later simulation under a budget that admits it makes
+    the plan afresh, with the bytes of the unbudgeted block."""
+    monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+    circuit = lcu_circuit()
+    want = effective_operator(circuit).matrix
+    monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(circuit, 2) - 1)
+    with pytest.raises(ValueError, match="budget"):
+        effective_operator(circuit)
+    assert circuit not in statevector._PLANS
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(circuit, 2))
+    assert effective_operator(circuit).matrix.tobytes() == want.tobytes()
+    assert circuit in statevector._PLANS
+
+
+@pytest.mark.parametrize("kind, ancillas", [("h", 0), ("x", 0), ("ry", 0), ("h", 2)])
+def test_large_halves_run_in_slices(monkeypatch, kind, ancillas):
+    """A block that runs in no windows, here 20 work qubits with no
+    ancillas or with two, is updated slice by slice: one uncontrolled
+    gate on halves of 2**19 amplitudes or more keeps the traced peak
+    within a quarter above the bytes the plan budgets, even where the
+    leading axis of its halves is short (the two ancillas), and gives the
+    bytes of one kernel call on the whole halves."""
+    work, anc = tuple(range(20)), (20, 21)[:ancillas]
+    gates = [Gate("h", q) for q in anc] + [Gate(kind, 0, (0.3,) if kind == "ry" else ())]
+    gates += [Gate("x", 19, (), ((q, 1),)) for q in anc] + [Gate("h", q) for q in anc]
+    circuit = Circuit(work, anc, tuple(gates), tuple((q, 0) for q in anc))
+    assert window_top(circuit, 1) == 0
+    tracemalloc.start()
+    try:
+        vector = run(circuit, "0" * 20)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * planned_bytes(circuit, 1)
+    monkeypatch.setattr(statevector, "_CHUNK", 1 << 30)
+    assert run(circuit, "0" * 20)[0].tobytes() == vector.tobytes()
