@@ -355,18 +355,6 @@ BUILDERS = {
 WordStep = tuple  # (tag, beta or None, circle position)
 
 
-def _infer_in_circles(word: Sequence[WordStep]) -> int:
-    if not word:
-        return 1
-    need = 0
-    delta = 0
-    for tag, _beta, pos in word:
-        a_in, a_out = GENERATOR_ARITY[tag]
-        need = max(need, pos + a_in - delta)
-        delta += a_out - a_in
-    return max(need, 0)
-
-
 def compose_word(word: Sequence[WordStep], spec: FrobeniusSpec,
                  in_circles: Optional[int] = None) -> DenseOperator:
     """Evaluate a word of generators on logical forms.
@@ -379,40 +367,46 @@ def compose_word(word: Sequence[WordStep], spec: FrobeniusSpec,
     `in_circles` must be integers, as in `Gate`: a float or a boolean raises
     TypeError rather than being truncated.  A word whose widest register
     exceeds MAX_DOCUMENT_QUBITS is rejected before any allocation.
+
+    Nothing is padded: each step applies the rank-1 terms of its
+    `generator_terms` to the circles it touches, and the rows of every
+    other circle pass through untouched.
     """
-    steps = []
+    steps = []  # (tag, beta, position, circles gained before the step)
+    gained = need = most = low = 0
     for step in word:
         if len(step) != 3:
             raise ValueError("word steps must be (tag, beta, position) triples")
         tag, beta, pos = step
         if tag not in GENERATOR_ARITY:
             raise ValueError(f"unknown generator {tag!r}")
-        steps.append((tag, beta, _index(pos)))
-    b = spec.encoding.bits_per_circle
-    d = 2**b
-    circles = _infer_in_circles(steps) if in_circles is None else _index(in_circles)
+        pos = _index(pos)
+        a_in, a_out = GENERATOR_ARITY[tag]
+        steps.append((tag, beta, pos, gained))
+        need, low = max(need, pos + a_in - gained), min(low, pos)
+        gained += a_out - a_in
+        most = max(most, gained)
+    circles = (need if steps else 1) if in_circles is None else _index(in_circles)
     if circles < 0:
         raise ValueError("in_circles must be >= 0")
-    counts = [circles]  # circle count before each step, then at the end
-    for tag, _beta, pos in steps:
-        a_in, a_out = GENERATOR_ARITY[tag]
-        if pos < 0 or pos + a_in > counts[-1]:
-            raise ValueError(
-                f"generator {tag!r} at position {pos} does not fit {counts[-1]} circles"
-            )
-        counts.append(counts[-1] + a_out - a_in)
-    widest = max(counts)
+    if need > circles or low < 0:
+        tag, pos, before = next((t, p, circles + g) for t, _b, p, g in steps
+                                if p < 0 or p + GENERATOR_ARITY[t][0] > circles + g)
+        raise ValueError(f"generator {tag!r} at position {pos} does not fit {before} circles")
+    b = spec.encoding.bits_per_circle
+    d = 2**b
+    widest = circles + most
     if b * widest > MAX_DOCUMENT_QUBITS:
         raise ValueError(
             f"word reaches {widest} circles of {b} qubits, a {b * widest}-qubit "
             f"register, over the {MAX_DOCUMENT_QUBITS}-qubit limit"
         )
-    acc = np.eye(d ** counts[0], dtype=complex)
-    for (tag, beta, pos), circles in zip(steps, counts):
-        gen = logical_form(tag, spec, beta).matrix
-        full = np.kron(
-            np.kron(np.eye(d**pos, dtype=complex), gen),
-            np.eye(d ** (circles - pos - GENERATOR_ARITY[tag][0]), dtype=complex),
-        )
-        acc = full @ acc
-    return DenseOperator(acc, in_qubits=b * counts[0], out_qubits=b * counts[-1])
+    acc = np.eye(d**circles, dtype=complex)
+    for tag, beta, pos, _gained in steps:
+        a_in, a_out = GENERATOR_ARITY[tag]
+        acc = acc.reshape(d**pos, d**a_in, -1)
+        out = np.zeros((d**pos, d**a_out, acc.shape[2]), dtype=complex)
+        for out_bits, in_bits, weight in generator_terms(tag, spec, beta):
+            out[:, int(out_bits or "0", 2)] += weight * acc[:, int(in_bits or "0", 2)]
+        acc = out.reshape(-1, d**circles)
+    return DenseOperator(acc, in_qubits=b * circles, out_qubits=b * (circles + gained))

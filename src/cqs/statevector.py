@@ -65,11 +65,12 @@ state the prefix produces and the schedule of each phase made.  A plan
 is made once per circuit and column count, and per value of _WINDOW and
 _CHUNK, and is kept for as long as its circuit lives, in a cache keyed
 weakly on the (frozen) circuit; a plan the budget refuses is never
-cached.  A later simulation of the circuit on as many columns only runs
-kernels.  The leading gates that touch ancillas only (the
-state-preparation tree of an LCU circuit) act identically on every
-column, so they run once on the 2**n_anc ancilla vector, which is then
-written into each column before the remaining gates run on the block.
+cached.  A later simulation of the circuit on as many columns checks the
+plan's bytes against the budget again and then only runs kernels.  The
+leading gates that touch ancillas only (the state-preparation tree of an
+LCU circuit) act identically on every column, so they run once on the
+2**n_anc ancilla vector, which is then written into each column before
+the remaining gates run on the block.
 Retirement is the mirror of that prefix at the other end of each phase:
 once a gate is the last of its phase to touch an ancilla (as target or
 control), the ancilla is retired, and every later gate of the phase gets
@@ -108,7 +109,9 @@ and the top block, 2**-floor(n_anc / 2) + 2**-ceil(n_anc / 2) of the
 whole block, which is never allocated.  A circuit that does not fit this
 plan, such as a paper-mode circuit, or a smaller block, runs as one window
 of the whole block, with no top ancilla (see _window_plan); its top block
-is the kept slab.
+is the kept slab.  A circuit with no ancilla runs in place: its buffer is
+the kept slab, so it allocates no top block, and the top-block term of
+its planned bytes, which MAX_BLOCK_BYTES checks, is an upper bound.
 
 Bit-identity contract: every kernel performs, on every nonzero amplitude,
 the same floating-point operations as the generic update
@@ -169,7 +172,7 @@ __all__ = [
 MAX_QUBITS = 24
 # most bytes a simulation plan may allocate: the ancilla vector, the window
 # buffer and the top block (complex128), not the whole block it windows;
-# checked when a plan is made, so a plan already cached is not checked again
+# checked on every simulation, a cached plan's included
 MAX_BLOCK_BYTES = 1 << 30
 PROBABILITY_SLACK = 1e-12
 # kernels whose halves exceed this many amplitudes run in slices of about
@@ -824,11 +827,19 @@ def _window_plan(circuit: Circuit, body, columns: int) -> tuple[int, int, list, 
 _PLANS = weakref.WeakKeyDictionary()
 
 
+def _check_budget(planned: int) -> None:
+    if planned > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"the simulation plan allocates {planned} bytes, over the "
+            f"{MAX_BLOCK_BYTES}-byte budget"
+        )
+
+
 def _plan(circuit: Circuit, count: int) -> tuple:
-    """(top, state, window steps, remaining steps): how `_postselected`
-    simulates `circuit` on `count` columns, made once and then reused for
-    as long as the circuit lives, with every value that shapes it,
-    _WINDOW and _CHUNK, in its key.
+    """(planned bytes, top, state, window steps, remaining steps): how
+    `_postselected` simulates `circuit` on `count` columns, made once and
+    then reused for as long as the circuit lives, with every value that
+    shapes it, _WINDOW and _CHUNK, in its key.
 
     It is built in one step.  The sizes are checked, and the ancilla-only
     prefix and the window plan of the gates after it (see _window_plan)
@@ -840,20 +851,18 @@ def _plan(circuit: Circuit, count: int) -> tuple:
     ancilla vector, giving `state`, and each phase, each window and then
     the remaining gates, gets the `_schedule` of its gate list with its
     own retirements (see _retirements).  Each phase has its own layout;
-    the windows share the buffer's."""
+    the windows share the buffer's.  A cached plan keeps its bytes, and
+    every later call checks them against the budget again."""
     plans = _PLANS.get(circuit)
     key = (count, _WINDOW, _CHUNK)
     if plans is not None and key in plans:
+        _check_budget(plans[key][0])
         return plans[key]
     n_work, n_anc = _check_sizes(circuit)
     prefix = _ancilla_prefix_length(circuit)
     top, split, windows, buffer = _window_plan(circuit, circuit.gates[prefix:], count)
     planned = (2**n_anc + (2 ** (n_anc - top) + 2**top) * 2**n_work * count) * 16
-    if planned > MAX_BLOCK_BYTES:
-        raise ValueError(
-            f"the simulation plan allocates {planned} bytes, over the "
-            f"{MAX_BLOCK_BYTES}-byte budget"
-        )
+    _check_budget(planned)
     ancillas, work, postselect = circuit.ancilla_qubits, circuit.work_qubits, circuit.postselect
     state = np.zeros((2**n_anc, 1), dtype=complex)
     state[0, 0] = 1.0
@@ -866,7 +875,7 @@ def _plan(circuit: Circuit, count: int) -> tuple:
     if rest:
         top_block = _Layout(ancillas[:top] + work + ancillas[top:], count, 0, top + n_work)
         rest_steps = _schedule(rest, top_block, _retirements(rest, postselect))
-    plan = top, state, window_steps, rest_steps
+    plan = planned, top, state, window_steps, rest_steps
     _PLANS.setdefault(circuit, {})[key] = plan
     return plan
 
@@ -881,15 +890,19 @@ def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     bits in the top block, where the remaining gates run.  In each phase
     an ancilla is retired after its last gate: later gates run only on
     the rows holding its post-selected bit (see _retirements).  The kept
-    slab is sliced from the top block."""
+    slab is sliced from the top block.  A circuit with no ancilla runs in
+    place: its buffer is the kept slab, so no top block is allocated and
+    the plan's top-block bytes are an upper bound."""
     count = len(columns)
-    top, state, windows, rest = _plan(circuit, count)
+    _, top, state, windows, rest = _plan(circuit, count)
     dim_work = 2 ** len(circuit.work_qubits)
     dim_low = len(state) >> top
     mask = _postselect_mask(circuit)
     kept_low = mask % dim_low * dim_work
     buffer = np.zeros((dim_low * dim_work, count), dtype=complex)
-    top_block = np.empty((len(windows) * dim_work, count), dtype=complex)
+    # with no ancilla the buffer is the kept slab and the top block both
+    top_block = (buffer if len(state) == 1
+                 else np.empty((len(windows) * dim_work, count), dtype=complex))
     entries = (slice(None), columns, np.arange(count))
     for window, steps in enumerate(windows):
         if window:
@@ -897,8 +910,9 @@ def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
         buffer.reshape(dim_low, dim_work, count)[entries] = (
             state[window * dim_low : (window + 1) * dim_low])
         _execute(steps, buffer)
-        top_block[window * dim_work : (window + 1) * dim_work] = (
-            buffer[kept_low : kept_low + dim_work])
+        if top_block is not buffer:
+            top_block[window * dim_work : (window + 1) * dim_work] = (
+                buffer[kept_low : kept_low + dim_work])
     _execute(rest, top_block)
     kept = mask // dim_low * dim_work
     return top_block[kept : kept + dim_work]

@@ -228,6 +228,72 @@ def test_compose_word_width_checked_before_allocation(spec, monkeypatch):
         compose_word(word, spec)
 
 
+@pytest.mark.parametrize("convention", list(PhaseConvention))
+@pytest.mark.parametrize("count", [3, 7, 15, 63])
+def test_compose_word_closed_surfaces(count, convention):
+    # Migdal's sum for a closed genus-g surface of area A (Witten 1991):
+    # Z_g(A) = sum over R of d_R**(2 - 2g) w_R(A), with w written here from
+    # the table's casimirs; mu carries no second area at beta = 0
+    for area in (0.6, 0.05):
+        spec = FrobeniusSpec.su3(count, area, convention)
+        weights = [
+            cmath.exp(-1j * area * float(entry.casimir))
+            if convention is PhaseConvention.PAPER_LITERAL
+            else complex(math.exp(-area * float(entry.casimir)))
+            for entry in spec.table
+        ]
+        for genus in (0, 1, 2):
+            word = [("eta", area, 0)] + [("delta", 0.0, 0), ("mu", 0.0, 0)] * genus
+            terms = [entry.dim ** (2 - 2 * genus) * w for entry, w in zip(spec.table, weights)]
+            got = compose_word(word + [("eps", 0.0, 0)], spec)
+            assert got.matrix.shape == (1, 1)
+            scale = math.fsum(abs(term) for term in terms)
+            assert abs(got.matrix[0, 0] - sum(terms)) <= 1e-13 * scale, (genus, area)
+
+
+def padded_reference(word, spec, circles):
+    """The word's matrix by padding each step's logical form with
+    identities on the other circles and multiplying, or None if the word
+    does not fit `circles` starting circles."""
+    d = 2**spec.encoding.bits_per_circle
+    acc = np.eye(d**circles, dtype=complex)
+    for tag, beta, pos in word:
+        a_in, a_out = GENERATOR_ARITY[tag]
+        if pos + a_in > circles:
+            return None
+        eye_after = np.eye(d ** (circles - pos - a_in))
+        acc = np.kron(np.kron(np.eye(d**pos), logical_form(tag, spec, beta).matrix), eye_after) @ acc
+        circles += a_out - a_in
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_word_matches_padded_reference(data):
+    spec = FrobeniusSpec.su3(
+        data.draw(st.integers(1, 7)),
+        data.draw(st.floats(0.0, 2.0)),
+        data.draw(st.sampled_from(list(PhaseConvention))),
+    )
+    start = circles = data.draw(st.integers(0, 3))
+    word = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        fitting = [tag for tag, (a_in, a_out) in GENERATOR_ARITY.items()
+                   if a_in <= circles and circles - a_in + a_out <= 3]
+        tag = data.draw(st.sampled_from(fitting))
+        a_in, a_out = GENERATOR_ARITY[tag]
+        beta = data.draw(st.none() | st.floats(0.0, 2.0))
+        word.append((tag, beta, data.draw(st.integers(0, circles - a_in))))
+        circles += a_out - a_in
+    if data.draw(st.booleans()):
+        got, want = compose_word(word, spec, start), padded_reference(word, spec, start)
+    else:  # the fewest starting circles the word fits, one for the empty word
+        least = next(c for c in range(4) if padded_reference(word, spec, c) is not None)
+        got, want = compose_word(word, spec), padded_reference(word, spec, least if word else 1)
+    assert got.matrix.shape == want.shape
+    assert np.max(np.abs(got.matrix - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=0)
+
+
 def test_spec_validation():
     from cqs.reptheory import su3_truncation
 

@@ -806,7 +806,7 @@ def test_windows_share_level_geometry(monkeypatch):
     calls = []
     monkeypatch.setattr(statevector, "_view", counting(calls, statevector._view))
     effective_operator(circuit)
-    _, _, windows, rest = statevector._plan(circuit, 64)
+    _, _, _, windows, rest = statevector._plan(circuit, 64)
     assert len(windows) == 32
     steps = sum(map(len, windows)) + len(rest)
     assert steps == 145 and 4 * len(calls) < steps
@@ -833,7 +833,7 @@ def test_plans_are_reused_and_die_with_their_circuit(monkeypatch):
         assert run(circuit, "1")[0].tobytes() == first.tobytes()
         assert calls.count("_schedule") > 1 and calls.count("_window_plan") == 1
         calls.clear()
-    assert statevector._plan(circuit, 1)[0] == 2
+    assert statevector._plan(circuit, 1)[1] == 2
     alive = weakref.ref(circuit)
     assert len(statevector._PLANS) == 1
     del circuit
@@ -1099,9 +1099,9 @@ def test_probability_above_input_norm_raises():
 
 def test_block_budget(monkeypatch):
     """MAX_BLOCK_BYTES bounds the bytes the simulation plan allocates: the
-    ancilla vector, the window buffer and the top block, exactly.  The
-    budget is checked when a plan is made, so each budget runs on an
-    empty plan cache."""
+    ancilla vector, the window buffer and the top block, exactly.  Each
+    budget runs on an empty plan cache, so it is checked as the plan is
+    made (see test_cached_plans_are_budgeted for cached plans)."""
 
     def budget(limit):
         monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
@@ -1156,6 +1156,39 @@ def test_refused_plans_are_not_cached(monkeypatch):
     monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(circuit, 2))
     assert effective_operator(circuit).matrix.tobytes() == want.tobytes()
     assert circuit in statevector._PLANS
+
+
+def test_cached_plans_are_budgeted(monkeypatch):
+    """Every simulation checks its plan's bytes against MAX_BLOCK_BYTES, a
+    cached plan's included: a budget lowered below them refuses a circuit
+    whose plan is cached, as it refuses a fresh one, and the plan stays
+    cached for a budget that admits it again."""
+    monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+    circuit = lcu_circuit()
+    want = effective_operator(circuit).matrix, run(circuit, "1")[0]
+    for columns, function, args in ((2, effective_operator, (circuit,)), (1, run, (circuit, "1"))):
+        planned = planned_bytes(circuit, columns)
+        monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned - 1)
+        with pytest.raises(ValueError, match=f"allocates {planned} bytes"):
+            function(*args)
+    assert len(statevector._PLANS[circuit]) == 2
+    monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(circuit, 2))
+    assert effective_operator(circuit).matrix.tobytes() == want[0].tobytes()
+    assert run(circuit, "1")[0].tobytes() == want[1].tobytes()
+
+
+def test_ancilla_free_circuits_run_in_place():
+    """With no ancilla the window buffer is the kept slab: one uncontrolled
+    h on 20 work qubits allocates its 16 MiB block once, with no top block
+    beside it.  The rest of the traced peak is the float64 |amplitude|
+    array behind the success probability."""
+    circuit = Circuit(tuple(range(20)), (), (Gate("h", 0),), ())
+    block = 2**20 * 16
+    assert planned_bytes(circuit, 1) == 2 * block + 16
+    assert traced_peak(run, circuit, "0" * 20) <= 1.6 * block
+    vector, probability = run(circuit, "0" * 20)
+    assert vector[0] == vector[2**19] == 1 / math.sqrt(2)
+    assert np.count_nonzero(vector) == 2 and abs(probability - 1) <= 1e-15
 
 
 @pytest.mark.parametrize("kind, ancillas", [("h", 0), ("x", 0), ("ry", 0), ("h", 2)])
