@@ -34,6 +34,20 @@ compile checks no pattern pair by pair, every pattern of one length
 shares one qubit set, and all the gates under one pattern share one
 controls object.
 
+An LCU's skeleton is the part its support fixes and its weights do not:
+the pattern table of its ancilla register and each branch's
+parameter-free select gates, the x, y and z of its Pauli letters.  A
+generator and its dagger (mu and delta, eta and eps) expand over the same
+Pauli strings, and a change of beta changes no string, so `_SKELETONS`
+keeps the skeletons for reuse, least recently used first.  Its key is
+made of checked values only: the ancilla ids of the checked register, the
+leaf count, the `operator.index`-normalized targets, and the support,
+each branch's (pattern, letters).  Each call still checks its register,
+masses, targets and phases, and builds the gates that carry angles: the
+Ry prepare tree, the select phases and the unprepare adjoints.  The kept
+skeletons hold at most _SKELETON_BUDGET gates plus controls; a larger
+skeleton is built and used but not kept.
+
 Validity is a property of each LCU stage, not of each gate.  The prepare
 tree checks its masses and takes its targets from the checked register,
 the select stage checks its targets and phases once (`_prepare_select`),
@@ -54,6 +68,7 @@ import cmath
 import math
 import operator
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence, Union
@@ -487,16 +502,9 @@ def _mass(leaves: list, first: int, count: int) -> float:
     return math.fsum(leaves[first : first + count])
 
 
-def _tree_gates(mass: Sequence[float],
-                table: list[list[_Controls]]) -> tuple[list[Gate], list[tuple[str, float]]]:
-    """`prep_tree` with the node controls of level l taken from row l of
-    `table`, the `_pattern_table` of the ancillas for len(mass) leaves.
-
-    The stage checks its masses once, so every angle is a plain finite
-    float, and takes the target of level l from the checked register: the
-    last pair of row l + 1 holds ancilla l as an `int`.  So it builds its
-    gates unchecked (`Gate._trusted`)."""
-    m = len(table) - 1
+def _checked_mass(mass: Sequence[float]) -> list[float]:
+    """The masses of a prepare tree as plain floats, refused unless each
+    is non-negative and their sum is positive and finite."""
     leaves = [float(v) for v in mass]
     if not all(v >= 0.0 for v in leaves):
         raise ValueError("masses must be non-negative")
@@ -506,7 +514,20 @@ def _tree_gates(mass: Sequence[float],
         total = math.inf
     if not 0.0 < total < math.inf:
         raise ValueError("masses must have a positive finite sum")
-    leaves += [0.0] * (2**m - len(leaves))  # the zero padding
+    return leaves
+
+
+def _tree_gates(leaves: list[float],
+                table: list[list[_Controls]]) -> tuple[list[Gate], list[tuple[str, float]]]:
+    """`prep_tree` of the `_checked_mass` `leaves`, with the node controls
+    of level l taken from row l of `table`, the `_pattern_table` of the
+    ancillas for len(leaves) leaves.
+
+    Every angle is a plain finite float, and the target of level l comes
+    from the checked register: the last pair of row l + 1 holds ancilla l
+    as an `int`.  So it builds its gates unchecked (`Gate._trusted`)."""
+    m = len(table) - 1
+    leaves = leaves + [0.0] * (2**m - len(leaves))  # the zero padding
     gates: list[Gate] = []
     named: list[tuple[str, float]] = []
     trusted = Gate._trusted
@@ -542,52 +563,135 @@ def prep_tree(
     when R <= L, else pi - 2 atan(sqrt(L / R)).  A node with R = 0 gets no
     gate.  Returns the gates and their angles named `prep_l<l>_p<p>`.
     """
-    return _tree_gates(mass, _pattern_table(ancillas, len(mass)))
+    table = _pattern_table(ancillas, len(mass))
+    return _tree_gates(_checked_mass(mass), table)
 
 
 # the gate kind of each non-identity Pauli letter of a select branch
 _SELECT_KINDS = {"X": "x", "Y": "y", "Z": "z"}
 
+# The most gates plus controls that the kept LCU skeletons hold together
+# (see _Skeletons).  Each costs about 155 B (tracemalloc), so the default
+# keeps at most about 19 MiB, plus the keys' letter strings, about one
+# string per branch; the su3(15) mu/delta skeleton holds 27 135, about
+# 4 MiB (2.5 MiB of table, 1.5 MiB of select gates).
+_SKELETON_BUDGET = 2**17
 
-def _prepare_select(mass: Sequence[float], ancillas: Sequence[int], branches,
+
+class _Skeletons:
+    """The LCU skeletons kept for reuse, least recently used first, each
+    under its key (see `_skeleton`), and `retained`, the number of gates
+    plus controls they hold.
+
+    `put` keeps a skeleton only while `retained` stays within
+    _SKELETON_BUDGET, read at each call: it evicts the least recently used
+    skeletons to make room, and keeps none larger than the whole budget.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()  # key -> (table, selects, size)
+        self.retained = 0
+
+    def get(self, key):
+        skeleton = self.entries.get(key)
+        if skeleton is not None:
+            self.entries.move_to_end(key)
+        return skeleton
+
+    def put(self, key, skeleton) -> None:
+        size = skeleton[2]
+        if size > _SKELETON_BUDGET:
+            return
+        while self.retained + size > _SKELETON_BUDGET:
+            self.retained -= self.entries.popitem(last=False)[1][2]
+        self.entries[key] = skeleton
+        self.retained += size
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.retained = 0
+
+
+_SKELETONS = _Skeletons()
+
+
+def _skeleton(register: tuple[int, ...], leaves: int, targets: tuple[int, ...],
+              patterns: tuple, letters: tuple) -> tuple:
+    """(table, selects, size): the `_pattern_table` of the checked ancilla
+    `register` for `leaves` leaves, the parameter-free select gates of each
+    branch (patterns[b], letters[b]), and the number of gates plus
+    controls the two hold, taken from `_SKELETONS` when kept there.
+
+    Every part of the key is checked already: the register's ids passed
+    its `_Controls` check, which refuses the booleans and floats that hash
+    equal to integers, and `operator.index` makes each target a plain
+    `int`.  Under the last row's `pattern`, each letter maps to its kind
+    through `_SELECT_KINDS` and acts on its target unchecked
+    (`Gate._trusted`); any other letter but I goes to the checked
+    constructor as its lower case, so one that names no kind raises
+    before anything is kept.
+    """
+    key = (register, leaves, targets, patterns, letters)
+    skeleton = _SKELETONS.get(key)
+    if skeleton is None:
+        table = _pattern_table(register, leaves)
+        row = table[-1]
+        trusted = Gate._trusted
+        selects = []
+        for pattern, word in zip(patterns, letters):
+            controls = row[pattern]
+            gates = []
+            for target, letter in zip(targets, word):
+                kind = _SELECT_KINDS.get(letter)
+                if kind is not None:
+                    gates.append(trusted(kind, target, (), controls))
+                elif letter != "I":
+                    gates.append(Gate(letter.lower(), target, (), controls))
+            selects.append(tuple(gates))
+        size = sum(map(len, table)) + sum(map(len, selects))
+        skeleton = (table, tuple(selects), size)
+        _SKELETONS.put(key, skeleton)
+    return skeleton
+
+
+def _prepare_select(mass: Sequence[float], ancillas: Sequence[int], patterns: Sequence[int],
+                    letters: Sequence[str], phases: Sequence[float],
                     targets: Sequence[int]) -> tuple[list[Gate], list[Gate], list]:
     """The prepare and select stages of an LCU on `ancillas`: the gates of
     `prep_tree(mass, ancillas)`, the select gates and the tree's named
-    angles.  Under its ancilla `pattern`, a leaf index below len(mass),
-    each branch (pattern, letters, phase) puts a nonzero phase on
-    `targets[0]`, then each non-identity letter on its target.  Both
-    stages take their controls from one `_pattern_table`, so all the gates
-    of one branch share one controls object.  The caller appends the
-    unprepare stage.
+    angles.  Under its ancilla pattern patterns[b], a leaf index below
+    len(mass), branch b puts a nonzero phases[b] on `targets[0]`, then
+    each non-identity letter of letters[b] on its target.  Both stages
+    take their controls from one `_pattern_table`, so all the gates of one
+    branch share one controls object.  The caller appends the unprepare
+    stage.
 
-    The select stage checks its inputs once, as `Gate` would check each
-    gate, and then builds its gates unchecked (`Gate._trusted`): each
-    target goes through `operator.index`, and one in the ancilla register,
-    which every branch pattern controls, is refused; a phase that is not a
-    plain finite float goes through the parameter check.  Each Pauli
-    letter maps to its kind through `_SELECT_KINDS`; any other letter
-    but I goes to the checked constructor as its lower case.
+    The table and the letters' gates are the LCU's skeleton (`_skeleton`),
+    reused by every call of the same register, leaf count, targets and
+    support.  Every call checks its inputs once, as `Gate` would check
+    each gate, and then builds its prepare and phase gates unchecked
+    (`Gate._trusted`): the register as one `_Controls`, the masses, each
+    target through `operator.index`, refusing one in the ancilla register,
+    which every branch pattern controls, and each phase that is not a
+    plain finite float through the parameter check.
     """
-    table = _pattern_table(ancillas, len(mass))
-    prep, named = _tree_gates(mass, table)
-    patterns = table[-1]
-    targets = [operator.index(t) for t in targets]
-    if not patterns[0].qubits.isdisjoint(targets):
+    register = tuple([q for q, _ in _Controls((a, 0) for a in ancillas)])
+    leaves = _checked_mass(mass)
+    targets = tuple([operator.index(t) for t in targets])
+    if not set(register).isdisjoint(targets):
         raise ValueError("control qubits must be distinct from each other and the target")
+    patterns = tuple(patterns)
+    table, selects, _ = _skeleton(register, len(leaves), targets, patterns, tuple(letters))
+    prep, named = _tree_gates(leaves, table)
+    row = table[-1]
     select: list[Gate] = []
     trusted = Gate._trusted
-    for pattern, letters, phase in branches:
-        controls = patterns[pattern]
+    for pattern, phase, gates in zip(patterns, phases, selects):
         if phase != 0.0:
             if not (phase.__class__ is float and -math.inf < phase < math.inf):
                 phase = _finite(phase)
-            select.append(trusted("phase", targets[0], (phase,), controls))
-        for target, letter in zip(targets, letters):
-            kind = _SELECT_KINDS.get(letter)
-            if kind is not None:
-                select.append(trusted(kind, target, (), controls))
-            elif letter != "I":
-                select.append(Gate(letter.lower(), target, (), controls))
+            select.append(trusted("phase", targets[0], (phase,), row[pattern]))
+        select += gates
     return prep, select, named
 
 
@@ -615,8 +719,8 @@ def compile_factor(factor: NormalizedFactor, target: int,
         mass = [0.0] * 4
         for pattern, magnitude in zip(patterns, factor.magnitudes):
             mass[pattern] = magnitude * magnitude
-    branches = zip(patterns, factor.letters, factor.phases)
-    prep, select, angles = _prepare_select(mass, ancillas, branches, (target,))
+    prep, select, angles = _prepare_select(mass, ancillas, patterns, factor.letters,
+                                           factor.phases, (target,))
     if k <= 2:
         unprep, scale = [gate.adjoint() for gate in reversed(prep)], 1.0
     else:
@@ -765,8 +869,8 @@ def compile_exact(op: Union[DenseOperator, np.ndarray]) -> tuple[Circuit, Compil
     m = (k_count - 1).bit_length()
     ancillas = tuple(range(n_work, n_work + m))
     phases = np.angle(np.fromiter(terms.values(), complex, k_count)).tolist()
-    branches = zip(range(k_count), terms, phases)
-    prep, select, named = _prepare_select(weights, ancillas, branches, range(n_work))
+    prep, select, named = _prepare_select(weights, ancillas, range(k_count), terms, phases,
+                                          range(n_work))
     unprep = [gate.adjoint() for gate in reversed(prep)]
     return _block("exact", prep + select + unprep, range(n_work), ancillas, s, k_count, named)
 

@@ -28,7 +28,9 @@ from cqs.duality_compiler import (
     paper_factored_form,
     prep_tree,
 )
-from cqs.duality_compiler import _NO_CONTROLS, _Controls, _paper_factors, _pattern_table
+from cqs import duality_compiler as dc
+from cqs.duality_compiler import (_NO_CONTROLS, _SKELETONS, _Controls, _paper_factors,
+                                  _pattern_table)
 from cqs.frobenius import (FrobeniusSpec, PhaseConvention, build_cylinder, build_delta,
                            build_epsilon, build_eta, build_mu)
 from cqs.pauli import PAULI_1Q, NormalizedFactor, normalize_factor, pauli_reconstruct
@@ -899,6 +901,128 @@ def test_compile_exact_mu_costs(count, gates, ancillas):
     circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(count)))
     assert len(circuit.gates) == gates
     assert len(circuit.ancilla_qubits) == ancillas
+
+
+# ------------------------------------------------------------ skeletons
+
+
+def test_skeleton_keys_hold_checked_values_only():
+    """A kept skeleton is keyed on checked values: an ancilla register met
+    before as integers is checked again, so a boolean, float or np.float64
+    ancilla still raises, and every target is a plain int, as
+    `operator.index` makes it, whatever the type it was given in."""
+    factor = NormalizedFactor("XYZ", (0.6, 0.6, math.sqrt(0.28)), (0.0, 0.5, 0.0))
+    compile_factor(factor, 0, 1)  # keeps the skeleton of register (1, 2)
+    prep_tree([1.0, 1.0], (1,))
+    for bad in (True, 1.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            compile_factor(factor, 0, bad)
+        with pytest.raises(TypeError):
+            prep_tree([1.0, 1.0], (bad,))
+    expected = compile_factor(factor, 1, 2)[0].to_dict()
+    for target in (True, np.int64(1), np.uint8(1)):
+        circuit, _ = compile_factor(factor, target, 2)
+        assert all(type(gate.target) is int for gate in circuit.gates)
+        assert circuit.to_dict() == expected
+
+
+_SUPPORT_ENTRIES = st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.sampled_from([1e-300, -0.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_warm_compiles_equal_cold_ones(data):
+    """An operator compiled on a kept skeleton, one a second operator of
+    the same support left behind, gives the circuit, text, report and
+    block of its compile on an empty cache, bit for bit, with the very
+    select gates of that skeleton."""
+    dim = 2 ** data.draw(st.integers(1, 4), label="qubits")
+    entries = data.draw(st.lists(st.tuples(_SUPPORT_ENTRIES, _SUPPORT_ENTRIES),
+                                 min_size=dim * dim, max_size=dim * dim))
+    op = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
+    op.flat[data.draw(st.integers(0, dim * dim - 1))] = 1.0
+    # a positive scale and a global phase change the weights and phases only
+    twin = op * data.draw(st.floats(0.25, 4.0)) * cmath.exp(1j * data.draw(st.floats(-3.0, 3.0)))
+    _SKELETONS.clear()
+    cold, cold_report = compile_exact(op)
+    expected = (emit_text(cold), cold.to_dict(), cold_report.to_dict(),
+                effective_operator(cold).matrix.tobytes())
+    _SKELETONS.clear()
+    compile_exact(twin)
+    kept = dict(_SKELETONS.entries)
+    warm, warm_report = compile_exact(op)
+    assert (emit_text(warm), warm.to_dict(), warm_report.to_dict(),
+            effective_operator(warm).matrix.tobytes()) == expected
+    if len(_SKELETONS.entries) == 1:  # the twin's support, unless a product underflowed
+        ((_, selects, _),) = kept.values()
+        fixed = [gate for gate in warm.gates if not gate.params]
+        assert len(fixed) == sum(map(len, selects))
+        assert all(a is b for a, b in zip(fixed, (g for gates in selects for g in gates)))
+
+
+def test_mu_and_delta_share_their_skeleton():
+    """su3(7) mu and its dagger delta expand over the same Pauli strings, so
+    delta's circuit takes every parameter-free select gate and every
+    controls object from mu's."""
+    spec = FrobeniusSpec.su3(7)
+    mu, _ = compile_exact(build_mu(spec))
+    delta, _ = compile_exact(build_delta(spec))
+    mu_fixed, delta_fixed = ([gate for gate in c.gates if not gate.params] for c in (mu, delta))
+    assert len(mu_fixed) == len(delta_fixed) == 1728
+    assert all(a is b for a, b in zip(mu_fixed, delta_fixed))
+    controls = {id(gate.controls) for gate in mu.gates}
+    assert len(controls) == 895
+    assert {id(gate.controls) for gate in delta.gates} == controls
+
+
+def test_invalid_letters_raise_every_call_and_are_not_kept(monkeypatch):
+    cache = dc._Skeletons()
+    monkeypatch.setattr(dc, "_SKELETONS", cache)
+    factor = NormalizedFactor("IQ", (0.5, 0.5), (0.0, 0.0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown gate kind 'q'"):
+            compile_factor(factor, 0, 1)
+        assert not cache.entries and cache.retained == 0
+    compile_factor(NormalizedFactor("IX", (0.5, 0.5), (0.0, 0.0)), 0, 1)
+    assert len(cache.entries) == 1
+
+
+def test_skeletons_keep_to_their_budget(monkeypatch):
+    """The kept skeletons never hold more gates plus controls than
+    _SKELETON_BUDGET, the least recently used goes first, and a skeleton
+    over the whole budget compiles as it would be kept but is not."""
+    cache = dc._Skeletons()
+    monkeypatch.setattr(dc, "_SKELETONS", cache)
+    monkeypatch.setattr(dc, "_SKELETON_BUDGET", 10)
+    # three supports of two one-qubit strings: a three-entry pattern table
+    # (the empty pattern and one per leaf) and two select gates each
+    ops = {letters: PAULI_1Q[letters[0]] - 0.5j * PAULI_1Q[letters[1]]
+           for letters in ("XZ", "XY", "YZ")}
+
+    def compiled(letters):
+        circuit, report = compile_exact(ops[letters])
+        assert cache.retained <= dc._SKELETON_BUDGET
+        assert cache.retained == sum(size for _, _, size in cache.entries.values())
+        return circuit, report
+
+    compiled("XZ")
+    compiled("XY")
+    assert cache.retained == 10
+    xz, xy = cache.entries
+    compiled("XZ")  # a hit: XZ is now the most recently used
+    compiled("YZ")  # evicts XY, the least recently used
+    assert xy not in cache.entries and list(cache.entries)[0] == xz
+    assert cache.retained == 10 and len(cache.entries) == 2
+
+    kept = {letters: emit_text(compiled(letters)[0]) for letters in ops}
+    cache.clear()
+    monkeypatch.setattr(dc, "_SKELETON_BUDGET", 4)
+    for letters, op in ops.items():
+        circuit, report = compiled(letters)
+        assert not cache.entries and cache.retained == 0
+        assert emit_text(circuit) == kept[letters]
+        got = effective_operator(circuit).matrix * report.nominal_scale.real
+        assert np.max(np.abs(got - op)) < 1e-12
 
 
 def _assert_as_checked(gates):
