@@ -48,6 +48,12 @@ Ry prepare tree, the select phases and the unprepare adjoints.  The kept
 skeletons hold at most _SKELETON_BUDGET gates plus controls; a larger
 skeleton is built and used but not kept.
 
+`emit_text` renders each control list once per declaration: a
+`_Controls` keeps its operands text with the work and ancilla ids it was
+rendered under, so the lists that compiles share through a kept pattern
+table are rendered by the first emit on their register, and every later
+emit under the same ids takes the text as it is.
+
 Validity is a property of each LCU stage, not of each gate.  The prepare
 tree checks its masses and takes its targets from the checked register,
 the select stage checks its targets and phases once (`_prepare_select`),
@@ -148,7 +154,13 @@ class _Controls(tuple):
     pattern from its `_pattern_table`, whose entries are valid by
     construction.  Qubits and states refuse booleans, as document fields
     do.  It compares and hashes as the plain tuple of its pairs.
+
+    `_emitted` is `emit_text`'s rendering of the list, (declaration,
+    operands text), kept with the list so the circuits that share it
+    render it once per declaration; (None, "") until it is emitted.
     """
+
+    _emitted = (None, "")
 
     def __new__(cls, pairs=()):
         checked, qubits = [], set()
@@ -574,7 +586,11 @@ _SELECT_KINDS = {"X": "x", "Y": "y", "Z": "z"}
 # (see _Skeletons).  Each costs about 155 B (tracemalloc), so the default
 # keeps at most about 19 MiB, plus the keys' letter strings, about one
 # string per branch; the su3(15) mu/delta skeleton holds 27 135, about
-# 4 MiB (2.5 MiB of table, 1.5 MiB of select gates).
+# 4 MiB (2.5 MiB of table, 1.5 MiB of select gates).  Once a table is
+# emitted, each of its controls also keeps its operands text (see
+# emit_text): the 7680 of the su3(15) mu/delta table then keep 1.14 MiB
+# more, about 156 B each (tracemalloc), so a store full of emitted
+# 12-pair tables would keep about 19 MiB more.
 _SKELETON_BUDGET = 2**17
 
 
@@ -707,8 +723,10 @@ def compile_factor(factor: NormalizedFactor, target: int,
     unprepares with Hadamards, so the block weights are half the tree's
     amplitudes, the L2 magnitudes.  The block is the factor divided by its
     nominal scale: 1 for k <= 2, 2 for k = 3 or 4.  The report's angles are
-    the tree's named angles.
+    the tree's named angles.  `ancilla_start` must be an integer:
+    booleans and floats raise TypeError whatever the term count.
     """
+    ancilla_start = _index(ancilla_start)
     k = len(factor.letters)
     if k <= 2:
         ancillas = tuple(range(ancilla_start, ancilla_start + k - 1))
@@ -884,17 +902,32 @@ def emit_text(circuit: Circuit) -> str:
     `!`, then `postselect <q> -> <bit>;` lines.  Floats use shortest
     round-trip repr, so equal circuits emit byte-equal text.
 
-    Each control list's operands are rendered once per distinct value and
-    memoized by value.  The LCU patterns of a compiled circuit each extend
-    a pattern one pair shorter, rendered before, so each costs one lookup
-    of that prefix and one concatenation; any other list is rendered in
-    one pass from the operand strings, each made once per (qubit, state)
-    pair, so a list costs time linear in its length.  A run of gates that
-    share one controls object costs one lookup.  Each parameter's repr is
-    made once per magnitude, since repr(-x) is "-" + repr(x) for x > 0;
-    zeros of either sign go straight to repr, since 0.0 and -0.0 are one
-    key but print apart.
+    Each controls object keeps its operands text on itself, in
+    `_Controls._emitted`, as the pair (declaration, text), the declaration
+    being (work_qubits, ancilla_qubits), the qubit ids in declared order.
+    A controls object whose pair holds this circuit's declaration costs
+    one comparison, so the LCU patterns that compiles share through their
+    pattern tables (mu and delta, eta and eps, every beta at one
+    truncation) are rendered once per declaration, not once per call.
+    The key is the ids, not the names: names are positional (`q<i>`,
+    `a<i>`), so the same gates declared in another order have the same
+    names on other qubits.
+
+    Any other list is rendered and its pair overwritten: it is rendered
+    once per distinct value in this call and memoized by value.  The LCU
+    patterns of a compiled circuit each extend a pattern one pair shorter,
+    rendered before, so each costs one lookup of that prefix and one
+    concatenation; any other list is rendered in one pass from the operand
+    strings, each made once per (qubit, state) pair, so a list costs time
+    linear in its length.  The controls of a parsed document are all
+    fresh, so they all take this path.  A run of gates that share one
+    controls object costs one lookup.  Each gate line is one f-string
+    ending in its target's name and semicolon, and the lines are joined
+    once.  Each parameter's repr is made once per magnitude, since
+    repr(-x) is "-" + repr(x) for x > 0; zeros of either sign go straight
+    to repr, since 0.0 and -0.0 are one key but print apart.
     """
+    declaration = (circuit.work_qubits, circuit.ancilla_qubits)
     names = {q: f"q{i}" for i, q in enumerate(circuit.work_qubits)}
     names.update((q, f"a{i}") for i, q in enumerate(circuit.ancilla_qubits))
     lines = ["work " + ", ".join(names[q] for q in circuit.work_qubits) + ";"]
@@ -902,6 +935,8 @@ def emit_text(circuit: Circuit) -> str:
         lines.append("ancilla " + ", ".join(names[q] for q in circuit.ancilla_qubits) + ";")
     operand = {(q, state): ("" if state else "!") + name + ", "
                for q, name in names.items() for state in (0, 1)}
+    # each gate line ends in its target's name and the semicolon
+    tails = {q: name + ";" for q, name in names.items()}
     # control list (a _Controls, or a plain tuple prefix of one) -> operands
     rendered: dict[tuple, str] = {(): ""}
 
@@ -918,11 +953,20 @@ def emit_text(circuit: Circuit) -> str:
 
     # positive magnitude -> repr
     reprs: dict[float, str] = {}
+    # a kept declaration found equal to this one, compared by identity after
+    equal = declaration
     controls = None
     for gate in circuit.gates:
         if gate.controls is not controls:
             controls = gate.controls
-            prefix, operands = "c" * len(controls), operands_of(controls)
+            kept, operands = controls._emitted
+            if kept is not equal:
+                if kept == declaration:
+                    equal = kept
+                else:
+                    operands = operands_of(controls)
+                    controls._emitted = (declaration, operands)
+            prefix = "c" * len(controls)
         if gate.params:
             (x,) = gate.params  # every parametrized kind takes one
             if x:
@@ -934,9 +978,10 @@ def emit_text(circuit: Circuit) -> str:
                     param = "-" + param
             else:
                 param = repr(x)
-            lines.append(f"{prefix}{gate.kind}({param}) {operands}{names[gate.target]};")
+            lines.append(f"{prefix}{gate.kind}({param}) {operands}{tails[gate.target]}")
         else:
-            lines.append(f"{prefix}{gate.kind} {operands}{names[gate.target]};")
+            lines.append(f"{prefix}{gate.kind} {operands}{tails[gate.target]}")
     for q, bit in circuit.postselect:
         lines.append(f"postselect {names[q]} -> {bit};")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the text ends in a newline
+    return "\n".join(lines)

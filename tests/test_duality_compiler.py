@@ -603,6 +603,22 @@ def test_compile_factor_three_term():
     assert np.max(np.abs(got - normalized.matrix() / 2.0)) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_compile_factor_start_is_an_integer(k):
+    """A boolean or float first ancilla is refused with one message
+    whatever the term count; a numpy integer compiles as the int does."""
+    factor, _ = normalize_factor(dict(zip("IXYZ", (1.0, 0.5, 0.25j, -0.125)[:k])))
+    assert len(factor.letters) == k
+    for start in (True, 1.0):
+        with pytest.raises(TypeError) as refused:
+            compile_factor(factor, 0, start)
+        with pytest.raises(TypeError) as refused_by_index:
+            dc._index(start)
+        assert str(refused.value) == str(refused_by_index.value)
+    assert emit_text(compile_factor(factor, 0, np.int64(1))[0]) == emit_text(
+        compile_factor(factor, 0, 1)[0])
+
+
 _COEFFICIENTS = st.builds(
     lambda magnitude, phase: magnitude * cmath.exp(1j * phase),
     st.floats(1e-30, 1e3), st.floats(-math.pi, math.pi),
@@ -1266,10 +1282,67 @@ def test_emit_text_matches_plain_rendering(circuit):
 def test_emit_text_is_linear_in_a_fresh_control_list():
     """A control list that extends no rendered one is rendered in one pass:
     20000 controls take a few milliseconds, where rendering it prefix by
-    prefix took seconds."""
+    prefix took seconds.  The circuit is built here, so its list holds no
+    rendering from an earlier emit."""
+    circuit = _long_controls(20000)
     start = time.perf_counter()
-    emit_text(_LONGER_CONTROLS)
+    emit_text(circuit)
     assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def _redeclared_circuits(draw):
+    """A circuit on 1-4 work qubits and 0-3 ancillas whose gates share a
+    few controls objects, the first gate and maybe others uncontrolled
+    (the shared `_NO_CONTROLS`), and a permutation of each register."""
+    n_work, n_anc = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(n_work + n_anc)))
+    work, ancillas = tuple(ids[:n_work]), tuple(ids[n_work:])
+    shared = [_NO_CONTROLS]
+    for _ in range(draw(st.integers(0, 4)) if len(ids) > 1 else 0):
+        qubits = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids) - 1,
+                               unique=True))
+        shared.append(_Controls((q, draw(st.integers(0, 1))) for q in qubits))
+    gates = []
+    for index in range(draw(st.integers(1, 12))):
+        controls = draw(st.sampled_from(shared)) if index else _NO_CONTROLS
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        params = (draw(st.floats(-4.0, 4.0)),) if GATE_KINDS[kind] else ()
+        target = draw(st.sampled_from([q for q in ids if q not in controls.qubits]))
+        gates.append(Gate(kind, target, params, controls))
+    circuit = Circuit(work, ancillas, tuple(gates), tuple((a, 0) for a in ancillas))
+    return circuit, (tuple(draw(st.permutations(work))), tuple(draw(st.permutations(ancillas))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_redeclared_circuits())
+def test_emit_text_rendering_follows_the_declaration(drawn):
+    """The rendering each controls object keeps is used only under the
+    qubit ids it was made for: the same gate objects emitted under a
+    permuted declaration, then under the first one again, give the text
+    of a parsed copy, whose controls are fresh.  The names are
+    positional, so a rendering kept per name list would be wrong here."""
+    circuit, (work, ancillas) = drawn
+    permuted = Circuit(work, ancillas, circuit.gates, circuit.postselect)
+    for declared in (circuit, permuted, circuit):
+        assert emit_text(declared) == emit_text(Circuit.from_dict(declared.to_dict()))
+
+
+def test_warm_emit_takes_the_kept_rendering(monkeypatch):
+    """su3(7) delta shares every controls object of mu's circuit and its
+    declaration, so emitting mu renders every control list of delta: each
+    holds its rendering for delta's declaration before delta is emitted,
+    and delta's text equals that of its parsed copy."""
+    monkeypatch.setattr(dc, "_SKELETONS", dc._Skeletons())
+    spec = FrobeniusSpec.su3(7)
+    mu, _ = compile_exact(build_mu(spec))
+    delta, _ = compile_exact(build_delta(spec))
+    declaration = (delta.work_qubits, delta.ancilla_qubits)
+    controls = list({id(gate.controls): gate.controls for gate in delta.gates}.values())
+    assert all(c._emitted == (None, "") for c in controls if c is not _NO_CONTROLS)
+    emit_text(mu)
+    assert all(c._emitted[0] == declaration for c in controls)
+    assert emit_text(delta) == emit_text(Circuit.from_dict(delta.to_dict()))
 
 
 def test_emit_text_deterministic(spec):
