@@ -113,6 +113,17 @@ is the kept slab.  A circuit with no ancilla runs in place: its buffer is
 the kept slab, so it allocates no top block, and the top-block term of
 its planned bytes, which MAX_BLOCK_BYTES checks, is an upper bound.
 
+The ufunc buffer.  numpy copies a strided operand through its ufunc
+buffer (np.getbufsize(), 8192 elements by default) and back, rather than
+run its strided loop in place, when the operand's contiguous rows are
+short against that buffer; on the halves of a window buffer the copies
+cost more than they save.  So `_postselected` runs the plan and kernels
+of every simulation under a buffer of _UFUNC_BUFFER elements, and
+restores the caller's size when it returns or raises.  numpy still
+buffers rows shorter than its 16-element minimum, as a single column's
+may be, whatever the size.  `_checked_probabilities` runs outside it,
+under the caller's size.
+
 Bit-identity contract: every kernel performs, on every nonzero amplitude,
 the same floating-point operations as the generic update
 u00 * a0 + u01 * a1, u10 * a0 + u11 * a1 (a term with a zero matrix entry
@@ -143,9 +154,13 @@ the input columns, which enter only through the buffer; so a reused plan
 runs the very kernel calls that a fresh one would.  Within a plan, a
 shared view, halves list or controls value is the one each step would
 make for itself from the same geometry or control list, so sharing them
-changes no kernel call either.  So neither the layout, the levels, the
-kept-half writes, the prefix, retirement, the windows, what a plan
-shares nor plan reuse changes a bit of the nonzero results.
+changes no kernel call either.  Every kernel is elementwise: copies,
+negation, and real or complex multiplies, adds and subtracts, for which
+numpy runs the same loop arithmetic whether it copies an operand through
+its buffer or not, so the ufunc buffer size changes no bit.  So neither
+the layout, the levels, the kept-half writes, the prefix, retirement,
+the windows, what a plan shares, plan reuse nor the buffer size changes
+a bit of the nonzero results.
 """
 
 from __future__ import annotations
@@ -178,12 +193,18 @@ PROBABILITY_SLACK = 1e-12
 # kernels whose halves exceed this many amplitudes run in slices of about
 # this size where their shape allows (see _in_slices), and a level runs in
 # chunks of about this size (see _level_step), so a slice and its
-# temporaries stay in cache
-_CHUNK = 1 << 12
+# temporaries stay in cache; a su3(7) window's select level, 16 patterns
+# of 4096 amplitudes, then runs in two chunks
+_CHUNK = 1 << 14
 # blocks larger than this many amplitudes run one ancilla window at a time
 # (see _window_plan), and no kernel call's slice is larger, so each
 # window's buffer and each call's temporaries stay near cache size
 _WINDOW = 1 << 16
+# the numpy ufunc buffer, in elements, under which every simulation runs
+# (see _postselected): small enough against the rows of its halves that
+# numpy runs its strided loops in place rather than copy the halves
+# through the buffer
+_UFUNC_BUFFER = 1 << 9
 
 
 def _view(n: int, cols: int, targets, fixed: list, pattern: tuple = ()) -> tuple:
@@ -280,11 +301,11 @@ def _rotate_y(lo: np.ndarray, hi: np.ndarray, c, s, keep=None) -> None:
         a1 *= c
         a1 += s * a0
         return
-    a0_copy = a0.copy()
+    t = s * a0  # taken before a0 is overwritten
     a0 *= c
     a0 -= s * a1
     a1 *= c
-    a1 += s * a0_copy
+    a1 += t
 
 
 def _matrix_update(lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> None:
@@ -892,30 +913,38 @@ def _postselected(circuit: Circuit, columns: list) -> np.ndarray:
     the rows holding its post-selected bit (see _retirements).  The kept
     slab is sliced from the top block.  A circuit with no ancilla runs in
     place: its buffer is the kept slab, so no top block is allocated and
-    the plan's top-block bytes are an upper bound."""
+    the plan's top-block bytes are an upper bound.  Planning and kernels
+    run under a ufunc buffer of _UFUNC_BUFFER elements, and the caller's
+    size is restored on return or raise (see the module docstring)."""
     count = len(columns)
-    _, top, state, windows, rest = _plan(circuit, count)
-    dim_work = 2 ** len(circuit.work_qubits)
-    dim_low = len(state) >> top
-    mask = _postselect_mask(circuit)
-    kept_low = mask % dim_low * dim_work
-    buffer = np.zeros((dim_low * dim_work, count), dtype=complex)
-    # with no ancilla the buffer is the kept slab and the top block both
-    top_block = (buffer if len(state) == 1
-                 else np.empty((len(windows) * dim_work, count), dtype=complex))
-    entries = (slice(None), columns, np.arange(count))
-    for window, steps in enumerate(windows):
-        if window:
-            buffer.fill(0)  # np.zeros gave the first window fresh zero pages
-        buffer.reshape(dim_low, dim_work, count)[entries] = (
-            state[window * dim_low : (window + 1) * dim_low])
-        _execute(steps, buffer)
-        if top_block is not buffer:
-            top_block[window * dim_work : (window + 1) * dim_work] = (
-                buffer[kept_low : kept_low + dim_work])
-    _execute(rest, top_block)
-    kept = mask // dim_low * dim_work
-    return top_block[kept : kept + dim_work]
+    # restored by hand: numpy 1.x keeps the size per thread, and its
+    # np.errstate does not restore it
+    saved = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        _, top, state, windows, rest = _plan(circuit, count)
+        dim_work = 2 ** len(circuit.work_qubits)
+        dim_low = len(state) >> top
+        mask = _postselect_mask(circuit)
+        kept_low = mask % dim_low * dim_work
+        buffer = np.zeros((dim_low * dim_work, count), dtype=complex)
+        # with no ancilla the buffer is the kept slab and the top block both
+        top_block = (buffer if len(state) == 1
+                     else np.empty((len(windows) * dim_work, count), dtype=complex))
+        entries = (slice(None), columns, np.arange(count))
+        for window, steps in enumerate(windows):
+            if window:
+                buffer.fill(0)  # np.zeros gave the first window fresh zero pages
+            buffer.reshape(dim_low, dim_work, count)[entries] = (
+                state[window * dim_low : (window + 1) * dim_low])
+            _execute(steps, buffer)
+            if top_block is not buffer:
+                top_block[window * dim_work : (window + 1) * dim_work] = (
+                    buffer[kept_low : kept_low + dim_work])
+        _execute(rest, top_block)
+        kept = mask // dim_low * dim_work
+        return top_block[kept : kept + dim_work]
+    finally:
+        np.setbufsize(saved)
 
 
 def run(circuit: Circuit, input_bits: str) -> tuple[np.ndarray, float]:

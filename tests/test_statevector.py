@@ -812,6 +812,26 @@ def test_windows_share_level_geometry(monkeypatch):
     assert steps == 145 and 4 * len(calls) < steps
 
 
+def test_su3_7_mu_windows_make_few_kernel_calls(monkeypatch):
+    """The su3(7) mu exact block on its 64 columns makes at most 900 kernel
+    calls across its 32 windows, one per op of their steps: a select
+    level's chunk holds 8 of the 16 patterns of a window.  The block
+    equals, byte for byte, a run gate by gate."""
+    circuit, _ = compile_exact(build_mu(FrobeniusSpec.su3(7)))
+    monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+    calls = []
+    for kind, kernel in statevector._KERNELS.items():
+        monkeypatch.setitem(statevector._KERNELS, kind, counting(calls, kernel))
+    monkeypatch.setattr(statevector, "_rotate_y", counting(calls, statevector._rotate_y))
+    _, _, _, windows, rest = statevector._plan(circuit, 64)
+    ops = [sum(len(ops) for _, _, ops in steps) for steps in (sum(windows, []), rest)]
+    assert len(windows) == 32 and ops[0] <= 900
+    calls.clear()
+    effective = effective_operator(circuit)
+    assert len(calls) == sum(ops)
+    assert effective.matrix.tobytes() == gate_by_gate(effective_operator, circuit).matrix.tobytes()
+
+
 def test_plans_are_reused_and_die_with_their_circuit(monkeypatch):
     """A second `run` of a circuit makes no schedule and no window plan; a
     new _CHUNK, or a _WINDOW under which the circuit runs in windows of
@@ -987,6 +1007,81 @@ def test_windows_change_no_bit(case, data):
         got, got_probability = windowed(window, run, circuit, bits)
         assert got.tobytes() == column.tobytes()
         assert got_probability == probability
+
+
+def su3_2_mu():
+    """The su3(2) mu exact circuit: 16 columns, 4 work qubits and 5
+    ancillas."""
+    return compile_exact(build_mu(FrobeniusSpec.su3(2)))[0]
+
+
+def under_buffer(size, function, *args):
+    """function(*args) with numpy's ufunc buffer, and _UFUNC_BUFFER, the
+    one a simulation runs under, both set to `size` elements."""
+    saved = np.setbufsize(size)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(statevector, "_UFUNC_BUFFER", size)
+            return function(*args)
+    finally:
+        np.setbufsize(saved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_circuits(), select_level_circuits()),
+       st.sampled_from([_NO_WINDOWS, 1 << 6]))
+@example(su3_2_mu(), _NO_WINDOWS)
+@example(su3_2_mu(), 1 << 10)
+def test_bits_do_not_depend_on_the_ufunc_buffer(circuit, window):
+    """numpy runs a ufunc on a strided operand through its copy buffer or
+    in place, by the buffer size, with the same arithmetic: a full-register
+    run, and `effective_operator` with blocks of more than `window`
+    amplitudes run in windows, each give the same bytes under buffers of
+    16, 512 and 8192 elements, and they equal each other, every nonzero
+    entry bit for bit (the shared prefix may leave a zero unsigned where
+    the full-register run signs it, as the module's contract allows).  The
+    su3(2) mu block runs whole and, in windows of 2**10 amplitudes, on
+    three top ancillas with 16 columns a window."""
+    columns = 2 ** len(circuit.work_qubits)
+    if window == 1 << 10:
+        assert windowed(window, window_top, circuit, columns) == 3
+    eye = np.eye(columns)
+    sizes = (16, 512, 8192)
+    blocks = {under_buffer(size, full_register_run, circuit, eye).tobytes() for size in sizes}
+    effective = {under_buffer(size, windowed, window, effective_operator, circuit).matrix.tobytes()
+                 for size in sizes}
+    assert len(blocks) == len(effective) == 1
+    assert np.array_equal(np.frombuffer(effective.pop(), complex),
+                          np.frombuffer(blocks.pop(), complex))
+
+
+def test_postselected_restores_the_callers_buffer(monkeypatch):
+    """`effective_operator` and `run` run their plans and kernels under
+    _UFUNC_BUFFER and leave the caller's buffer size as they found it,
+    also when the budget refuses the plan."""
+    circuit = su3_2_mu()
+    seen = []
+    execute = statevector._execute
+
+    def recording(steps, block):
+        seen.append(np.getbufsize())
+        execute(steps, block)
+
+    monkeypatch.setattr(statevector, "_execute", recording)
+    monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+    saved = np.setbufsize(4096)
+    try:
+        for simulate in (effective_operator, lambda circuit: run(circuit, "0110")):
+            seen.clear()
+            simulate(circuit)
+            assert set(seen) == {statevector._UFUNC_BUFFER} and np.getbufsize() == 4096
+        monkeypatch.setattr(statevector, "_PLANS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(statevector, "MAX_BLOCK_BYTES", planned_bytes(circuit, 16) - 1)
+        with pytest.raises(ValueError, match="budget"):
+            effective_operator(circuit)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(saved)
 
 
 def lcu_circuit(select_end=(), unprepare=None, tail=()):
