@@ -37,7 +37,7 @@ from .duality_compiler import (
 from .frobenius import BUILDERS as _BUILDERS
 from .frobenius import DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
 from .pauli import pauli_expand
-from .reptheory import dump_rep_table, load_rep_table, su3_truncation
+from .reptheory import RepTable, dump_rep_table, load_rep_table, su3_truncation
 from .statevector import effective_operator, run
 from .verify import (
     RESIDUAL_TOLERANCE,
@@ -125,11 +125,11 @@ def _read_source(path: str) -> str:
 def _load_json(path: str) -> dict:
     try:
         return json.loads(_read_source(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _table_from_args(args) -> "RepTable":
+def _table_from_args(args) -> RepTable:
     if getattr(args, "table", None):
         return load_rep_table(_load_json(args.table))
     return su3_truncation(args.truncate)

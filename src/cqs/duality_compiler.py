@@ -913,14 +913,9 @@ def emit_text(circuit: Circuit) -> str:
     `a<i>`), so the same gates declared in another order have the same
     names on other qubits.
 
-    Any other list is rendered and its pair overwritten: it is rendered
-    once per distinct value in this call and memoized by value.  The LCU
-    patterns of a compiled circuit each extend a pattern one pair shorter,
-    rendered before, so each costs one lookup of that prefix and one
-    concatenation; any other list is rendered in one pass from the operand
-    strings, each made once per (qubit, state) pair, so a list costs time
-    linear in its length.  The controls of a parsed document are all
-    fresh, so they all take this path.  A run of gates that share one
+    Any other list is rendered in one pass from the operand strings, each
+    made once per (qubit, state) pair, so a list costs time linear in its
+    length, and its pair is overwritten.  A run of gates that share one
     controls object costs one lookup.  Each gate line is one f-string
     ending in its target's name and semicolon, and the lines are joined
     once.  Each parameter's repr is made once per magnitude, since
@@ -937,20 +932,6 @@ def emit_text(circuit: Circuit) -> str:
                for q, name in names.items() for state in (0, 1)}
     # each gate line ends in its target's name and the semicolon
     tails = {q: name + ";" for q, name in names.items()}
-    # control list (a _Controls, or a plain tuple prefix of one) -> operands
-    rendered: dict[tuple, str] = {(): ""}
-
-    def operands_of(controls: tuple) -> str:
-        text = rendered.get(controls)
-        if text is None:
-            text = rendered.get(controls[:-1])
-            if text is None:
-                text = "".join([operand[pair] for pair in controls])
-            else:
-                text += operand[controls[-1]]
-            rendered[controls] = text
-        return text
-
     # positive magnitude -> repr
     reprs: dict[float, str] = {}
     # a kept declaration found equal to this one, compared by identity after
@@ -964,7 +945,7 @@ def emit_text(circuit: Circuit) -> str:
                 if kept == declaration:
                     equal = kept
                 else:
-                    operands = operands_of(controls)
+                    operands = "".join([operand[pair] for pair in controls])
                     controls._emitted = (declaration, operands)
             prefix = "c" * len(controls)
         if gate.params:

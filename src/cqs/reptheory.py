@@ -206,7 +206,7 @@ def load_rep_table(source: "dict | str") -> RepTable:
     if isinstance(source, str):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"rep table is not valid JSON: {exc}") from exc
     else:
         doc = source

@@ -26,6 +26,7 @@ from cqs.duality_compiler import (
     paper_factored_form,
 )
 from cqs.frobenius import BUILDERS, FrobeniusSpec, PhaseConvention, build_mu
+from cqs.reptheory import load_rep_table
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -346,6 +347,30 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
         assert not missing.exists()
+
+
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["emit", "--circuit"],
+    ["simulate", "--in", "0", "--circuit"],
+    ["decompose", "--in"],
+    ["irreps", "--table"],
+])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv):
+    """A document nested past the parser's recursion limit is a usage
+    error: exit 2 and one error line, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    code, out, err = run_cli(capsys, argv + [str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_deeply_nested_rep_table_text_is_a_value_error():
+    with pytest.raises(ValueError, match="not valid JSON"):
+        load_rep_table(_DEEP_JSON)
 
 
 def test_usage_exit_codes(capsys, monkeypatch):

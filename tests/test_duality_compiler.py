@@ -1280,10 +1280,10 @@ def test_emit_text_matches_plain_rendering(circuit):
 
 
 def test_emit_text_is_linear_in_a_fresh_control_list():
-    """A control list that extends no rendered one is rendered in one pass:
-    20000 controls take a few milliseconds, where rendering it prefix by
-    prefix took seconds.  The circuit is built here, so its list holds no
-    rendering from an earlier emit."""
+    """A control list with no kept rendering is rendered in one join of
+    its operand strings: 20000 controls take a few milliseconds.  The
+    circuit is built here, so its list holds no rendering from an earlier
+    emit."""
     circuit = _long_controls(20000)
     start = time.perf_counter()
     emit_text(circuit)
