@@ -25,15 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .duality_compiler import (
-    Circuit,
-    GATE_KINDS,
-    CompileReport,
-    compile_exact,
-    compile_paper,
-    emit_text,
-    paper_factored_form,
-)
+from .duality_compiler import GATE_KINDS, Circuit, CompileReport, emit_text
 from .frobenius import BUILDERS as _BUILDERS
 from .frobenius import DenseOperator, FrobeniusSpec, PhaseConvention, logical_form
 from .pauli import pauli_expand
@@ -43,6 +35,7 @@ from .verify import (
     RESIDUAL_TOLERANCE,
     VerificationError,
     axiom_suite,
+    compile_generator,
     reproduce_paper,
     verify_compiled,
 )
@@ -188,21 +181,9 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _compile(args, spec: FrobeniusSpec):
-    """(circuit, report, target) of --op in --mode: the dense generator in
-    exact mode, the FactoredOperator in paper mode, left unexpanded (only
-    verify builds its 2^n x 2^n product).  paper_factored_form rejects the
-    tags paper mode does not cover."""
-    if args.mode == "paper":
-        circuit, report = compile_paper(args.op, spec)
-        return circuit, report, paper_factored_form(args.op, spec)
-    target = _BUILDERS[args.op](spec)
-    circuit, report = compile_exact(target)
-    return circuit, report, target
-
-
 def _cmd_compile(args) -> int:
-    circuit, report, _target = _compile(args, _spec_from_args(args))
+    # the paper form stays unexpanded: only verify needs its matrix
+    circuit, report, _target, _name = compile_generator(args.op, _spec_from_args(args), args.mode)
     _emit(_circuit_json(circuit, report) + "\n", args.out)
     return 0
 
@@ -237,10 +218,7 @@ def _cmd_verify(args) -> int:
     # the suite first: its two-circle forms can refuse circles that the
     # target alone would pass, before the target is compiled or expanded
     axioms = axiom_suite(spec)
-    circuit, _report, target = _compile(args, spec)
-    target_name = args.op
-    if args.mode == "paper":
-        target, target_name = target.matrix(), f"{args.op}_factored_form"
+    circuit, _report, target, target_name = compile_generator(args.op, spec, args.mode)
     report = verify_compiled(circuit, target, target_name, args.mode, axioms)
     _emit_json(report.to_dict(), args.report)
     if report.relative_residual > RESIDUAL_TOLERANCE:

@@ -54,7 +54,9 @@ def _check_sum(terms: Mapping[str, complex], width: int) -> None:
             raise ValueError(f"coefficient of {letters!r} must be finite, got {c!r}")
 
 
-def _as_matrix(op: Union[DenseOperator, np.ndarray]) -> np.ndarray:
+def _as_matrix(op: Union[DenseOperator, "FactoredOperator", np.ndarray]) -> np.ndarray:
+    if isinstance(op, FactoredOperator):
+        return op.matrix()
     return op.matrix if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
 
 
@@ -220,7 +222,7 @@ def factorization_residual(claimed: Union[FactoredOperator, np.ndarray],
     """Relative Frobenius distance || expand(claimed) - exact || / || exact ||;
     `claimed` may also be the already expanded matrix."""
     target = _as_matrix(exact)
-    got = claimed.matrix() if isinstance(claimed, FactoredOperator) else _as_matrix(claimed)
+    got = _as_matrix(claimed)
     if got.shape != target.shape:
         raise ValueError(f"shape mismatch {got.shape} vs {target.shape}")
     denom = float(np.linalg.norm(target))

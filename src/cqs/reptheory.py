@@ -226,7 +226,11 @@ def load_rep_table(source: "dict | str") -> RepTable:
         except KeyError as exc:
             raise ValueError(f"entry missing field {exc}") from exc
         entries.append(RepEntry(label, casimir, dim))
-    return RepTable(tuple(entries), group_name=str(doc.get("group_name", "")))
+    group_name = doc.get("group_name", "")
+    if not isinstance(group_name, str):
+        raise ValueError("rep table 'group_name' must be a string, "
+                         f"got {type(group_name).__name__}")
+    return RepTable(tuple(entries), group_name=group_name)
 
 
 def _dump_casimir(value: Scalar):

@@ -17,7 +17,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .duality_compiler import Circuit, compile_exact, compile_paper, paper_factored_form
+from .duality_compiler import (Circuit, CompileReport, compile_exact, compile_paper,
+                               paper_factored_form)
 from .frobenius import BUILDERS as _BUILDERS
 from .frobenius import (GENERATOR_ARITY, MAX_DOCUMENT_QUBITS, DenseOperator, FrobeniusSpec,
                         PhaseConvention, logical_form)
@@ -30,6 +31,7 @@ __all__ = [
     "compare_up_to_scale",
     "axiom_suite",
     "verify_compiled",
+    "compile_generator",
     "reproduce_paper",
     "REFERENCE_ANGLES",
     "RESIDUAL_TOLERANCE",
@@ -179,11 +181,27 @@ def axiom_suite(spec: FrobeniusSpec,
     ]
 
 
+def compile_generator(op_name: str, spec: FrobeniusSpec,
+                      mode: str) -> tuple[Circuit, CompileReport, object, str]:
+    """(circuit, report, target, target name) of one generator in one mode:
+    the dense generator in exact mode; in paper mode its FactoredOperator,
+    left unexpanded, which paper_factored_form refuses for the cylinder."""
+    if mode == "exact":
+        target = _BUILDERS[op_name](spec)
+        return (*compile_exact(target), target, op_name)
+    if mode == "paper":
+        return (*compile_paper(op_name, spec), paper_factored_form(op_name, spec),
+                f"{op_name}_factored_form")
+    raise ValueError(f"unknown compile mode {mode!r}")
+
+
 def verify_compiled(circuit: Circuit, target, target_name: str, mode: str,
                     axiom_results: Sequence[tuple[str, float]] = ()) -> VerifyReport:
     """Simulate a compiled circuit and compare its post-selected block with
-    the target up to one global scale.  An all-zero block matches no
-    target: its relative residual is 1."""
+    the target (a dense operator, a product form or an array) up to one
+    global scale.  An all-zero block matches no target: its relative
+    residual is 1."""
+    target = _as_matrix(target)
     effective = effective_operator(circuit)
     residual, scale = compare_up_to_scale(effective.matrix, target)
     if not effective.matrix.any():
@@ -273,28 +291,22 @@ def reproduce_paper(convention: PhaseConvention = PhaseConvention.PAPER_LITERAL)
         "paper_form_residuals": {},
     }
     for op_name in ("mu", "delta", "eta", "eps"):
-        target = _BUILDERS[op_name](spec)
-        exact_circuit, exact_report = compile_exact(target)
-        exact = verify_compiled(exact_circuit, target, op_name, "exact", axioms)
-        if exact.relative_residual > RESIDUAL_TOLERANCE:
-            raise VerificationError(
-                f"exact-residual:{op_name}", f"residual {exact.relative_residual:.3e}"
-            )
-        form = paper_factored_form(op_name, spec).matrix()
-        paper_circuit, paper_report = compile_paper(op_name, spec)
-        paper = verify_compiled(paper_circuit, form, f"{op_name}_factored_form", "paper", axioms)
-        if paper.relative_residual > RESIDUAL_TOLERANCE:
-            raise VerificationError(
-                f"paper-residual:{op_name}", f"residual {paper.relative_residual:.3e}"
-            )
-        raw = factorization_residual(form, target)
-        up_to_scale, _ = compare_up_to_scale(form, target.matrix)
+        targets, verdicts, compiles = {}, {}, {}
+        for mode in ("exact", "paper"):
+            circuit, compiles[mode], target, target_name = compile_generator(op_name, spec, mode)
+            # the paper form is expanded once, for its block and both residuals
+            targets[mode] = _as_matrix(target)
+            verdicts[mode] = verify_compiled(circuit, targets[mode], target_name, mode, axioms)
+            if verdicts[mode].relative_residual > RESIDUAL_TOLERANCE:
+                raise VerificationError(f"{mode}-residual:{op_name}",
+                                        f"residual {verdicts[mode].relative_residual:.3e}")
+        form, target = targets["paper"], targets["exact"]
         bundle["paper_form_residuals"][op_name] = {
-            "raw": raw,
-            "up_to_scale": up_to_scale,
+            "raw": factorization_residual(form, target),
+            "up_to_scale": compare_up_to_scale(form, target)[0],
         }
         reference = REFERENCE_ANGLES[op_name]
-        for angle_name, computed in paper_report.angles:
+        for angle_name, computed in compiles["paper"].angles:
             printed = reference.get(angle_name)
             row = {
                 "op": op_name,
@@ -309,9 +321,7 @@ def reproduce_paper(convention: PhaseConvention = PhaseConvention.PAPER_LITERAL)
                     f"computed {computed:.6f} vs reference {printed:.6f}",
                 )
         bundle["reports"][op_name] = {
-            "exact": exact.to_dict(),
-            "paper": paper.to_dict(),
-            "exact_compile": exact_report.to_dict(),
-            "paper_compile": paper_report.to_dict(),
+            **{mode: verdict.to_dict() for mode, verdict in verdicts.items()},
+            **{f"{mode}_compile": report.to_dict() for mode, report in compiles.items()},
         }
     return bundle

@@ -652,3 +652,42 @@ def test_circuit_json_matches_json_dumps(circuit, report):
     doc = circuit.to_dict()
     doc["report"] = report.to_dict()
     assert cli._circuit_json(circuit, report) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_verify_exits_1_on_a_residual(capsys, monkeypatch):
+    """A residual over the tolerance still prints the report on stdout, then
+    one stderr line, and exits 1."""
+    monkeypatch.setattr(cli, "RESIDUAL_TOLERANCE", -1.0)
+    code, out, err = run_cli(capsys, ["verify", "--op", "mu"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["target_name"] == "mu" and report["relative_residual"] <= 1e-10
+    assert err.startswith("verification failed: residual ") and err.count("\n") == 1, err
+
+
+def test_reproduce_paper_exits_1_on_a_failed_check(capsys, monkeypatch):
+    from cqs import verify
+
+    monkeypatch.setattr(verify, "AXIOM_TOLERANCE", -1.0)
+    code, out, err = run_cli(capsys, ["reproduce-paper"])
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failed: axiom:commutativity: ") and err.count("\n") == 1
+
+
+def test_non_string_group_name_exits_2(capsys, monkeypatch):
+    doc = dict(_VALID_DOCUMENTS["table"], group_name=["x", 1])
+    code, out, err = run_cli(capsys, ["irreps", "--table", "-"], stdin_text=json.dumps(doc),
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: rep table 'group_name' must be a string, got list\n"
+
+
+def test_effective_of_13_work_qubits_exits_2(capsys, monkeypatch):
+    """The block of a 13-work-qubit circuit is refused before it is
+    allocated: exit 2 and one line."""
+    doc = {"qubits": [{"id": q, "role": "work"} for q in range(13)], "gates": [],
+           "postselect": []}
+    code, out, err = run_cli(capsys, ["simulate", "--effective"], stdin_text=json.dumps(doc),
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: effective operator extraction supports up to 12 work qubits\n"

@@ -387,3 +387,12 @@ def test_padded_forms_are_logical_forms_with_vacuum(spec):
         padded = build(spec)
         assert np.array_equal(padded.matrix, pad(logical_form(tag, spec).matrix)), tag
         assert padded.rows == padded.cols == d ** max(GENERATOR_ARITY[tag])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda spec: compose_word([], spec, in_circles=-1), "in_circles must be >= 0"),
+    (lambda spec: DenseOperator(np.zeros((2, 2)), out_qubits=2), "rows inconsistent"),
+])
+def test_inconsistent_sizes_are_refused(spec, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(spec)

@@ -13,6 +13,7 @@ from cqs.pauli import (
     PAULI_1Q,
     PAULI_LETTERS,
     FactoredOperator,
+    NormalizedFactor,
     factorization_residual,
     normalize_factor,
     pauli_expand,
@@ -285,3 +286,8 @@ def test_residual_errors():
         factorization_residual(claimed, np.zeros((4, 4)))
     with pytest.raises(ValueError):
         factorization_residual(claimed, np.zeros((2, 2)))
+
+
+def test_normalized_factor_fields_must_align():
+    with pytest.raises(ValueError, match="must align"):
+        NormalizedFactor("XY", (1.0,), (0.0, 0.0))

@@ -181,3 +181,23 @@ def test_load_rejects_malformed(doc):
 def test_load_rejects_bad_json_text():
     with pytest.raises(ValueError):
         load_rep_table("{not json")
+
+
+@pytest.mark.parametrize("name", [["x", 1], None, 3, {"a": "b"}, True])
+def test_load_refuses_a_non_string_group_name(name):
+    doc = {"group_name": name, "entries": [{"label": "a", "casimir": 0, "dim": 1}]}
+    with pytest.raises(ValueError, match="'group_name' must be a string") as refusal:
+        load_rep_table(doc)
+    assert "\n" not in str(refusal.value)
+
+
+def test_load_without_group_name_is_unnamed():
+    table = load_rep_table({"entries": [{"label": "a", "casimir": 0, "dim": 1}]})
+    assert table.group_name == ""
+
+
+def test_float_casimir_round_trips():
+    doc = {"group_name": "toy", "entries": [{"label": "a", "casimir": 0.75, "dim": 2}]}
+    table = load_rep_table(json.dumps(doc))
+    assert table.entries[0].casimir == 0.75 and isinstance(table.entries[0].casimir, float)
+    assert dump_rep_table(table) == doc

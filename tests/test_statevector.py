@@ -1308,3 +1308,9 @@ def test_large_halves_run_in_slices(monkeypatch, kind, ancillas):
     assert peak <= 1.25 * planned_bytes(circuit, 1)
     monkeypatch.setattr(statevector, "_CHUNK", 1 << 30)
     assert run(circuit, "0" * 20)[0].tobytes() == vector.tobytes()
+
+
+def test_effective_operator_refuses_13_work_qubits():
+    circuit = Circuit(tuple(range(13)), (), (), ())
+    with pytest.raises(ValueError, match="supports up to 12 work qubits"):
+        statevector.effective_operator(circuit)

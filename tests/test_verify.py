@@ -1,16 +1,21 @@
 """Scale-aware comparison, the axiom suite, and the reproduction bundle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper
+from cqs import verify
+from cqs.duality_compiler import Circuit, Gate, compile_exact, compile_paper, paper_factored_form
 from cqs.frobenius import (
     DenseOperator,
     FrobeniusSpec,
     PhaseConvention,
+    build_eta,
     build_mu,
     logical_form,
 )
+from cqs.pauli import FactoredOperator
 from cqs.reptheory import RepEntry, RepTable
 from cqs.encoding import default_encoding
 from cqs.verify import (
@@ -22,6 +27,7 @@ from cqs.verify import (
     VerifyReport,
     axiom_suite,
     compare_up_to_scale,
+    compile_generator,
     reproduce_paper,
     verify_compiled,
 )
@@ -283,3 +289,59 @@ def test_reproduce_form_residuals_positive():
         assert residuals["raw"] > 0.1
         assert residuals["up_to_scale"] > 0.1
         assert residuals["up_to_scale"] <= residuals["raw"]
+
+
+def test_compile_generator_modes():
+    spec = FrobeniusSpec.su3(3, beta=1.0)
+    circuit, report, target, name = compile_generator("eta", spec, "exact")
+    assert name == "eta"
+    assert np.array_equal(target.matrix, build_eta(spec).matrix)
+    assert report == compile_exact(target)[1]
+    circuit, report, target, name = compile_generator("eta", spec, "paper")
+    assert name == "eta_factored_form"
+    # the product form comes back unexpanded
+    assert isinstance(target, FactoredOperator)
+    assert report == compile_paper("eta", spec)[1]
+    with pytest.raises(ValueError, match="paper mode"):
+        compile_generator("cylinder", spec, "paper")
+    with pytest.raises(ValueError, match="unknown compile mode 'structured'"):
+        compile_generator("eta", spec, "structured")
+
+
+def test_verify_compiled_expands_a_product_form():
+    spec = FrobeniusSpec.su3(3, beta=1.0)
+    circuit, _report = compile_paper("mu", spec)
+    form = paper_factored_form("mu", spec)
+    given_form = verify_compiled(circuit, form, "mu_factored_form", "paper")
+    given_matrix = verify_compiled(circuit, form.matrix(), "mu_factored_form", "paper")
+    assert given_form == given_matrix
+    assert given_form.relative_residual <= RESIDUAL_TOLERANCE
+
+
+def _inflate_paper_mode(monkeypatch):
+    checked = verify.verify_compiled
+
+    def inflated(circuit, target, target_name, mode, axiom_results=()):
+        report = checked(circuit, target, target_name, mode, axiom_results)
+        return replace(report, relative_residual=1.0) if mode == "paper" else report
+
+    monkeypatch.setattr(verify, "verify_compiled", inflated)
+
+
+def _move_theta1(monkeypatch):
+    angles = {op: dict(reference) for op, reference in REFERENCE_ANGLES.items()}
+    angles["mu"]["theta1"] += 0.01
+    monkeypatch.setattr(verify, "REFERENCE_ANGLES", angles)
+
+
+@pytest.mark.parametrize("check, corrupt", [
+    ("axiom:commutativity", lambda mp: mp.setattr(verify, "AXIOM_TOLERANCE", -1.0)),
+    ("exact-residual:mu", lambda mp: mp.setattr(verify, "RESIDUAL_TOLERANCE", -1.0)),
+    ("paper-residual:mu", _inflate_paper_mode),
+    ("angle:mu:theta1", _move_theta1),
+])
+def test_reproduce_paper_names_the_failed_check(monkeypatch, check, corrupt):
+    corrupt(monkeypatch)
+    with pytest.raises(VerificationError) as failure:
+        reproduce_paper(PhaseConvention.PAPER_LITERAL)
+    assert failure.value.check == check
